@@ -44,7 +44,6 @@ from .fluctuation import (
     normalized_M,
     scalar_moment_trajectory,
     top_eigenvalue,
-    top_eigenvalue_matrix_free,
 )
 from .forward import SeedPolicy, TrajectorySweep, noised_at, step_ddpm, sweep
 from .merger import (

@@ -34,9 +34,11 @@ from .data import (
     synth_gaussian_mixture,
 )
 from .errors import DataError, DomainError, NumericError, VpmergeError
+from .fluctuation import conditional_fluctuation
 from .forward import SeedPolicy, sweep
 from .merger import (
     build_cascade,
+    default_epsilon,
     detect_series,
     guidance_windows,
     interpolation_schedule,
@@ -100,7 +102,12 @@ def _analysis_inputs(args):
     steps = _steps_list(args.steps, sched.horizon_T)
     sw = sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
     part = partition_by_label(ds)
-    eps = None if args.epsilon == "auto" else float(args.epsilon)
+    if args.epsilon == "auto":
+        # one threshold per command, shared by merge_times and the series CSV
+        eps = default_epsilon([conditional_fluctuation(sw, ev, 0, n=args.order)
+                               for ev in part.events])
+    else:
+        eps = float(args.epsilon)
     metric = {"top-eigen": "top_eigen_abs", "trace": "trace_l1"}[args.metric]
     return ds, sched, sw, part, eps, metric
 
@@ -171,13 +178,16 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    chunks = args.spectra.split("/")
+    if len(chunks) != args.classes:
+        raise DomainError(f"--spectra gives {len(chunks)} classes, --classes {args.classes}")
     spectra = []
-    for chunk in args.spectra.split("/"):
+    for chunk in chunks:
         vals = [float(v) for v in chunk.split(",")]
         if len(vals) < args.dim:
             vals = vals + [vals[-1]] * (args.dim - len(vals))
         spectra.append(sorted(vals[: args.dim], reverse=True))
-    k = len(spectra)
+    k = args.classes
     if args.means:
         means = [[float(v) for v in chunk.split(",")] for chunk in args.means.split("/")]
         if len(means) != k or any(len(m) != args.dim for m in means):
@@ -199,6 +209,8 @@ def _cmd_probe(args) -> int:
     steps = _steps_list(args.steps, sched.horizon_T)
     sw = sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
     part = partition_by_label(ds)
+    if not (0 <= args.class_a < part.n_events and 0 <= args.class_b < part.n_events):
+        raise DomainError(f"classes must lie in [0, {part.n_events})")
     a, b = part.events[args.class_a], part.events[args.class_b]
     if args.merge_step == "auto":
         series = detect_series(sw, a, b, n=2)
@@ -343,15 +355,15 @@ def execute(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except DomainError as exc:
-        _error_record("domain", exc)
-        return EXIT_USAGE
-    except DataError as exc:
-        _error_record("data", exc)
-        return EXIT_DATA
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         _error_record("numeric", exc)
         return EXIT_NUMERIC
+    except (DomainError, ValueError, IndexError) as exc:
+        _error_record("domain", exc)
+        return EXIT_USAGE
+    except (DataError, OSError) as exc:
+        _error_record("data", exc)
+        return EXIT_DATA
     except VpmergeError as exc:
         _error_record("error", exc)
         return EXIT_DATA

@@ -39,7 +39,6 @@ __all__ = [
     "cross_fluctuation_G",
     "normalized_M",
     "top_eigenvalue",
-    "top_eigenvalue_matrix_free",
     "scalar_moment_trajectory",
     "gaussian_central_moment",
 ]
@@ -215,42 +214,25 @@ def top_eigenvalue(matrix: np.ndarray, tol: float = 1e-8,
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"need a square matrix, got shape {matrix.shape}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if matrix.shape[0] <= DENSE_EIG_LIMIT:
         return float(np.linalg.eigvalsh(matrix)[-1])
-    return _power_iteration(lambda v: matrix @ v, matrix.shape[0], tol, max_iter, seed)
+    return _power_iteration(matrix, tol, max_iter, seed)
 
 
-def top_eigenvalue_matrix_free(rows: np.ndarray, tol: float = 1e-8,
-                               max_iter: int = 10000, seed: int = 0) -> float:
-    """Top eigenvalue of (1/m) X_c^T X_c without materializing d x d.
-
-    rows are raw samples; centering happens inside the matvec.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise DomainError("need a 2-D data view with >= 2 rows")
-    m = rows.shape[0]
-    mean = rows.mean(axis=0)
-
-    def matvec(v):
-        w = rows @ v - (mean @ v)  # (X - mean) @ v, row scalars
-        return (rows.T @ w - mean * w.sum()) / m
-
-    return _power_iteration(matvec, rows.shape[1], tol, max_iter, seed)
-
-
-def _power_iteration(matvec, d, tol, max_iter, seed) -> float:
+def _power_iteration(matrix, tol, max_iter, seed) -> float:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xE16], dtype=np.uint64)))
-    v = rng.standard_normal(d)
+    v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = matvec(v)
+        w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        lam_new = float(v @ matvec(v))
+        lam_new = float(v @ (matrix @ v))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return lam_new
         lam = lam_new

@@ -27,19 +27,14 @@ __all__ = ["SeedPolicy", "TrajectorySweep", "noised_at", "step_ddpm", "sweep"]
 
 _TAG_MARGINAL = 0
 _TAG_DDPM = 1
-_TAG_SHARED = 2
 
 
 @dataclass(frozen=True)
 class SeedPolicy:
-    """Counter-based noise derivation from a single 64-bit base seed.
-
-    shared_path=True reuses one eps per sample across all steps (a
-    path-coupled sweep); the default draws fresh noise per (sample, step).
-    """
+    """Counter-based noise derivation from a single 64-bit base seed;
+    fresh noise per (sample, step)."""
 
     base_seed: int
-    shared_path: bool = False
 
     def _stream(self, tag: int, step: int) -> np.random.Generator:
         key = np.array(
@@ -50,8 +45,6 @@ class SeedPolicy:
         return np.random.Generator(np.random.Philox(key=key))
 
     def noise(self, n: int, d: int, step: int, tag: int = _TAG_MARGINAL) -> np.ndarray:
-        if self.shared_path and tag == _TAG_MARGINAL:
-            return self._stream(_TAG_SHARED, 0).standard_normal((n, d))
         return self._stream(tag, step).standard_normal((n, d))
 
 

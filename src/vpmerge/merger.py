@@ -14,11 +14,16 @@ merger is sticky).  Distances:
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
-whatever step grid the sweep carries, and keeps a K-class scan on tens
-of thousands of samples in the sub-second range.  mode="empirical"
-recomputes moments from the stochastic snapshots instead.
+whatever step grid the sweep carries.  Step-0 moments are computed once
+per class, and one integer scan kernel (shared by pairwise_merge_times
+and detect_series) finds the first t in 0..T at which each pair's
+distance is <= eps.  mode="empirical" recomputes moments from the
+stochastic snapshots pair by pair and step by step; it is the oracle.
 
 The default threshold is eps = max_k lambda_k_max(0) / 400.
+
+Cascades are single linkage over merge times; ties go to the pair of
+clusters whose smallest class ids (lo, hi) are lexicographically first.
 """
 
 from __future__ import annotations
@@ -142,35 +147,43 @@ def default_epsilon(moments0) -> float:
     return max(tops) / 400.0
 
 
-def _metric_scalars(m: ConditionalMoments, metric: str) -> tuple:
-    """(distance statistic at 0, trace, frobenius_sq) used in propagation."""
-    if metric == "top_eigen_abs":
-        stat = m.top_eigenvalue
-    elif metric == "trace_l1":
-        stat = m.frobenius_sq
-    else:
+def _metric_stat(metric: str) -> str:
+    """Name of the ConditionalMoments field a metric compares."""
+    stats = {"top_eigen_abs": "top_eigenvalue", "trace_l1": "frobenius_sq"}
+    if metric not in stats:
         raise DomainError(f"unknown metric {metric!r}")
-    trace = float(np.trace(m.tensor)) if m.order == 2 else float(m.tensor.sum())
-    return stat, trace, m.frobenius_sq
+    return stats[metric]
 
 
-def _propagated_distance(schedule: NoiseSchedule, ts: np.ndarray, metric: str,
-                         n: int, ma: ConditionalMoments, mb: ConditionalMoments) -> np.ndarray:
-    """Distance series on integer steps ts under exact moment propagation."""
-    j2 = j_values(schedule, ts) ** 2
-    d = ma.dim
-    if n == 1:
-        # tensors scale by J; both metrics reduce to J-powers of step-0 stats
-        jn = np.sqrt(j2)
-        if metric == "top_eigen_abs":
-            return jn * abs(ma.top_eigenvalue - mb.top_eigenvalue)
-        return j2 * abs(ma.frobenius_sq - mb.frobenius_sq)
-    if metric == "top_eigen_abs":
-        return j2 * abs(ma.top_eigenvalue - mb.top_eigenvalue)
-    # ||J^2 A + (1-J^2) I||_F^2 = J^4 ||A||^2 + 2 J^2 (1-J^2) tr A + d (1-J^2)^2
-    fa = j2**2 * ma.frobenius_sq + 2 * j2 * (1 - j2) * np.trace(ma.tensor) + d * (1 - j2) ** 2
-    fb = j2**2 * mb.frobenius_sq + 2 * j2 * (1 - j2) * np.trace(mb.tensor) + d * (1 - j2) ** 2
-    return np.abs(fa - fb)
+def _propagated_frobenius(j2, frobenius_sq, trace, d):
+    """||J^2 A + (1-J^2) I||_F^2 = J^4 ||A||^2 + 2 J^2 (1-J^2) tr A + d (1-J^2)^2."""
+    return j2**2 * frobenius_sq + 2 * j2 * (1 - j2) * trace + d * (1 - j2) ** 2
+
+
+def _merge_step_matrix(schedule: NoiseSchedule, horizon: int, moments0: list,
+                       metric: str, n: int, epsilon: float) -> np.ndarray:
+    """First integer step in 0..horizon where each pair's propagated
+    distance is <= epsilon (the horizon if none); one row of pairs at a time."""
+    field = _metric_stat(metric)
+    stat = np.array([getattr(m, field) for m in moments0])
+    j2 = j_values(schedule, np.arange(0, horizon + 1))[:, None] ** 2
+    series = None
+    if metric == "trace_l1" and n == 2:
+        trace = np.array([np.trace(m.tensor) for m in moments0])
+        series = _propagated_frobenius(j2, stat, trace, moments0[0].dim)
+    # order-1 tensors scale by J, so the eigenvalue proxy scales by J too
+    scale = np.sqrt(j2) if n == 1 and metric == "top_eigen_abs" else j2
+    k = len(moments0)
+    out = np.zeros((k, k), dtype=np.int64)
+    for i in range(k - 1):
+        if series is None:
+            dist = scale * np.abs(stat[i] - stat[i + 1:])
+        else:
+            dist = np.abs(series[:, i:i + 1] - series[:, i + 1:])
+        merged = dist <= epsilon
+        first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
+        out[i, i + 1:] = out[i + 1:, i] = first
+    return out
 
 
 def _propagated_cka(schedule: NoiseSchedule, ts: np.ndarray,
@@ -187,8 +200,8 @@ def _propagated_cka(schedule: NoiseSchedule, ts: np.ndarray,
     tra, trb = np.trace(ma.tensor), np.trace(mb.tensor)
     g0 = float(np.sum(ma.tensor * mb.tensor))
     g = j2**2 * g0 + j2 * (1 - j2) * (tra + trb) + d * (1 - j2) ** 2
-    fa = j2**2 * ma.frobenius_sq + 2 * j2 * (1 - j2) * tra + d * (1 - j2) ** 2
-    fb = j2**2 * mb.frobenius_sq + 2 * j2 * (1 - j2) * trb + d * (1 - j2) ** 2
+    fa = _propagated_frobenius(j2, ma.frobenius_sq, tra, d)
+    fb = _propagated_frobenius(j2, mb.frobenius_sq, trb, d)
     bad = (fa <= 0) | (fb <= 0)
     if np.any(bad):
         raise DegenerateError(
@@ -213,23 +226,25 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
         raise DomainError("events must be non-empty")
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
+    stat = _metric_stat(metric)
     horizon = sweep.horizon
 
     ma0 = conditional_fluctuation(sweep, a, 0, n=n, centering=centering, propagate=True)
     mb0 = conditional_fluctuation(sweep, b, 0, n=n, centering=centering, propagate=True)
     if epsilon is None:
         epsilon = default_epsilon([ma0, mb0])
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
 
     grid = np.asarray(sweep.steps, dtype=np.int64)
     if mode == "analytic":
-        all_t = np.arange(0, horizon + 1)
-        dist = _propagated_distance(sweep.schedule, all_t, metric, n, ma0, mb0)
-        merged = dist <= epsilon
-        istar = int(all_t[merged][0]) if merged.any() else horizon
-        values = _propagated_cka(sweep.schedule, grid, ma0, mb0, n)
-        values = np.where(grid >= istar, 1.0, values)
+        istar = int(_merge_step_matrix(sweep.schedule, horizon, [ma0, mb0],
+                                       metric, n, epsilon)[0, 1])
+        # as in empirical mode, the similarity is only evaluated before i*
+        values = np.ones(len(grid))
+        before = grid < istar
+        if before.any():
+            values[before] = _propagated_cka(sweep.schedule, grid[before], ma0, mb0, n)
     elif mode == "empirical":
         values = np.empty(len(grid))
         istar = horizon
@@ -244,9 +259,7 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
                                               centering=centering, propagate=False)
             except DegenerateError as exc:
                 raise DegenerateError(f"step {int(t)}: {exc}") from None
-            da, _, _ = _metric_scalars(mat, metric)
-            db, _, _ = _metric_scalars(mbt, metric)
-            if abs(da - db) <= epsilon:
+            if abs(getattr(mat, stat) - getattr(mbt, stat)) <= epsilon:
                 istar = int(t)
                 values[i] = 1.0
             else:
@@ -281,6 +294,11 @@ def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
     ]
     if epsilon is None:
         epsilon = default_epsilon(moments0)
+    if not epsilon > 0.0:
+        raise DomainError("epsilon must be positive")
+    if mode == "analytic":
+        return _merge_step_matrix(sweep.schedule, sweep.horizon, moments0,
+                                  metric, n, epsilon)
     out = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
         for j in range(i + 1, k):
@@ -296,8 +314,10 @@ def build_cascade(merge_times: np.ndarray) -> MergerCascade:
     """Single-linkage agglomeration with merge times as the dissimilarity.
 
     Heights are non-decreasing toward the root (single linkage is
-    ultrametric-safe).  Ties break on the smallest involved class ids
-    so the tree is deterministic.
+    ultrametric-safe).  Row i of the distance matrix stands for the
+    cluster whose smallest member is i; a merge folds row hi into row lo
+    by a minimum.  The first row-major argmin is the smallest (lo, hi),
+    which is the tie-break, so the tree is deterministic.
     """
     mt = np.asarray(merge_times, dtype=np.float64)
     if mt.ndim != 2 or mt.shape[0] != mt.shape[1]:
@@ -307,29 +327,17 @@ def build_cascade(merge_times: np.ndarray) -> MergerCascade:
     if np.any(mt < 0):
         raise DomainError("merge_times must be non-negative")
     k = mt.shape[0]
-    if k == 1:
-        return MergerCascade(root=CascadeLeaf(0), n_classes=1)
-
-    nodes = {i: CascadeLeaf(i) for i in range(k)}
-    members = {i: [i] for i in range(k)}
-    active = list(range(k))
-    while len(active) > 1:
-        best = None
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                ca, cb = active[ai], active[bi]
-                d = mt[np.ix_(members[ca], members[cb])].min()
-                lo, hi = sorted((min(members[ca]), min(members[cb])))
-                key = (d, lo, hi)
-                if best is None or key < best[0]:
-                    best = (key, ca, cb)
-        (d, _, _), ca, cb = best
-        lo, hi = (ca, cb) if min(members[ca]) < min(members[cb]) else (cb, ca)
-        nodes[lo] = CascadeNode(merge_step=int(round(d)), left=nodes[lo], right=nodes[hi])
-        members[lo] = members[lo] + members[hi]
-        active.remove(hi)
-        del nodes[hi], members[hi]
-    return MergerCascade(root=nodes[active[0]], n_classes=k)
+    dist = mt.copy()
+    np.fill_diagonal(dist, np.inf)
+    nodes = [CascadeLeaf(i) for i in range(k)]
+    for _ in range(k - 1):
+        lo, hi = divmod(int(np.argmin(dist)), k)
+        nodes[lo] = CascadeNode(merge_step=int(round(dist[lo, hi])),
+                                left=nodes[lo], right=nodes[hi])
+        dist[lo, :] = dist[:, lo] = np.minimum(dist[lo], dist[hi])
+        dist[lo, lo] = np.inf
+        dist[hi, :] = dist[:, hi] = np.inf
+    return MergerCascade(root=nodes[0], n_classes=k)
 
 
 def guidance_windows(merge_times: np.ndarray, istar: int, horizon: int) -> list:

@@ -42,6 +42,13 @@ class TestMixing:
 
 
 class TestSimulate:
+    def test_classes_must_match_spectra(self, tmp_path, capsys):
+        code = run(["simulate", "--classes", "5", "--dim", "4", "--spectra", "3,1/2,1",
+                    "--n-per-class", "50", "--out", str(tmp_path / "s.fvec1")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "domain"
+        assert not (tmp_path / "s.fvec1").exists()
+
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.fvec1", tmp_path / "b.fvec1"
         args = ["simulate", "--classes", "2", "--dim", "4", "--spectra",
@@ -49,6 +56,17 @@ class TestSimulate:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture()
+def three_class_fixture(tmp_path):
+    """Three classes, so a pair-local epsilon differs from the global one."""
+    out = tmp_path / "three.fvec1"
+    assert run([
+        "simulate", "--classes", "3", "--dim", "6", "--spectra", "8,1/3,1/2,1",
+        "--n-per-class", "1000", "--seed", "7", "--out", str(out),
+    ]) == 0
+    return out
 
 
 class TestAnalyze:
@@ -73,6 +91,20 @@ class TestAnalyze:
         assert run(["analyze", "--input", str(small_fixture),
                     "--epsilon", "auto", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["merge_times"][0][1] > 0
+
+    def test_epsilon_auto_series_matches_merge_times(self, tmp_path, three_class_fixture):
+        out, series = tmp_path / "an.json", tmp_path / "series.csv"
+        assert run(["analyze", "--input", str(three_class_fixture), "--steps", "101",
+                    "--epsilon", "auto", "--out", str(out),
+                    "--series-out", str(series)]) == 0
+        mt = json.loads(out.read_text())["merge_times"]
+        rows = np.loadtxt(series, delimiter=",", skiprows=1)
+        grid = np.unique(rows[:, 2])
+        for i in range(3):
+            for j in range(i + 1, 3):
+                pair = rows[(rows[:, 0] == i) & (rows[:, 1] == j)]
+                first_one = pair[np.argmax(pair[:, 3] == 1.0), 2]
+                assert first_one == grid[np.searchsorted(grid, mt[i][j])]
 
 
 class TestWindows:
@@ -169,6 +201,23 @@ class TestErrorMapping:
 
     def test_domain_error_usage(self, tmp_path, small_fixture):
         assert run(["mixing", "--dim", "2"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "{data}", "--epsilon", "abc"],
+        ["converge", "--input", "{data}", "--steps", "1,x"],
+        ["probe", "--input", "{data}", "--merge-step", "soon", "--out", "{tmp}/p.csv"],
+        ["probe", "--input", "{data}", "--class-a", "77", "--out", "{tmp}/p.csv"],
+        ["probe", "--input", "{data}", "--class-b", "-1", "--out", "{tmp}/p.csv"],
+        ["mixing", "--dim", "64", "--out", "{tmp}/missing/m.json"],
+        ["simulate", "--classes", "1", "--dim", "2", "--spectra", "1,x",
+         "--n-per-class", "10", "--out", "{tmp}/s.fvec1"],
+    ])
+    def test_bad_values_give_one_json_record(self, argv, tmp_path, small_fixture, capsys):
+        argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]
+        assert run(argv) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestReproducibility:

@@ -19,7 +19,6 @@ from vpmerge import (
     scalar_moment_trajectory,
     sweep,
     top_eigenvalue,
-    top_eigenvalue_matrix_free,
 )
 from vpmerge.fluctuation import moments_from_rows
 from vpmerge.schedule import j_values
@@ -174,13 +173,6 @@ class TestTopEigenvalue:
         oracle = np.linalg.eigvalsh(big)[-1]
         assert top_eigenvalue(big) == pytest.approx(oracle, rel=1e-6)
 
-    def test_matrix_free_matches_dense_covariance(self):
-        rng = np.random.default_rng(3)
-        rows = rng.standard_normal((5000, 12)) * np.sqrt(np.r_[6.0, np.ones(11)])
-        dev = rows - rows.mean(axis=0)
-        oracle = np.linalg.eigvalsh(dev.T @ dev / 5000)[-1]
-        assert top_eigenvalue_matrix_free(rows) == pytest.approx(oracle, rel=1e-6)
-
     def test_non_convergence_reports(self):
         mat = np.zeros((300, 300))
         mat[0, 0], mat[1, 1] = 1.0, 0.99  # slow mode, zero tolerance
@@ -190,6 +182,10 @@ class TestTopEigenvalue:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             top_eigenvalue(np.zeros((2, 3)))
+
+    def test_max_iter_below_one_rejected(self):
+        with pytest.raises(DomainError, match="max_iter"):
+            top_eigenvalue(np.eye(300), max_iter=0)
 
 
 class TestScalarMoments:

@@ -58,16 +58,6 @@ class TestNoisedAt:
         off = cross[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 3 * var / np.sqrt(100000) + 1e-3)
 
-    def test_shared_path_reuses_noise(self, ddpm):
-        ds = unit_dataset(3, n=200)
-        pol = SeedPolicy(base_seed=7, shared_path=True)
-        j1, j2 = (float(j_values(ddpm, t)) for t in (200, 600))
-        x1 = noised_at(ds, ddpm, 200, pol)
-        x2 = noised_at(ds, ddpm, 600, pol)
-        eps1 = (x1 - j1 * ds.features) / np.sqrt(1 - j1 * j1)
-        eps2 = (x2 - j2 * ds.features) / np.sqrt(1 - j2 * j2)
-        assert np.allclose(eps1, eps2, atol=1e-10)
-
 
 class TestStepDdpm:
     def test_zero_beta_keeps_input(self):

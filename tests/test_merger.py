@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmerge import (
     ConditionalMoments,
@@ -10,6 +12,7 @@ from vpmerge import (
     LabeledDataset,
     NoiseSchedule,
     SeedPolicy,
+    SyntheticSpec,
     build_cascade,
     default_epsilon,
     detect_series,
@@ -20,7 +23,9 @@ from vpmerge import (
     partition_by_label,
     phase_spectrum,
     sweep,
+    synth_gaussian_mixture,
 )
+from vpmerge.merger import CascadeLeaf, CascadeNode
 from vpmerge.schedule import betas
 
 from conftest import two_class_dataset
@@ -38,6 +43,41 @@ def closed_form_merge_step(sched, delta_lambda, eps):
     b = sched.beta0
     t = (-b + math.sqrt(b * b + 4 * a * target)) / (2 * a)
     return t
+
+
+def reference_cascade(mt):
+    """Oracle: the active-pair rescan single linkage the matrix update replaced."""
+    k = mt.shape[0]
+    nodes = {i: CascadeLeaf(i) for i in range(k)}
+    members = {i: [i] for i in range(k)}
+    active = list(range(k))
+    while len(active) > 1:
+        best = None
+        for ai in range(len(active)):
+            for bi in range(ai + 1, len(active)):
+                ca, cb = active[ai], active[bi]
+                d = mt[np.ix_(members[ca], members[cb])].min()
+                lo, hi = sorted((min(members[ca]), min(members[cb])))
+                key = (d, lo, hi)
+                if best is None or key < best[0]:
+                    best = (key, ca, cb)
+        (d, _, _), ca, cb = best
+        lo, hi = (ca, cb) if min(members[ca]) < min(members[cb]) else (cb, ca)
+        nodes[lo] = CascadeNode(merge_step=int(round(d)), left=nodes[lo], right=nodes[hi])
+        members[lo] = members[lo] + members[hi]
+        active.remove(hi)
+        del nodes[hi], members[hi]
+    return nodes[active[0]].to_dict()
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    k = draw(st.integers(2, 12))
+    upper = draw(st.lists(st.integers(0, 3), min_size=k * (k - 1) // 2,
+                          max_size=k * (k - 1) // 2))
+    m = np.zeros((k, k))
+    m[np.triu_indices(k, 1)] = upper
+    return m + m.T
 
 
 def halves_sweep(ddpm, seed=HALVES_SEED, n=40000, d=16):
@@ -153,6 +193,28 @@ class TestPairwiseMergeTimes:
         mt = pairwise_merge_times(sw, partition_by_label(sw.dataset))
         assert mt[0, 1] == 0
 
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_per_pair_series(self, ddpm, metric, n):
+        rng = np.random.default_rng(8)
+        spectra = np.vstack([np.r_[lam, np.ones(5)] for lam in (9.0, 6.0, 5.5, 2.0, 1.2)])
+        spec = SyntheticSpec(means=rng.normal(0, 0.5, (5, 6)), spectra=spectra,
+                             samples_per_class=(400,) * 5)
+        ds = synth_gaussian_mixture(spec, seed=8)
+        sw = sweep(ds, ddpm, [0, 500, 1000], SeedPolicy(base_seed=8))
+        part = partition_by_label(ds)
+        mt = pairwise_merge_times(sw, part, n=n, epsilon=0.02, metric=metric)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                series = detect_series(sw, part.events[i], part.events[j], n=n,
+                                       epsilon=0.02, metric=metric)
+                assert mt[i, j] == mt[j, i] == series.first_merge_step
+
+    def test_unknown_metric_rejected(self, two_class_sweep):
+        sw, part = two_class_sweep
+        with pytest.raises(DomainError, match="metric"):
+            pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
+
 
 class TestCascade:
     def test_single_leaf(self):
@@ -213,6 +275,11 @@ class TestCascade:
             ours = sorted(n.merge_step for n in build_cascade(m).internal_nodes())
             ref = sorted(int(round(h)) for h in linkage(squareform(m), "single")[:, 2])
             assert ours == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_matrices())
+    def test_matches_reference_on_ties(self, m):
+        assert build_cascade(m).to_dict() == reference_cascade(m)
 
     def test_validation(self):
         with pytest.raises(DomainError):
