@@ -30,19 +30,19 @@ from .data import (
     SyntheticSpec,
     load_dataset,
     partition_by_label,
+    read_csv,
     save_dataset,
     synth_gaussian_mixture,
 )
 from .errors import DataError, DomainError, NumericError, VpmergeError
-from .fluctuation import conditional_fluctuation
 from .forward import SeedPolicy, sweep
 from .merger import (
     build_cascade,
-    default_epsilon,
     detect_series,
     guidance_windows,
     interpolation_schedule,
     pairwise_merge_times,
+    pairwise_series,
 )
 from .probe import probe_through_time
 from .schedule import NoiseSchedule, predict_mixing_step
@@ -51,6 +51,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+class _UsageError(Exception):
+    """An argv that the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """error() raises _UsageError instead of printing usage; subparsers inherit it."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _schedule_args(p: argparse.ArgumentParser) -> None:
@@ -102,12 +113,8 @@ def _analysis_inputs(args):
     steps = _steps_list(args.steps, sched.horizon_T)
     sw = sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
     part = partition_by_label(ds)
-    if args.epsilon == "auto":
-        # one threshold per command, shared by merge_times and the series CSV
-        eps = default_epsilon([conditional_fluctuation(sw, ev, 0, n=args.order)
-                               for ev in part.events])
-    else:
-        eps = float(args.epsilon)
+    # None: merge_times and the series CSV share the merger's all-class default
+    eps = None if args.epsilon == "auto" else float(args.epsilon)
     metric = {"top-eigen": "top_eigen_abs", "trace": "trace_l1"}[args.metric]
     return ds, sched, sw, part, eps, metric
 
@@ -115,13 +122,10 @@ def _analysis_inputs(args):
 def _series_csv(path, sw, part, n, eps, metric, mode) -> None:
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
-        k = part.n_events
-        for i in range(k):
-            for j in range(i + 1, k):
-                series = detect_series(sw, part.events[i], part.events[j],
-                                       n=n, epsilon=eps, metric=metric, mode=mode)
-                for t, v in zip(series.steps, series.values):
-                    fh.write(f"{i},{j},{t},{float(v)!r}\n")
+        for (i, j), series in pairwise_series(sw, part, n=n, epsilon=eps,
+                                              metric=metric, mode=mode):
+            for t, v in zip(series.steps, series.values):
+                fh.write(f"{i},{j},{t},{float(v)!r}\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -149,6 +153,7 @@ def _cmd_windows(args) -> int:
         sw, alpha=args.alpha,
         views=RandomProjections(count=args.projections, seed=args.seed)
         if args.projections else "coordinates",
+        stop_at_detection=True,  # only detected_step is read
     )
     wins = guidance_windows(mt, report.detected_step, sched.horizon_T)
     eta = interpolation_schedule(sched, args.eta_scale)
@@ -239,19 +244,7 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_tvcheck(args) -> int:
-    rows = []
-    with open(args.input) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"row {lineno}: expected x,p,q")
-            rows.append([float(v) for v in parts])
-    if not rows:
-        raise DataError(f"{args.input} contains no density rows")
-    arr = np.array(rows)
+    arr = read_csv(args.input, width=3)
     report = moment_tv_check(arr[:, 1], arr[:, 2], arr[:, 0],
                              n=args.order, c0=args.c0)
     _emit_json({
@@ -264,7 +257,7 @@ def _cmd_tvcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vpmerge",
         description="Merger analysis for VP diffusion forward processes",
     )
@@ -351,8 +344,11 @@ def execute(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    except _UsageError as exc:
+        _error_record("usage", exc)
+        return EXIT_USAGE
+    except SystemExit:  # --help, printed to stdout
+        return EXIT_OK
     try:
         return args.func(args)
     except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError

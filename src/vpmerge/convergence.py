@@ -146,9 +146,8 @@ def _view_matrix(snapshot: np.ndarray, views, rng_cache: dict) -> np.ndarray:
     if isinstance(views, RandomProjections):
         d = snapshot.shape[1]
         if "proj" not in rng_cache:
-            rng = np.random.Generator(
-                np.random.Philox(key=np.array([views.seed, 0xC0DE], dtype=np.uint64))
-            )
+            key = np.array([views.seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
             proj = rng.standard_normal((d, views.count))
             proj /= np.linalg.norm(proj, axis=0)
             rng_cache["proj"] = proj
@@ -272,7 +271,7 @@ def empirical_cf_distance(a, b, freq_count: int = 64,
     d = xa.shape[1]
     scale = freq_scale if freq_scale is not None else 1.0 / math.sqrt(d)
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0xF0F0], dtype=np.uint64))
+        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xF0F0], dtype=np.uint64))
     )
     freqs = scale * rng.standard_normal((freq_count, d))
     phi_a = np.exp(1j * xa @ freqs.T).mean(axis=0)

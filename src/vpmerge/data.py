@@ -7,8 +7,9 @@ in ``label_map``.
 
 File formats
 ------------
-CSV: one record per line, first field an integer label, remaining d
-fields decimal reals; optional leading header lines starting with '#'.
+CSV (read_csv, the reader of every CSV input): one record per line, an
+integral label (``1`` or ``1.0``), then d decimal reals; blank lines are
+skipped and '#' starts a comment anywhere on a line.
 
 fvec1 (little-endian binary): 5 magic bytes ``FVEC1``, uint64 N,
 uint64 d, then N records of [uint32 label, d x float32 features].
@@ -17,6 +18,7 @@ uint64 d, then N records of [uint32 label, d x float32 features].
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +32,7 @@ __all__ = [
     "SyntheticSpec",
     "load_dataset",
     "save_dataset",
+    "read_csv",
     "partition_by_label",
     "synth_gaussian_mixture",
     "standardize",
@@ -250,31 +253,37 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
         raise DomainError(f"unknown dataset format {fmt!r}")
 
 
-def _load_csv(path: Path) -> LabeledDataset:
-    labels, rows = [], []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise DataError(f"row {lineno}: need a label and at least one feature")
-            elif len(parts) != width:
-                raise DataError(
-                    f"row {lineno}: expected {width} fields, got {len(parts)}"
-                )
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"row {lineno}: {exc}") from None
-    if not rows:
+def read_csv(path, width: int | None = None) -> np.ndarray:
+    """Comma-separated reals as a 2-D float64 array, one row per data line;
+    DataError for a bad value or ragged row (loadtxt's message), no data
+    rows, or a column count other than width."""
+    with warnings.catch_warnings():
+        # reported below as a DataError instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    if arr.shape[0] == 0:
         raise DataError(f"{path} contains no data rows")
-    return LabeledDataset(features=np.array(rows), labels=np.array(labels))
+    if width is not None and arr.shape[1] != width:
+        raise DataError(f"{path}: expected {width} columns, got {arr.shape[1]}")
+    return arr
+
+
+def integer_column(values: np.ndarray, what: str) -> np.ndarray:
+    """values as int64; DataError unless every one is a whole number."""
+    if not np.all((values == np.round(values)) & (np.abs(values) < 2.0**63)):
+        raise DataError(f"{what} must be integers")
+    return values.astype(np.int64)
+
+
+def _load_csv(path: Path) -> LabeledDataset:
+    arr = read_csv(path)
+    if arr.shape[1] < 2:
+        raise DataError(f"{path}: need a label and at least one feature")
+    return LabeledDataset(features=np.ascontiguousarray(arr[:, 1:]),
+                          labels=integer_column(arr[:, 0], "labels"))
 
 
 def _load_fvec1(path: Path) -> LabeledDataset:

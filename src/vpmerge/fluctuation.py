@@ -66,7 +66,7 @@ class ConditionalMoments:
     @classmethod
     def from_tensor(cls, tensor, order=None, step=0.0, event_id=None,
                     centering="conditional_mean", mean_vector=None):
-        """Wrap a raw vector/matrix as a moments object (tests, ad-hoc use)."""
+        """Moments of a vector/matrix; one top-eigenvalue solve (norm at order 1)."""
         tensor = np.asarray(tensor, dtype=np.float64)
         n = order if order is not None else tensor.ndim
         if n == 2 and tensor.ndim != 2:
@@ -115,18 +115,6 @@ def moments_from_rows(rows: np.ndarray, n: int, centering: str = "conditional_me
     return mean, tensor
 
 
-def _package(event_id, step, n, centering, mean, tensor) -> ConditionalMoments:
-    if n == 2:
-        top = top_eigenvalue(tensor)
-    else:
-        top = float(np.linalg.norm(tensor))
-    return ConditionalMoments(
-        event_id=event_id, step=float(step), order=n, centering=centering,
-        mean_vector=mean, tensor=tensor, top_eigenvalue=top,
-        frobenius_sq=float(np.sum(tensor * tensor)),
-    )
-
-
 def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
                             centering: str = "conditional_mean",
                             propagate: bool = True,
@@ -154,7 +142,7 @@ def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
             x0[event], n, centering, global_mean=gmean0, denom=denom
         )
         return propagate_moments(
-            _package(None, 0, n, centering, mean0, tensor0),
+            ConditionalMoments.from_tensor(tensor0, n, 0, None, centering, mean0),
             sweep.schedule, t, event_id=_event_key(event),
         )
 
@@ -163,7 +151,7 @@ def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
     mean, tensor = moments_from_rows(
         xt[event], n, centering, global_mean=gmean, denom=denom
     )
-    return _package(_event_key(event), t, n, centering, mean, tensor)
+    return ConditionalMoments.from_tensor(tensor, n, t, _event_key(event), centering, mean)
 
 
 def _event_key(event: np.ndarray):
@@ -174,17 +162,20 @@ def propagate_moments(m0: ConditionalMoments, schedule: NoiseSchedule, t: int,
                       event_id=None) -> ConditionalMoments:
     """Push step-0 moments through the marginal law to step t (exact)."""
     j = float(j_values(schedule, t))
-    mean = j * m0.mean_vector
     if m0.order == 1:
         tensor = j * m0.tensor
-        return _package(event_id or m0.event_id, t, 1, m0.centering, mean, tensor)
-    j2 = j * j
-    tensor = j2 * m0.tensor + (1.0 - j2) * np.eye(m0.dim)
-    out = _package(event_id or m0.event_id, t, 2, m0.centering, mean, tensor)
-    # eigenvectors are preserved by a J^2 A + (1-J^2) I map, so the top
-    # eigenvalue propagates exactly; bypass the iterative solve
-    object.__setattr__(out, "top_eigenvalue", j2 * m0.top_eigenvalue + (1.0 - j2))
-    return out
+        top = float(np.linalg.norm(tensor))
+    else:
+        j2 = j * j
+        tensor = j2 * m0.tensor + (1.0 - j2) * np.eye(m0.dim)
+        # eigenvectors are preserved by a J^2 A + (1-J^2) I map, so the top
+        # eigenvalue propagates exactly, with no eigensolve
+        top = j2 * m0.top_eigenvalue + (1.0 - j2)
+    return ConditionalMoments(
+        event_id=event_id or m0.event_id, step=float(t), order=m0.order,
+        centering=m0.centering, mean_vector=j * m0.mean_vector, tensor=tensor,
+        top_eigenvalue=top, frobenius_sq=float(np.sum(tensor * tensor)),
+    )
 
 
 def cross_fluctuation_G(a: ConditionalMoments, b: ConditionalMoments) -> float:

@@ -14,13 +14,16 @@ merger is sticky).  Distances:
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
-whatever step grid the sweep carries.  Step-0 moments are computed once
-per class, and one integer scan kernel (shared by pairwise_merge_times
-and detect_series) finds the first t in 0..T at which each pair's
-distance is <= eps.  mode="empirical" recomputes moments from the
+whatever step grid the sweep carries.  One integer scan kernel (shared
+by pairwise_merge_times and detect_series) finds the first t in 0..T at
+which each pair's distance is <= eps.  mode="empirical" recomputes moments from the
 stochastic snapshots pair by pair and step by step; it is the oracle.
 
-The default threshold is eps = max_k lambda_k_max(0) / 400.
+A call of pairwise_merge_times or pairwise_series (a lazy generator of
+every pair's series) makes one step-0 pass, one conditional_fluctuation
+per class, in either mode.  The default threshold eps = max_k
+lambda_k_max(0) / 400 is resolved only here: over all classes in both of
+those (so they agree), over the two events alone in detect_series.
 
 Cascades are single linkage over merge times; ties go to the pair of
 clusters whose smallest class ids (lo, hi) are lexicographically first.
@@ -48,6 +51,7 @@ __all__ = [
     "EtaSchedule",
     "default_epsilon",
     "detect_series",
+    "pairwise_series",
     "pairwise_merge_times",
     "build_cascade",
     "guidance_windows",
@@ -210,9 +214,23 @@ def _propagated_cka(schedule: NoiseSchedule, ts: np.ndarray,
     return np.minimum(np.abs(g) / np.sqrt(fa * fb), 1.0)
 
 
+def _checked_epsilon(epsilon, moments0) -> float:
+    """The given threshold, or default_epsilon over moments0; must be > 0."""
+    if epsilon is None:
+        epsilon = default_epsilon(moments0)
+    if not epsilon > 0.0:
+        raise DomainError("epsilon must be positive")
+    return epsilon
+
+
+def _step0_moments(sweep: TrajectorySweep, events, n: int) -> list:
+    if len(events) < 2:
+        raise DomainError("need at least two events")
+    return [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
+
+
 def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
                   epsilon: float | None = None, metric: str = "top_eigen_abs",
-                  centering: str = "conditional_mean",
                   mode: str = "analytic") -> MergerSeries:
     """Thresholded similarity series and first merger step for events a, b.
 
@@ -222,23 +240,36 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        raise DomainError("events must be non-empty")
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
+    ma0, mb0 = moments0 = _step0_moments(sweep, [a, b], n)  # empty events raise here
+    return _series(sweep, a, b, ma0, mb0, n, _checked_epsilon(epsilon, moments0),
+                   metric, mode)
+
+
+def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
+                    n: int = 2, epsilon: float | None = None,
+                    metric: str = "top_eigen_abs", mode: str = "analytic"):
+    """Yield ((i, j), MergerSeries) for every pair i < j, row-major, from one
+    step-0 pass and one epsilon over all classes.  Lazy, so a caller that
+    streams the series never holds all K(K-1)/2 of them."""
+    events = [np.asarray(ev, dtype=np.int64) for ev in partition.events]
+    moments0 = _step0_moments(sweep, events, n)
+    epsilon = _checked_epsilon(epsilon, moments0)
+    for i in range(len(events)):
+        for j in range(i + 1, len(events)):
+            yield (i, j), _series(sweep, events[i], events[j], moments0[i],
+                                  moments0[j], n, epsilon, metric, mode)
+
+
+def _series(sweep: TrajectorySweep, a: np.ndarray, b: np.ndarray,
+            ma0: ConditionalMoments, mb0: ConditionalMoments, n: int,
+            epsilon: float, metric: str, mode: str) -> MergerSeries:
+    """detect_series for validated events, their step-0 moments and epsilon."""
     stat = _metric_stat(metric)
-    horizon = sweep.horizon
-
-    ma0 = conditional_fluctuation(sweep, a, 0, n=n, centering=centering, propagate=True)
-    mb0 = conditional_fluctuation(sweep, b, 0, n=n, centering=centering, propagate=True)
-    if epsilon is None:
-        epsilon = default_epsilon([ma0, mb0])
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
-
     grid = np.asarray(sweep.steps, dtype=np.int64)
     if mode == "analytic":
-        istar = int(_merge_step_matrix(sweep.schedule, horizon, [ma0, mb0],
+        istar = int(_merge_step_matrix(sweep.schedule, sweep.horizon, [ma0, mb0],
                                        metric, n, epsilon)[0, 1])
         # as in empirical mode, the similarity is only evaluated before i*
         values = np.ones(len(grid))
@@ -247,16 +278,14 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
             values[before] = _propagated_cka(sweep.schedule, grid[before], ma0, mb0, n)
     elif mode == "empirical":
         values = np.empty(len(grid))
-        istar = horizon
+        istar = sweep.horizon
         for i, t in enumerate(grid):
             if t >= istar:
                 values[i] = 1.0
                 continue
             try:
-                mat = conditional_fluctuation(sweep, a, int(t), n=n,
-                                              centering=centering, propagate=False)
-                mbt = conditional_fluctuation(sweep, b, int(t), n=n,
-                                              centering=centering, propagate=False)
+                mat = conditional_fluctuation(sweep, a, int(t), n=n, propagate=False)
+                mbt = conditional_fluctuation(sweep, b, int(t), n=n, propagate=False)
             except DegenerateError as exc:
                 raise DegenerateError(f"step {int(t)}: {exc}") from None
             if abs(getattr(mat, stat) - getattr(mbt, stat)) <= epsilon:
@@ -267,17 +296,13 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
     else:
         raise DomainError(f"unknown mode {mode!r}")
 
-    if grid[-1] == horizon:
+    if grid[-1] == sweep.horizon:
         values[-1] = 1.0  # white noise merges everything by fiat
     return MergerSeries(
-        pair=(_pair_id(a), _pair_id(b)), steps=tuple(int(t) for t in grid),
+        pair=((int(a[0]), a.size), (int(b[0]), b.size)), steps=tuple(int(t) for t in grid),
         values=values, first_merge_step=istar, epsilon=float(epsilon),
         metric=metric, order=n,
     )
-
-
-def _pair_id(event: np.ndarray):
-    return (int(event[0]), int(event.size))
 
 
 def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
@@ -285,28 +310,15 @@ def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
                          metric: str = "top_eigen_abs",
                          mode: str = "analytic") -> np.ndarray:
     """K x K symmetric matrix of first merger steps; zero diagonal."""
-    k = partition.n_events
-    if k < 2:
-        raise DomainError("need at least two events")
-    moments0 = [
-        conditional_fluctuation(sweep, ev, 0, n=n, propagate=True)
-        for ev in partition.events
-    ]
-    if epsilon is None:
-        epsilon = default_epsilon(moments0)
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
     if mode == "analytic":
-        return _merge_step_matrix(sweep.schedule, sweep.horizon, moments0,
-                                  metric, n, epsilon)
+        moments0 = _step0_moments(sweep, partition.events, n)
+        return _merge_step_matrix(sweep.schedule, sweep.horizon, moments0, metric, n,
+                                  _checked_epsilon(epsilon, moments0))
+    k = partition.n_events
     out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            series = detect_series(
-                sweep, partition.events[i], partition.events[j], n=n,
-                epsilon=epsilon, metric=metric, mode=mode,
-            )
-            out[i, j] = out[j, i] = series.first_merge_step
+    for (i, j), series in pairwise_series(sweep, partition, n=n, epsilon=epsilon,
+                                          metric=metric, mode=mode):
+        out[i, j] = out[j, i] = series.first_merge_step
     return out
 
 

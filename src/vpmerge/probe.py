@@ -15,11 +15,11 @@ law; the per-step scores come from an external file, no model runs here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import integer_column, read_csv
 from .errors import DataError, DomainError
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, snr
@@ -91,7 +91,7 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
     x = np.vstack([feats_a, feats_b])
     y = np.concatenate([np.zeros(len(feats_a)), np.ones(len(feats_b))])
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0xB0BE], dtype=np.uint64))
+        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xB0BE], dtype=np.uint64))
     )
     order = rng.permutation(len(x))
     n_train = int(round(split * len(x)))
@@ -105,10 +105,11 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
     xs = (x - mu) / sd
     xa = np.hstack([xs, np.ones((len(xs), 1))])
 
+    x_tr, y_tr = xa[tr], y[tr]
     w = np.zeros(xa.shape[1])
     for _ in range(GD_ITERATIONS):
-        p = _sigmoid(xa[tr] @ w)
-        w -= GD_STEP * (xa[tr].T @ (p - y[tr])) / len(tr)
+        p = _sigmoid(x_tr @ w)
+        w -= GD_STEP * (x_tr.T @ (p - y_tr)) / len(tr)
     pred = (xa[te] @ w) > 0.0
     return float(np.mean(pred == y[te]))
 
@@ -186,22 +187,12 @@ def weighted_score_aggregate(per_step_scores, law: WeightLaw) -> np.ndarray:
 
 def load_logits_csv(path) -> dict:
     """Read step,class,logit rows into {step: length-K logit vector}."""
-    rows = []
-    with open(path) as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            if len(rec) != 3:
-                raise DataError(f"row {lineno}: expected step,class,logit")
-            try:
-                rows.append((int(rec[0]), int(rec[1]), float(rec[2])))
-            except ValueError as exc:
-                raise DataError(f"row {lineno}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path} contains no logit rows")
-    n_classes = max(c for _, c, _ in rows) + 1
+    arr = read_csv(path, width=3)
+    steps = integer_column(arr[:, 0], "steps").tolist()
+    classes = integer_column(arr[:, 1], "class ids").tolist()
+    n_classes = max(classes) + 1
     out: dict = {}
-    for t, c, v in rows:
+    for t, c, v in zip(steps, classes, arr[:, 2].tolist()):
         vec = out.setdefault(t, np.full(n_classes, np.nan))
         vec[c] = v
     for t, vec in out.items():

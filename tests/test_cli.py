@@ -1,8 +1,21 @@
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from vpmerge import (
+    NoiseSchedule,
+    SeedPolicy,
+    detect_series,
+    load_dataset,
+    partition_by_label,
+    sweep,
+)
 from vpmerge.cli import execute
 
 
@@ -107,6 +120,22 @@ class TestAnalyze:
                 assert first_one == grid[np.searchsorted(grid, mt[i][j])]
 
 
+    def test_series_csv_matches_detect_series(self, tmp_path, three_class_fixture):
+        series = tmp_path / "series.csv"
+        assert run(["analyze", "--input", str(three_class_fixture), "--epsilon", "0.06",
+                    "--out", str(tmp_path / "an.json"), "--series-out", str(series)]) == 0
+        ds = load_dataset(three_class_fixture)
+        sched = NoiseSchedule(beta0=1e-4, betaT=0.02, horizon_T=1000)
+        sw = sweep(ds, sched, range(0, 1001, 10), SeedPolicy(base_seed=0))
+        part = partition_by_label(ds)
+        expected = ["pair_a,pair_b,step,value"]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                ref = detect_series(sw, part.events[i], part.events[j], epsilon=0.06)
+                expected += [f"{i},{j},{t},{float(v)!r}" for t, v in zip(ref.steps, ref.values)]
+        assert series.read_text().splitlines() == expected
+
+
 class TestWindows:
     def test_schema(self, tmp_path, small_fixture):
         out = tmp_path / "win.json"
@@ -199,6 +228,14 @@ class TestErrorMapping:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "data"
 
+    def test_negative_seed_is_taken_mod_2_64(self, tmp_path, small_fixture):
+        # as SeedPolicy and simulate do; Philox keys are unsigned
+        out = tmp_path / "cf.json"
+        assert run(["cf", "--input-a", str(small_fixture), "--input-b", str(small_fixture),
+                    "--seed", "-1", "--out", str(out)]) == 0
+        assert run(["converge", "--input", str(small_fixture), "--steps", "3",
+                    "--projections", "4", "--seed", "-1", "--out", str(out)]) == 0
+
     def test_domain_error_usage(self, tmp_path, small_fixture):
         assert run(["mixing", "--dim", "2"]) == 2
 
@@ -211,6 +248,8 @@ class TestErrorMapping:
         ["mixing", "--dim", "64", "--out", "{tmp}/missing/m.json"],
         ["simulate", "--classes", "1", "--dim", "2", "--spectra", "1,x",
          "--n-per-class", "10", "--out", "{tmp}/s.fvec1"],
+        ["mixing", "--dim", "abc"],
+        ["analyze"],
     ])
     def test_bad_values_give_one_json_record(self, argv, tmp_path, small_fixture, capsys):
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]
@@ -218,6 +257,84 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1
         assert set(json.loads(err)) == {"error", "message"}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Tiny inputs for random argv: a 2-class CSV, a density CSV, out paths."""
+    root = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(0)
+    tiny = root / "tiny.csv"
+    tiny.write_text("".join(
+        f"{k},{a!r},{b!r}\n" for k in (0, 1)
+        for a, b in (rng.standard_normal((12, 2)) * (k + 1)).tolist()))
+    dens = root / "dens.csv"
+    dens.write_text("-1.0,0.0,0.5\n0.0,1.0,0.5\n1.0,0.0,0.5\n")
+    return {"tiny": str(tiny), "dens": str(dens), "missing": str(root / "nope.csv"),
+            "out": str(root / "out.txt"), "out_missing_dir": str(root / "no" / "out.txt")}
+
+
+@st.composite
+def random_argv(draw, files):
+    """A subcommand, usually its required flags, then up to two groups drawn
+    mostly from the flags that subcommand accepts."""
+    tiny, out = files["tiny"], files["out"]
+    sched = ["--T", "--beta0", "--betaT"]
+    analysis = sched + ["--input", "--steps", "--order", "--metric", "--epsilon", "--mode",
+                        "--seed"]
+    commands = {
+        "mixing": (["--dim", "4"], sched + ["--dim"]),
+        "analyze": (["--input", tiny, "--steps", "11"], analysis),
+        "windows": (["--input", tiny, "--steps", "11", "--projections", "4"],
+                    analysis + ["--alpha", "--projections", "--eta-scale"]),
+        "converge": (["--input", tiny, "--steps", "11", "--projections", "4"],
+                     sched + ["--input", "--steps", "--alpha", "--projections", "--seed"]),
+        "simulate": (["--classes", "2", "--dim", "2", "--spectra", "2,1/1",
+                      "--n-per-class", "12", "--out", out],
+                     ["--classes", "--dim", "--spectra", "--means", "--n-per-class",
+                      "--seed"]),
+        "probe": (["--input", tiny, "--steps", "3", "--out", out],
+                  sched + ["--input", "--steps", "--class-a", "--class-b", "--merge-step",
+                           "--split", "--seed"]),
+        "cf": (["--input-a", tiny, "--input-b", tiny, "--freqs", "4"],
+               ["--input-a", "--input-b", "--freqs", "--scale", "--seed"]),
+        "tvcheck": (["--input", files["dens"]], ["--input", "--order", "--c0"]),
+        "frobnicate": ([], ["--dim"]),
+    }
+    values = ["0", "1", "-1", "abc", "1,x", "nan", "auto", "trace", "empirical",
+              tiny, files["dens"], files["missing"]]
+    sub = draw(st.sampled_from(sorted(commands)))
+    base, flags = commands[sub]
+    argv = [sub] + (base if draw(st.sampled_from([True, True, True, False])) else [])
+    flag_group = st.tuples(st.sampled_from(flags), st.sampled_from(values))
+    # --out only ever takes an out path, so no example overwrites an input
+    group = st.one_of(
+        *[flag_group] * 6,
+        st.tuples(st.sampled_from(["--out", "--series-out"] if sub == "analyze" else ["--out"]),
+                  st.sampled_from([out, files["out_missing_dir"]])),
+        st.tuples(st.sampled_from(values + ["--help", "--bogus"])),
+    )
+    for tokens in draw(st.lists(group, max_size=2)):
+        argv.extend(tokens)
+    return argv
+
+
+class TestRandomArgv:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_and_one_json_record(self, argv_files, data):
+        argv = data.draw(random_argv(argv_files))
+        out, err = io.StringIO(), io.StringIO()
+        # a warning would reach stderr beside (or instead of) the JSON record
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run(argv)
+        assert code in (0, 2, 3, 4)
+        text = err.getvalue()
+        if text:
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert set(json.loads(text)) == {"error", "message"}
 
 
 class TestReproducibility:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,28 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("")
         with pytest.raises(DataError):
+            load_dataset(p)
+
+    def test_comment_only_file_raises_without_warning(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("# label,x0,x1\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                load_dataset(p)
+
+    def test_trailing_comment_and_integral_float_label(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,0.5,-0.5  # first\n0,1.0,2.0\n")
+        ds = load_dataset(p)
+        assert ds.labels.tolist() == [1, 0]
+        assert ds.features.tolist() == [[0.5, -0.5], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "1e300"])
+    def test_non_integral_label_rejected(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"0,1.0\n{label},2.0\n")
+        with pytest.raises(DataError, match="labels must be integers"):
             load_dataset(p)
 
     def test_non_finite_rejected(self, tmp_path):

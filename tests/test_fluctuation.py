@@ -73,6 +73,25 @@ class TestConditionalFluctuation:
         assert np.linalg.norm(ana.tensor - emp.tensor, ord=2) < 0.05
         assert ana.top_eigenvalue == pytest.approx(emp.top_eigenvalue, rel=0.05)
 
+    def test_propagated_top_eigenvalue_needs_one_eigensolve(self, ddpm, monkeypatch):
+        import vpmerge.fluctuation as fluctuation
+
+        calls = []
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return top_eigenvalue(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(fluctuation, "top_eigenvalue", counting)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2000, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.2])
+        ds = LabeledDataset(features=x, labels=np.zeros(2000, dtype=int))
+        sw = sweep(ds, ddpm, (0, 300), SeedPolicy(base_seed=7))
+        m = conditional_fluctuation(sw, np.arange(2000), 300, n=2, propagate=True)
+        assert calls == [(5, 5)]  # the step-0 tensor only
+        dense = np.linalg.eigvalsh(m.tensor)[-1]
+        assert m.top_eigenvalue == pytest.approx(dense, rel=1e-12)
+
     def test_frobenius_matches_tensor_norm(self, ddpm):
         sw = gaussian_sweep(ddpm, 6, n=1000)
         m = conditional_fluctuation(sw, np.arange(1000), 0, n=2)

@@ -14,6 +14,7 @@ from vpmerge import (
     SeedPolicy,
     SyntheticSpec,
     build_cascade,
+    conditional_fluctuation,
     default_epsilon,
     detect_series,
     guidance_windows,
@@ -25,7 +26,8 @@ from vpmerge import (
     sweep,
     synth_gaussian_mixture,
 )
-from vpmerge.merger import CascadeLeaf, CascadeNode
+from vpmerge.data import EventPartition
+from vpmerge.merger import CascadeLeaf, CascadeNode, pairwise_series
 from vpmerge.schedule import betas
 
 from conftest import two_class_dataset
@@ -87,6 +89,15 @@ def halves_sweep(ddpm, seed=HALVES_SEED, n=40000, d=16):
     labels[rng.permutation(n)[: n // 2]] = 1
     ds = LabeledDataset(features=feats, labels=labels)
     return sweep(ds, ddpm, range(0, 1001, 10), SeedPolicy(base_seed=1))
+
+
+def five_class_sweep(ddpm, steps):
+    rng = np.random.default_rng(8)
+    spectra = np.vstack([np.r_[lam, np.ones(5)] for lam in (9.0, 6.0, 5.5, 2.0, 1.2)])
+    spec = SyntheticSpec(means=rng.normal(0, 0.5, (5, 6)), spectra=spectra,
+                         samples_per_class=(400,) * 5)
+    ds = synth_gaussian_mixture(spec, seed=8)
+    return sweep(ds, ddpm, steps, SeedPolicy(base_seed=8))
 
 
 class TestDefaultEpsilon:
@@ -196,13 +207,8 @@ class TestPairwiseMergeTimes:
     @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_per_pair_series(self, ddpm, metric, n):
-        rng = np.random.default_rng(8)
-        spectra = np.vstack([np.r_[lam, np.ones(5)] for lam in (9.0, 6.0, 5.5, 2.0, 1.2)])
-        spec = SyntheticSpec(means=rng.normal(0, 0.5, (5, 6)), spectra=spectra,
-                             samples_per_class=(400,) * 5)
-        ds = synth_gaussian_mixture(spec, seed=8)
-        sw = sweep(ds, ddpm, [0, 500, 1000], SeedPolicy(base_seed=8))
-        part = partition_by_label(ds)
+        sw = five_class_sweep(ddpm, [0, 500, 1000])
+        part = partition_by_label(sw.dataset)
         mt = pairwise_merge_times(sw, part, n=n, epsilon=0.02, metric=metric)
         for i in range(5):
             for j in range(i + 1, 5):
@@ -214,6 +220,34 @@ class TestPairwiseMergeTimes:
         sw, part = two_class_sweep
         with pytest.raises(DomainError, match="metric"):
             pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
+
+
+class TestPairwiseSeries:
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    @pytest.mark.parametrize("epsilon", [None, 0.02])
+    def test_matches_per_pair_detect_series(self, ddpm, mode, metric, epsilon):
+        sw = five_class_sweep(ddpm, [0, 100, 250, 500, 1000])
+        part = partition_by_label(sw.dataset)
+        # epsilon None is one threshold over all classes, not per pair
+        eps = epsilon or default_epsilon(
+            [conditional_fluctuation(sw, ev, 0) for ev in part.events])
+        got = list(pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode=mode))
+        assert [pair for pair, _ in got] == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for (i, j), series in got:
+            ref = detect_series(sw, part.events[i], part.events[j], epsilon=eps,
+                                metric=metric, mode=mode)
+            assert series.first_merge_step == ref.first_merge_step
+            assert series.epsilon == ref.epsilon
+            assert series.values.tobytes() == ref.values.tobytes()
+        mt = pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode=mode)
+        assert [mt[i, j] for (i, j), _ in got] == [s.first_merge_step for _, s in got]
+
+    def test_needs_two_events(self, two_class_sweep):
+        sw, part = two_class_sweep
+        one = EventPartition(events=(np.concatenate(part.events),), class_probs=np.ones(1))
+        with pytest.raises(DomainError, match="two events"):
+            next(pairwise_series(sw, one))
 
 
 class TestCascade:

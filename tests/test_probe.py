@@ -229,3 +229,9 @@ class TestLogitsFile:
         path.write_text("5,0\n")
         with pytest.raises(DataError):
             load_logits_csv(path)
+
+    def test_non_integral_class_id(self, tmp_path):
+        path = tmp_path / "logits.csv"
+        path.write_text("5,0,1.0\n5,0.5,0.0\n")
+        with pytest.raises(DataError, match="class ids"):
+            load_logits_csv(path)
