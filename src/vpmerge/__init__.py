@@ -70,7 +70,6 @@ from .probe import (
     weighted_score_aggregate,
 )
 from .schedule import (
-    Attenuation,
     MixingPrediction,
     NoiseSchedule,
     attenuation,

@@ -145,6 +145,8 @@ class SyntheticSpec:
             raise DomainError("means and spectra must have matching shapes")
         if means.shape[0] < 1:
             raise DomainError("need at least one class")
+        if means.shape[1] < 1:
+            raise DomainError("need at least one feature dimension")
         if np.any(spectra < 0):
             raise DomainError("spectra must be non-negative")
         if np.any(np.diff(spectra, axis=1) > 1e-12):

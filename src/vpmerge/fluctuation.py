@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, NumericError
+from .errors import DegenerateError, DomainError
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, j_values
 
@@ -42,8 +42,6 @@ __all__ = [
     "scalar_moment_trajectory",
     "gaussian_central_moment",
 ]
-
-DENSE_EIG_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -196,41 +194,13 @@ def normalized_M(a: ConditionalMoments, b: ConditionalMoments) -> float:
     return float(min(val, 1.0))  # Cauchy-Schwarz; excess is rounding only
 
 
-def top_eigenvalue(matrix: np.ndarray, tol: float = 1e-8,
-                   max_iter: int = 10000, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix.
-
-    Dense solve up to DENSE_EIG_LIMIT, power iteration beyond.
-    """
+def top_eigenvalue(matrix: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix, from one dense symmetric
+    eigensolve (exact at every dimension)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"need a square matrix, got shape {matrix.shape}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    if matrix.shape[0] <= DENSE_EIG_LIMIT:
-        return float(np.linalg.eigvalsh(matrix)[-1])
-    return _power_iteration(matrix, tol, max_iter, seed)
-
-
-def _power_iteration(matrix, tol, max_iter, seed) -> float:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xE16], dtype=np.uint64)))
-    v = rng.standard_normal(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (matrix @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    raise NumericError(
-        f"power iteration did not converge in {max_iter} steps; "
-        f"last interval [{lam}, {lam_new}]"
-    )
+    return float(np.linalg.eigvalsh(matrix)[-1])
 
 
 def gaussian_central_moment(n: int) -> float:

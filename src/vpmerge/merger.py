@@ -14,16 +14,18 @@ merger is sticky).  Distances:
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
-whatever step grid the sweep carries.  One integer scan kernel (shared
-by pairwise_merge_times and detect_series) finds the first t in 0..T at
-which each pair's distance is <= eps.  mode="empirical" recomputes moments from the
-stochastic snapshots pair by pair and step by step; it is the oracle.
+whatever step grid the sweep carries; one integer scan finds the first t
+in 0..T at which each pair's distance is <= eps.  mode="empirical", the
+stochastic oracle, walks the grid once: one snapshot per step, from it
+the moments of each class still in an unmerged pair, and every unmerged
+pair compared.
 
-A call of pairwise_merge_times or pairwise_series (a lazy generator of
-every pair's series) makes one step-0 pass, one conditional_fluctuation
-per class, in either mode.  The default threshold eps = max_k
-lambda_k_max(0) / 400 is resolved only here: over all classes in both of
-those (so they agree), over the two events alone in detect_series.
+pairwise_merge_times, pairwise_series (a lazy generator of every pair's
+series) and detect_series (the two-event case) share one all-pairs core:
+one step-0 pass, one conditional_fluctuation per class, in either mode.
+The default threshold eps = max_k lambda_k_max(0) / 400 is resolved only
+there: over all classes in the first two (so they agree), over the two
+events alone in detect_series.
 
 Cascades are single linkage over merge times; ties go to the pair of
 clusters whose smallest class ids (lo, hi) are lexicographically first.
@@ -32,13 +34,15 @@ clusters whose smallest class ids (lo, hi) are lexicographically first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .data import EventPartition
 from .errors import DegenerateError, DomainError
-from .fluctuation import ConditionalMoments, conditional_fluctuation, normalized_M
+from .fluctuation import (ConditionalMoments, conditional_fluctuation, moments_from_rows,
+                          normalized_M)
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, betas, j_values
 
@@ -214,21 +218,6 @@ def _propagated_cka(schedule: NoiseSchedule, ts: np.ndarray,
     return np.minimum(np.abs(g) / np.sqrt(fa * fb), 1.0)
 
 
-def _checked_epsilon(epsilon, moments0) -> float:
-    """The given threshold, or default_epsilon over moments0; must be > 0."""
-    if epsilon is None:
-        epsilon = default_epsilon(moments0)
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
-    return epsilon
-
-
-def _step0_moments(sweep: TrajectorySweep, events, n: int) -> list:
-    if len(events) < 2:
-        raise DomainError("need at least two events")
-    return [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
-
-
 def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
                   epsilon: float | None = None, metric: str = "top_eigen_abs",
                   mode: str = "analytic") -> MergerSeries:
@@ -238,13 +227,9 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
     exceeds epsilon, exactly 1 otherwise; i* is the first step of the 1
     branch and is sticky.  Events merge no later than the horizon.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
-    ma0, mb0 = moments0 = _step0_moments(sweep, [a, b], n)  # empty events raise here
-    return _series(sweep, a, b, ma0, mb0, n, _checked_epsilon(epsilon, moments0),
-                   metric, mode)
+    return next(_all_pairs(sweep, [a, b], n, epsilon, metric, mode)[1])[1]
 
 
 def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
@@ -253,56 +238,7 @@ def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
     """Yield ((i, j), MergerSeries) for every pair i < j, row-major, from one
     step-0 pass and one epsilon over all classes.  Lazy, so a caller that
     streams the series never holds all K(K-1)/2 of them."""
-    events = [np.asarray(ev, dtype=np.int64) for ev in partition.events]
-    moments0 = _step0_moments(sweep, events, n)
-    epsilon = _checked_epsilon(epsilon, moments0)
-    for i in range(len(events)):
-        for j in range(i + 1, len(events)):
-            yield (i, j), _series(sweep, events[i], events[j], moments0[i],
-                                  moments0[j], n, epsilon, metric, mode)
-
-
-def _series(sweep: TrajectorySweep, a: np.ndarray, b: np.ndarray,
-            ma0: ConditionalMoments, mb0: ConditionalMoments, n: int,
-            epsilon: float, metric: str, mode: str) -> MergerSeries:
-    """detect_series for validated events, their step-0 moments and epsilon."""
-    stat = _metric_stat(metric)
-    grid = np.asarray(sweep.steps, dtype=np.int64)
-    if mode == "analytic":
-        istar = int(_merge_step_matrix(sweep.schedule, sweep.horizon, [ma0, mb0],
-                                       metric, n, epsilon)[0, 1])
-        # as in empirical mode, the similarity is only evaluated before i*
-        values = np.ones(len(grid))
-        before = grid < istar
-        if before.any():
-            values[before] = _propagated_cka(sweep.schedule, grid[before], ma0, mb0, n)
-    elif mode == "empirical":
-        values = np.empty(len(grid))
-        istar = sweep.horizon
-        for i, t in enumerate(grid):
-            if t >= istar:
-                values[i] = 1.0
-                continue
-            try:
-                mat = conditional_fluctuation(sweep, a, int(t), n=n, propagate=False)
-                mbt = conditional_fluctuation(sweep, b, int(t), n=n, propagate=False)
-            except DegenerateError as exc:
-                raise DegenerateError(f"step {int(t)}: {exc}") from None
-            if abs(getattr(mat, stat) - getattr(mbt, stat)) <= epsilon:
-                istar = int(t)
-                values[i] = 1.0
-            else:
-                values[i] = normalized_M(mat, mbt)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    if grid[-1] == sweep.horizon:
-        values[-1] = 1.0  # white noise merges everything by fiat
-    return MergerSeries(
-        pair=((int(a[0]), a.size), (int(b[0]), b.size)), steps=tuple(int(t) for t in grid),
-        values=values, first_merge_step=istar, epsilon=float(epsilon),
-        metric=metric, order=n,
-    )
+    yield from _all_pairs(sweep, partition.events, n, epsilon, metric, mode)[1]
 
 
 def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
@@ -310,16 +246,80 @@ def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
                          metric: str = "top_eigen_abs",
                          mode: str = "analytic") -> np.ndarray:
     """K x K symmetric matrix of first merger steps; zero diagonal."""
+    return _all_pairs(sweep, partition.events, n, epsilon, metric, mode)[0]
+
+
+def _all_pairs(sweep: TrajectorySweep, events, n: int, epsilon: float | None,
+               metric: str, mode: str):
+    """(K x K first-merge matrix, lazy generator of ((i, j), MergerSeries) for
+    i < j row-major) from one step-0 pass and one epsilon over the events."""
+    events = [np.asarray(ev, dtype=np.int64) for ev in events]
+    if len(events) < 2:
+        raise DomainError("need at least two events")
+    # empty events raise here
+    moments0 = [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
+    if epsilon is None:
+        epsilon = default_epsilon(moments0)
+    if not epsilon > 0.0:
+        raise DomainError("epsilon must be positive")
     if mode == "analytic":
-        moments0 = _step0_moments(sweep, partition.events, n)
-        return _merge_step_matrix(sweep.schedule, sweep.horizon, moments0, metric, n,
-                                  _checked_epsilon(epsilon, moments0))
-    k = partition.n_events
-    out = np.zeros((k, k), dtype=np.int64)
-    for (i, j), series in pairwise_series(sweep, partition, n=n, epsilon=epsilon,
-                                          metric=metric, mode=mode):
-        out[i, j] = out[j, i] = series.first_merge_step
-    return out
+        merge = _merge_step_matrix(sweep.schedule, sweep.horizon, moments0, metric, n, epsilon)
+    elif mode == "empirical":
+        merge, sims = _empirical_walk(sweep, events, n, epsilon, _metric_stat(metric))
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    grid = np.asarray(sweep.steps, dtype=np.int64)
+
+    def series():
+        for i, j in combinations(range(len(events)), 2):
+            a, b, istar = events[i], events[j], int(merge[i, j])
+            if mode == "empirical":
+                values = sims[i, j]
+            else:
+                # as in empirical mode, the similarity is only evaluated before i*
+                values = np.ones(len(grid))
+                before = grid < istar
+                if before.any():
+                    values[before] = _propagated_cka(sweep.schedule, grid[before],
+                                                     moments0[i], moments0[j], n)
+            # i* <= horizon, so the last value is 1 when the grid ends there
+            yield (i, j), MergerSeries(
+                pair=((int(a[0]), a.size), (int(b[0]), b.size)),
+                steps=tuple(int(t) for t in grid), values=values,
+                first_merge_step=istar, epsilon=float(epsilon), metric=metric, order=n,
+            )
+
+    return merge, series()
+
+
+def _empirical_walk(sweep: TrajectorySweep, events: list, n: int, epsilon: float,
+                    stat: str):
+    """First-merge matrix and K x K x len(steps) thresholded similarities from
+    one snapshot per grid step; a pair is 1 from its first step with a
+    distance <= epsilon (sticky) and from the horizon on."""
+    k = len(events)
+    merge = np.full((k, k), sweep.horizon, dtype=np.int64)
+    np.fill_diagonal(merge, 0)
+    sims = np.ones((k, k, len(sweep.steps)))
+    pairs = list(combinations(range(k), 2))
+    for s, t in enumerate(sweep.steps):
+        if t >= sweep.horizon or not pairs:
+            break
+        live = {c for pair in pairs for c in pair}
+        xt = sweep.snapshot(t)
+        try:
+            moments = {c: ConditionalMoments.from_tensor(
+                moments_from_rows(xt[events[c]], n)[1], n, t) for c in live}
+        except DegenerateError as exc:
+            raise DegenerateError(f"step {t}: {exc}") from None
+        for i, j in pairs:
+            if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
+                merge[i, j] = merge[j, i] = t
+            else:
+                sims[i, j, s] = normalized_M(moments[i], moments[j])
+        pairs = [(i, j) for i, j in pairs if merge[i, j] == sweep.horizon]
+        del xt, moments  # neither is held while the next snapshot is drawn
+    return merge, sims
 
 
 def build_cascade(merge_times: np.ndarray) -> MergerCascade:

@@ -22,7 +22,6 @@ from .errors import DomainError
 
 __all__ = [
     "NoiseSchedule",
-    "Attenuation",
     "MixingPrediction",
     "beta_at",
     "betas",
@@ -42,11 +41,8 @@ class NoiseSchedule:
     beta0: float = 1e-4
     betaT: float = 0.02
     horizon_T: int = 1000
-    kind: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.kind != "linear":
-            raise DomainError(f"unsupported schedule kind {self.kind!r}")
         if not (0.0 < self.beta0 <= self.betaT < 1.0):
             raise DomainError(
                 f"need 0 < beta0 <= betaT < 1, got ({self.beta0}, {self.betaT})"
@@ -60,14 +56,6 @@ class NoiseSchedule:
 
     def to_dict(self) -> dict:
         return {"beta0": self.beta0, "betaT": self.betaT, "T": self.horizon_T}
-
-
-@dataclass(frozen=True)
-class Attenuation:
-    """Surviving signal fraction J at a given step."""
-
-    j_value: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -123,11 +111,11 @@ def j_values(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> n
     raise DomainError(f"unknown attenuation mode {mode!r}")
 
 
-def attenuation(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> Attenuation:
+def attenuation(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> float:
+    """Surviving signal fraction J at one step t in [0, T]."""
     if not 0 <= t <= schedule.horizon_T:
         raise DomainError(f"step {t} outside [0, {schedule.horizon_T}]")
-    j = float(j_values(schedule, t, mode=mode))
-    return Attenuation(j_value=j, step=float(t))
+    return float(j_values(schedule, t, mode=mode))
 
 
 def marginal_params(schedule: NoiseSchedule, t, mode: str = "continuous_integral"):
@@ -135,7 +123,7 @@ def marginal_params(schedule: NoiseSchedule, t, mode: str = "continuous_integral
 
     mean_scale^2 + noise_variance = 1 holds bit-exactly.
     """
-    j = attenuation(schedule, t, mode=mode).j_value
+    j = attenuation(schedule, t, mode=mode)
     return j, 1.0 - j * j
 
 
@@ -148,7 +136,7 @@ def snr_of_attenuation(j: float) -> float:
 
 
 def snr(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> float:
-    return snr_of_attenuation(attenuation(schedule, t, mode=mode).j_value)
+    return snr_of_attenuation(attenuation(schedule, t, mode=mode))
 
 
 def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> MixingPrediction:

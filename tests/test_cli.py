@@ -250,6 +250,10 @@ class TestErrorMapping:
          "--n-per-class", "10", "--out", "{tmp}/s.fvec1"],
         ["mixing", "--dim", "abc"],
         ["analyze"],
+        ["simulate", "--classes", "2", "--dim", "0", "--spectra", "1/1",
+         "--n-per-class", "3", "--out", "{tmp}/s.csv"],
+        ["simulate", "--classes", "2", "--dim", "-1", "--spectra", "1/1",
+         "--n-per-class", "3", "--out", "{tmp}/s.csv"],
     ])
     def test_bad_values_give_one_json_record(self, argv, tmp_path, small_fixture, capsys):
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]

@@ -10,7 +10,6 @@ from vpmerge import (
     DegenerateError,
     DomainError,
     LabeledDataset,
-    NumericError,
     SeedPolicy,
     conditional_fluctuation,
     cross_fluctuation_G,
@@ -192,19 +191,9 @@ class TestTopEigenvalue:
         oracle = np.linalg.eigvalsh(big)[-1]
         assert top_eigenvalue(big) == pytest.approx(oracle, rel=1e-6)
 
-    def test_non_convergence_reports(self):
-        mat = np.zeros((300, 300))
-        mat[0, 0], mat[1, 1] = 1.0, 0.99  # slow mode, zero tolerance
-        with pytest.raises(NumericError, match="interval"):
-            top_eigenvalue(mat, tol=0.0, max_iter=3)
-
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             top_eigenvalue(np.zeros((2, 3)))
-
-    def test_max_iter_below_one_rejected(self):
-        with pytest.raises(DomainError, match="max_iter"):
-            top_eigenvalue(np.eye(300), max_iter=0)
 
 
 class TestScalarMoments:

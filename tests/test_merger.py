@@ -13,6 +13,7 @@ from vpmerge import (
     NoiseSchedule,
     SeedPolicy,
     SyntheticSpec,
+    TrajectorySweep,
     build_cascade,
     conditional_fluctuation,
     default_epsilon,
@@ -20,6 +21,7 @@ from vpmerge import (
     guidance_windows,
     interpolation_schedule,
     lattice_jump,
+    normalized_M,
     pairwise_merge_times,
     partition_by_label,
     phase_spectrum,
@@ -70,6 +72,28 @@ def reference_cascade(mt):
         active.remove(hi)
         del nodes[hi], members[hi]
     return nodes[active[0]].to_dict()
+
+
+def reference_empirical_series(sw, a, b, epsilon, metric, n=2):
+    """Oracle: the per-pair, per-step empirical loop (two snapshots per step)
+    that the one-snapshot-per-step walk replaced; returns (values, i*)."""
+    stat = {"top_eigen_abs": "top_eigenvalue", "trace_l1": "frobenius_sq"}[metric]
+    values = np.empty(len(sw.steps))
+    istar = sw.horizon
+    for i, t in enumerate(sw.steps):
+        if t >= istar:
+            values[i] = 1.0
+            continue
+        mat = conditional_fluctuation(sw, a, t, n=n, propagate=False)
+        mbt = conditional_fluctuation(sw, b, t, n=n, propagate=False)
+        if abs(getattr(mat, stat) - getattr(mbt, stat)) <= epsilon:
+            istar = t
+            values[i] = 1.0
+        else:
+            values[i] = normalized_M(mat, mbt)
+    if sw.steps[-1] == sw.horizon:
+        values[-1] = 1.0
+    return values, istar
 
 
 @st.composite
@@ -248,6 +272,42 @@ class TestPairwiseSeries:
         one = EventPartition(events=(np.concatenate(part.events),), class_probs=np.ones(1))
         with pytest.raises(DomainError, match="two events"):
             next(pairwise_series(sw, one))
+
+
+class TestEmpiricalWalk:
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    @pytest.mark.parametrize("epsilon", [None, 0.02])
+    def test_matches_per_pair_reference(self, ddpm, metric, epsilon):
+        sw = five_class_sweep(ddpm, range(0, 1001, 50))
+        part = partition_by_label(sw.dataset)
+
+        def eps_over(events):  # the default is over the events passed in
+            return epsilon or default_epsilon(
+                [conditional_fluctuation(sw, ev, 0) for ev in events])
+
+        eps_all = eps_over(part.events)
+        mt = pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
+        got = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
+        for (i, j), series in got:
+            pair = (part.events[i], part.events[j])
+            single = detect_series(sw, *pair, epsilon=epsilon, metric=metric,
+                                   mode="empirical")
+            for out, eps in ((series, eps_all), (single, eps_over(pair))):
+                values, istar = reference_empirical_series(sw, *pair, eps, metric)
+                assert out.values.tobytes() == values.tobytes()
+                assert out.first_merge_step == istar
+                assert out.epsilon == eps
+            assert mt[i, j] == mt[j, i] == series.first_merge_step
+
+    def test_one_snapshot_per_grid_step(self, ddpm, monkeypatch):
+        sw = five_class_sweep(ddpm, range(0, 1001, 50))
+        taken = []
+        snapshot = TrajectorySweep.snapshot
+        monkeypatch.setattr(TrajectorySweep, "snapshot",
+                            lambda self, t: taken.append(t) or snapshot(self, t))
+        pairwise_merge_times(sw, partition_by_label(sw.dataset), epsilon=0.02,
+                             mode="empirical")
+        assert taken and len(taken) == len(set(taken)) <= len(sw.steps)
 
 
 class TestCascade:
