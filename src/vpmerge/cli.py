@@ -119,19 +119,27 @@ def _analysis_inputs(args):
     return ds, sched, sw, part, eps, metric
 
 
-def _series_csv(path, sw, part, n, eps, metric, mode) -> None:
+def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
+    """Write the per-pair series CSV; return the merge-time matrix read off
+    the same series, so the grid is walked once."""
+    mt = np.zeros((part.n_events, part.n_events), dtype=np.int64)
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
         for (i, j), series in pairwise_series(sw, part, n=n, epsilon=eps,
                                               metric=metric, mode=mode):
+            mt[i, j] = mt[j, i] = series.first_merge_step
             for t, v in zip(series.steps, series.values):
                 fh.write(f"{i},{j},{t},{float(v)!r}\n")
+    return mt
 
 
 def _cmd_analyze(args) -> int:
     ds, sched, sw, part, eps, metric = _analysis_inputs(args)
-    mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
-                              metric=metric, mode=args.mode)
+    if args.series_out:
+        mt = _series_csv(args.series_out, sw, part, args.order, eps, metric, args.mode)
+    else:
+        mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
+                                  metric=metric, mode=args.mode)
     cascade = build_cascade(mt)
     payload = {
         "schedule": sched.to_dict(),
@@ -140,8 +148,6 @@ def _cmd_analyze(args) -> int:
         "cascade": cascade.to_dict(),
     }
     _emit_json(payload, args, args.out)
-    if args.series_out:
-        _series_csv(args.series_out, sw, part, args.order, eps, metric, args.mode)
     return EXIT_OK
 
 

@@ -61,7 +61,11 @@ def noised_at(ds, schedule: NoiseSchedule, t: int, seeds: SeedPolicy) -> np.ndar
         return x0.copy()
     j = float(j_values(schedule, t))
     sigma = np.sqrt(1.0 - j * j)
-    return j * x0 + sigma * seeds.noise(x0.shape[0], x0.shape[1], t)
+    # built inside the noise buffer: bit-identical to j * x0 + sigma * eps
+    eps = seeds.noise(x0.shape[0], x0.shape[1], t)
+    eps *= sigma
+    eps += j * x0
+    return eps
 
 
 def step_ddpm(x_prev: np.ndarray, schedule: NoiseSchedule, t: int, seeds: SeedPolicy) -> np.ndarray:

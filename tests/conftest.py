@@ -28,6 +28,15 @@ def two_class_dataset(seed, n_per_class=20000, d=16, lam_a=10.0, lam_b=4.0):
     return synth_gaussian_mixture(spec, seed=seed)
 
 
+def five_class_sweep(ddpm, steps):
+    rng = np.random.default_rng(8)
+    spectra = np.vstack([np.r_[lam, np.ones(5)] for lam in (9.0, 6.0, 5.5, 2.0, 1.2)])
+    spec = SyntheticSpec(means=rng.normal(0, 0.5, (5, 6)), spectra=spectra,
+                         samples_per_class=(400,) * 5)
+    ds = synth_gaussian_mixture(spec, seed=8)
+    return sweep(ds, ddpm, steps, SeedPolicy(base_seed=8))
+
+
 @pytest.fixture(scope="session")
 def two_class_sweep(ddpm):
     ds = two_class_dataset(seed=0)

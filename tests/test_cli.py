@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from vpmerge import (
     NoiseSchedule,
     SeedPolicy,
+    TrajectorySweep,
     detect_series,
     load_dataset,
     partition_by_label,
+    save_dataset,
     sweep,
 )
 from vpmerge.cli import execute
+
+from conftest import five_class_sweep
 
 
 def run(args):
@@ -119,6 +123,27 @@ class TestAnalyze:
                 first_one = pair[np.argmax(pair[:, 3] == 1.0), 2]
                 assert first_one == grid[np.searchsorted(grid, mt[i][j])]
 
+
+    def test_empirical_series_out_walks_the_grid_once(self, tmp_path, ddpm, monkeypatch):
+        data = tmp_path / "five.fvec1"
+        save_dataset(five_class_sweep(ddpm, [0]).dataset, data)
+        args = ["analyze", "--input", str(data), "--steps", "21", "--mode", "empirical",
+                "--epsilon", "0.02", "--out"]
+        assert run(args + [str(tmp_path / "plain.json")]) == 0
+        taken = []
+        snapshot = TrajectorySweep.snapshot
+        monkeypatch.setattr(TrajectorySweep, "snapshot",
+                            lambda self, t: taken.append(t) or snapshot(self, t))
+        assert run(args + [str(tmp_path / "series.json"),
+                           "--series-out", str(tmp_path / "series.csv")]) == 0
+        grid = list(range(0, 1000, 50))
+        assert taken == grid, taken
+        plain, series = (json.loads((tmp_path / f"{name}.json").read_text())
+                         for name in ("plain", "series"))
+        # the config echo names the out paths; everything else is equal
+        for doc in (plain, series):
+            del doc["config"]["out"], doc["config"]["series_out"]
+        assert series == plain
 
     def test_series_csv_matches_detect_series(self, tmp_path, three_class_fixture):
         series = tmp_path / "series.csv"

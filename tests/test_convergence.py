@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vpmerge import (
     sweep,
     tv_distance_1d,
 )
+from vpmerge import convergence
 
 
 def gaussian_grid(mu, sigma=1.0, lo=-10.0, hi=10.0, points=100_001):
@@ -29,6 +31,64 @@ def gaussian_grid(mu, sigma=1.0, lo=-10.0, hi=10.0, points=100_001):
 def gaussian_tv_oracle(delta):
     """d_TV(N(0,1), N(delta,1)) = 2 Phi(delta/2) - 1."""
     return math.erf(delta / (2 * math.sqrt(2)))
+
+
+def _reference_dp_statistics(views):
+    """K^2 per column by the two-pass dev / dev2 formulas over a view matrix."""
+    n = views.shape[0]
+    dev = views - views.mean(axis=0)
+    dev2 = dev * dev
+    m2 = dev2.mean(axis=0)
+    m3 = (dev2 * dev).mean(axis=0)
+    m4 = (dev2 * dev2).mean(axis=0)
+    g1 = m3 / m2**1.5
+    y = g1 * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2)))
+    beta2 = 3.0 * (n * n + 27 * n - 70) * (n + 1) * (n + 3) / (
+        (n - 2.0) * (n + 5) * (n + 7) * (n + 9)
+    )
+    w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    delta = 1.0 / math.sqrt(math.log(math.sqrt(w2)))
+    alpha = math.sqrt(2.0 / (w2 - 1.0))
+    z_skew = delta * np.log(y / alpha + np.sqrt((y / alpha) ** 2 + 1.0))
+    b2 = m4 / m2**2
+    e_b2 = 3.0 * (n - 1) / (n + 1)
+    var_b2 = 24.0 * n * (n - 2) * (n - 3) / ((n + 1) ** 2 * (n + 3) * (n + 5))
+    x = (b2 - e_b2) / math.sqrt(var_b2)
+    sqrt_beta1 = (
+        6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+        * math.sqrt(6.0 * (n + 3) * (n + 5) / (n * (n - 2) * (n - 3)))
+    )
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + math.sqrt(1.0 + 4.0 / sqrt_beta1**2))
+    z_kurt = (
+        (1.0 - 2.0 / (9.0 * a))
+        - np.cbrt((1.0 - 2.0 / a) / (1.0 + x * np.sqrt(2.0 / (a - 4.0))))
+    ) / math.sqrt(2.0 / (9.0 * a))
+    return z_skew**2 + z_kurt**2
+
+
+def reference_battery(sw, alpha, views):
+    """Oracle: the view-matrix battery the one-pass moments replaced.  Per
+    step the N x (d + P) matrix [x | x @ P] is built with hstack, degenerate
+    views are the zero-variance columns, and K^2 is taken over a copy of the
+    live columns.  Returns (fractions, decisions, degenerate, p-values)."""
+    proj = None
+    if isinstance(views, RandomProjections):
+        key = np.array([views.seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        proj = rng.standard_normal((sw.dataset.features.shape[1], views.count))
+        proj /= np.linalg.norm(proj, axis=0)
+    fractions, decisions, degenerate, pvalues = [], [], [], []
+    for t in sw.steps:
+        snap = sw.snapshot(t)
+        mat = snap if proj is None else np.hstack([snap, snap @ proj])
+        live = mat.var(axis=0) > 0.0
+        p = np.exp(-0.5 * _reference_dp_statistics(mat[:, live]))
+        frac = float(np.mean(p < alpha))
+        fractions.append((int(t), frac))
+        decisions.append(frac <= convergence.REJECTION_SLACK * alpha)
+        degenerate.append(int(np.sum(~live)))
+        pvalues.append(p)
+    return tuple(fractions), tuple(decisions), tuple(degenerate), pvalues
 
 
 class TestDagostinoPearson:
@@ -135,6 +195,57 @@ class TestConvergenceStep:
         with pytest.raises(DomainError):
             convergence_step(sw, alpha=1.5)
 
+
+    @pytest.mark.parametrize("n", [convergence.BLOCK_ROWS - 1, convergence.BLOCK_ROWS,
+                                   convergence.BLOCK_ROWS + 1, 5000])
+    @pytest.mark.parametrize("views", ["coordinates", RandomProjections(count=12, seed=3)])
+    def test_matches_view_matrix_reference(self, ddpm, monkeypatch, n, views):
+        # non-Gaussian columns plus a constant one (degenerate at step 0 only)
+        rng = np.random.default_rng(n)
+        feats = np.column_stack([rng.exponential(size=(n, 3)),
+                                 rng.uniform(-1.0, 1.0, size=(n, 3)),
+                                 rng.standard_normal(n), np.full(n, 2.0)])
+        ds = LabeledDataset(features=feats, labels=np.zeros(n, dtype=int))
+        sw = sweep(ds, ddpm, [0, 50, 200, 400, 700, 1000], SeedPolicy(base_seed=n))
+        k2s = []
+        k2_from_moments = convergence._k2_from_moments
+        monkeypatch.setattr(convergence, "_k2_from_moments",
+                            lambda *a: k2s.append(k2_from_moments(*a)) or k2s[-1])
+        report = convergence_step(sw, alpha=0.05, views=views)
+        fractions, decisions, degenerate, pvalues = reference_battery(sw, 0.05, views)
+        assert report.steps == fractions
+        assert report.decisions == decisions
+        assert report.degenerate_views == degenerate
+        assert degenerate[0] == 1 and fractions[0][1] > 0.5
+        assert len(k2s) == len(pvalues)
+        for k2, p in zip(k2s, pvalues):
+            assert np.exp(-0.5 * k2) == pytest.approx(p, rel=1e-10, abs=1e-300)
+
+    def test_memory_stays_near_one_snapshot(self, ddpm):
+        # the view matrix, its deviations and their powers once held ~10
+        # snapshots' worth of memory; one pass holds the snapshot, the noise
+        # draw and two small block buffers
+        n, d = 20000, 32
+        rng = np.random.default_rng(20)
+        ds = LabeledDataset(features=rng.exponential(size=(n, d)),
+                            labels=np.zeros(n, dtype=int))
+        sw = sweep(ds, ddpm, [300], SeedPolicy(base_seed=21))
+        views = RandomProjections(count=32, seed=22)
+        tracemalloc.start()
+        try:
+            convergence_step(sw, views=views)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * d * 8
+
+    def test_short_sweep_rejected(self, ddpm):
+        rng = np.random.default_rng(23)
+        ds = LabeledDataset(features=rng.standard_normal((19, 3)),
+                            labels=np.zeros(19, dtype=int))
+        sw = sweep(ds, ddpm, [0, 500], SeedPolicy(base_seed=24))
+        with pytest.raises(DomainError):
+            convergence_step(sw, views=RandomProjections(count=4))
 
 class TestTvDistance:
     def test_identical_densities(self):

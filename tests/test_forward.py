@@ -40,6 +40,16 @@ class TestNoisedAt:
             noised_at(ds, ddpm, 400, pol), noised_at(ds, ddpm, 400, pol)
         )
 
+    def test_matches_closed_form_bit_exact(self, ddpm):
+        # the snapshot is built inside the noise buffer; the arithmetic is
+        # the same two products and one sum as the closed form
+        ds = unit_dataset(3, n=2000, d=8)
+        pol = SeedPolicy(base_seed=12)
+        for t in (1, 370, 1000):
+            j = float(j_values(ddpm, t))
+            expected = j * ds.features + np.sqrt(1.0 - j * j) * pol.noise(2000, 8, t)
+            assert noised_at(ds, ddpm, t, pol).tobytes() == expected.tobytes()
+
     def test_marginal_law_for_fixed_x0(self, ddpm):
         # N copies of one point: mean J x0, covariance (1 - J^2) I
         x0 = np.array([1.5, -0.5, 2.0])

@@ -12,7 +12,6 @@ from vpmerge import (
     LabeledDataset,
     NoiseSchedule,
     SeedPolicy,
-    SyntheticSpec,
     TrajectorySweep,
     build_cascade,
     conditional_fluctuation,
@@ -26,13 +25,12 @@ from vpmerge import (
     partition_by_label,
     phase_spectrum,
     sweep,
-    synth_gaussian_mixture,
 )
 from vpmerge.data import EventPartition
 from vpmerge.merger import CascadeLeaf, CascadeNode, pairwise_series
 from vpmerge.schedule import betas
 
-from conftest import two_class_dataset
+from conftest import five_class_sweep, two_class_dataset
 
 # seed for which the two random halves of one Gaussian sample have top
 # eigenvalues within the default threshold (bulk-edge fluctuations make
@@ -113,15 +111,6 @@ def halves_sweep(ddpm, seed=HALVES_SEED, n=40000, d=16):
     labels[rng.permutation(n)[: n // 2]] = 1
     ds = LabeledDataset(features=feats, labels=labels)
     return sweep(ds, ddpm, range(0, 1001, 10), SeedPolicy(base_seed=1))
-
-
-def five_class_sweep(ddpm, steps):
-    rng = np.random.default_rng(8)
-    spectra = np.vstack([np.r_[lam, np.ones(5)] for lam in (9.0, 6.0, 5.5, 2.0, 1.2)])
-    spec = SyntheticSpec(means=rng.normal(0, 0.5, (5, 6)), spectra=spectra,
-                         samples_per_class=(400,) * 5)
-    ds = synth_gaussian_mixture(spec, seed=8)
-    return sweep(ds, ddpm, steps, SeedPolicy(base_seed=8))
 
 
 class TestDefaultEpsilon:
