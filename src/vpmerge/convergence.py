@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 REJECTION_SLACK = 1.5
-# rows per block of the one-pass view moments: at d + P = 128 views, 512 to
-# 4096 rows time within 16 % of each other; one 10000-row block is 1.5x slower
+# rows per block of the one-pass view moments: at d + P = 128 views on a 2-core
+# x86-64, 512 to 4096 rows time within 16 % of each other; one 10000-row block
+# is 1.5x slower
 BLOCK_ROWS = 1024
 
 

@@ -123,7 +123,6 @@ class TestAnalyze:
                 first_one = pair[np.argmax(pair[:, 3] == 1.0), 2]
                 assert first_one == grid[np.searchsorted(grid, mt[i][j])]
 
-
     def test_empirical_series_out_walks_the_grid_once(self, tmp_path, ddpm, monkeypatch):
         data = tmp_path / "five.fvec1"
         save_dataset(five_class_sweep(ddpm, [0]).dataset, data)
