@@ -120,16 +120,19 @@ def _analysis_inputs(args):
 
 
 def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
-    """Write the per-pair series CSV; return the merge-time matrix read off
-    the same series, so the grid is walked once."""
+    """Write the per-pair series CSV (rows i,j,t,repr(v), one join per pair);
+    return the merge-time matrix read off the same series, so the grid is
+    walked once."""
     mt = np.zeros((part.n_events, part.n_events), dtype=np.int64)
+    steps = [f"{t}," for t in sw.steps]
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
         for (i, j), series in pairwise_series(sw, part, n=n, epsilon=eps,
                                               metric=metric, mode=mode):
             mt[i, j] = mt[j, i] = series.first_merge_step
-            for t, v in zip(series.steps, series.values):
-                fh.write(f"{i},{j},{t},{float(v)!r}\n")
+            head = f"{i},{j},"
+            cells = map(str.__add__, steps, map(repr, series.values.tolist()))
+            fh.write(head + ("\n" + head).join(cells) + "\n")
     return mt
 
 
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         _schedule_args(p)
         p.add_argument("--steps", default="101",
                        help="step count (even subsample) or comma list")
-        p.add_argument("--order", type=int, default=2, choices=(1, 2))
+        p.add_argument("--order", type=int, default=2, choices=(2,))
         p.add_argument("--metric", default="top-eigen", choices=("top-eigen", "trace"))
         p.add_argument("--epsilon", default="auto")
         p.add_argument("--mode", default="analytic", choices=("analytic", "empirical"))

@@ -126,10 +126,11 @@ def _k2_from_moments(n: int, m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> 
 
 
 def _view_moments(x: np.ndarray, proj: np.ndarray | None = None) -> tuple:
-    """(m2, m3, m4) of the views [x | x @ proj] from one chunked pass over x.
+    """(m2, m3, m4, r) of the views [x | x @ proj] from one chunked pass over x.
 
     Views are linear, so the projection of a centred block is centred too;
-    both share one reused (BLOCK_ROWS, d + P) buffer.
+    both share one reused (BLOCK_ROWS, d + P) buffer.  r is each view's
+    |mean| (taken through |proj|), which bounds its centring rounding error.
     """
     n, d = x.shape
     if n < 20:
@@ -149,7 +150,8 @@ def _view_moments(x: np.ndarray, proj: np.ndarray | None = None) -> tuple:
         s2 += q.sum(axis=0)
         s3 += np.einsum("ij,ij->j", q, b)
         s4 += np.einsum("ij,ij->j", q, q)
-    return s2 / n, s3 / n, s4 / n
+    r = abs(mean) if proj is None else np.concatenate([abs(mean), abs(mean) @ abs(proj)])
+    return s2 / n, s3 / n, s4 / n, r
 
 
 def dagostino_pearson(sample):
@@ -161,7 +163,7 @@ def dagostino_pearson(sample):
     one_d = arr.ndim == 1
     if one_d:
         arr = arr[:, None]
-    k2 = _k2_from_moments(arr.shape[0], *_view_moments(arr))
+    k2 = _k2_from_moments(arr.shape[0], *_view_moments(arr)[:3])
     p = np.exp(-0.5 * k2)
     if one_d:
         return float(k2[0]), float(p[0])
@@ -204,9 +206,10 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
     detected = None
     for t in sweep.steps:
         snapshot = sweep.snapshot(t)
-        m2, m3, m4 = _view_moments(snapshot, proj)
+        m2, m3, m4, r = _view_moments(snapshot, proj)
         del snapshot  # not held while the next snapshot is drawn
-        live = m2 > 0.0
+        # a constant view centres to rounding noise within n ulps of its mean
+        live = m2 > (n * np.finfo(np.float64).eps * r) ** 2
         n_deg = int(np.sum(~live))
         if not np.any(live):
             raise DegenerateError(f"all views degenerate at step {t}")

@@ -15,17 +15,17 @@ In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
 whatever step grid the sweep carries; one integer scan finds the first t
-in 0..T at which each pair's distance is <= eps.  mode="empirical", the
+in 0..T at which each pair's distance is <= eps, and one broadcast over
+(pairs x grid steps) gives every pair's series.  mode="empirical", the
 stochastic oracle, walks the grid once: one snapshot per step, from it
 the moments of each class still in an unmerged pair, and every unmerged
-pair compared.
+pair compared.  Tensors are covariances (order 2).
 
-pairwise_merge_times, pairwise_series (a lazy generator of every pair's
-series) and detect_series (the two-event case) share one all-pairs core:
-one step-0 pass, one conditional_fluctuation per class, in either mode.
-The default threshold eps = max_k lambda_k_max(0) / 400 is resolved only
-there: over all classes in the first two (so they agree), over the two
-events alone in detect_series.
+pairwise_merge_times, pairwise_series, detect_series (the two-event case)
+and phase_spectrum (for its whole eps grid) share one step-0 pass, one
+conditional_fluctuation per class, in either mode.  The default threshold
+eps = max_k lambda_k_max(0) / 400 is resolved over all classes in the
+first two (so they agree), over the two events alone in detect_series.
 
 Cascades are single linkage over merge times; ties go to the pair of
 clusters whose smallest class ids (lo, hi) are lexicographically first.
@@ -168,54 +168,67 @@ def _propagated_frobenius(j2, frobenius_sq, trace, d):
     return j2**2 * frobenius_sq + 2 * j2 * (1 - j2) * trace + d * (1 - j2) ** 2
 
 
-def _merge_step_matrix(schedule: NoiseSchedule, horizon: int, moments0: list,
-                       metric: str, n: int, epsilon: float) -> np.ndarray:
-    """First integer step in 0..horizon where each pair's propagated
-    distance is <= epsilon (the horizon if none); one row of pairs at a time."""
-    field = _metric_stat(metric)
-    stat = np.array([getattr(m, field) for m in moments0])
-    j2 = j_values(schedule, np.arange(0, horizon + 1))[:, None] ** 2
-    series = None
-    if metric == "trace_l1" and n == 2:
+def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tuple:
+    """(events as arrays, their step-0 moments, scan); scan(eps) is (first-merge
+    matrix, P x len(steps) empirical similarities or None).  Analytic scan: the
+    first step in 0..horizon where a pair's distance is <= eps (the horizon if
+    none), one row of pairs at a time over a J^2 table built once."""
+    events = [np.asarray(ev, dtype=np.int64) for ev in events]
+    if len(events) < 2:
+        raise DomainError("need at least two events")
+    if n != 2:  # order-1 tensors under conditional-mean centring are identically zero
+        raise DomainError(f"the merger compares order-2 tensors, got order {n}")
+    # empty events raise here
+    moments0 = [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
+    if mode == "empirical":
+        stat = _metric_stat(metric)
+        return events, moments0, lambda eps: _empirical_walk(sweep, events, eps, stat)
+    if mode != "analytic":
+        raise DomainError(f"unknown mode {mode!r}")
+    horizon, k = sweep.horizon, len(events)
+    j2 = j_values(sweep.schedule, np.arange(0, horizon + 1))[:, None] ** 2
+    stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
+    if metric == "trace_l1":
         trace = np.array([np.trace(m.tensor) for m in moments0])
-        series = _propagated_frobenius(j2, stat, trace, moments0[0].dim)
-    # order-1 tensors scale by J, so the eigenvalue proxy scales by J too
-    scale = np.sqrt(j2) if n == 1 and metric == "top_eigen_abs" else j2
-    k = len(moments0)
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k - 1):
-        if series is None:
-            dist = scale * np.abs(stat[i] - stat[i + 1:])
-        else:
-            dist = np.abs(series[:, i:i + 1] - series[:, i + 1:])
-        merged = dist <= epsilon
-        first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
-        out[i, i + 1:] = out[i + 1:, i] = first
-    return out
+        stat = _propagated_frobenius(j2, stat, trace, moments0[0].dim)
+
+    def scan(epsilon):
+        out = np.zeros((k, k), dtype=np.int64)
+        for i in range(k - 1):
+            if stat.ndim == 1:  # an eigenvalue gap shrinks by J^2
+                dist = j2 * np.abs(stat[i] - stat[i + 1:])
+            else:
+                dist = np.abs(stat[:, i:i + 1] - stat[:, i + 1:])
+            merged = dist <= epsilon
+            first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
+            out[i, i + 1:] = out[i + 1:, i] = first
+        return out, None
+
+    return events, moments0, scan
 
 
-def _propagated_cka(schedule: NoiseSchedule, ts: np.ndarray,
-                    ma: ConditionalMoments, mb: ConditionalMoments, n: int) -> np.ndarray:
-    """normalized_M along integer steps from step-0 moments (n = 2 closed form)."""
-    j2 = j_values(schedule, ts) ** 2
-    if n == 1:
-        g0 = float(np.sum(ma.tensor * mb.tensor))
-        denom = np.sqrt(ma.frobenius_sq * mb.frobenius_sq)
-        if denom == 0.0:
-            raise DegenerateError("normalized_M undefined for a zero-norm tensor")
-        return np.full_like(j2, min(abs(g0) / denom, 1.0))
-    d = ma.dim
-    tra, trb = np.trace(ma.tensor), np.trace(mb.tensor)
-    g0 = float(np.sum(ma.tensor * mb.tensor))
-    g = j2**2 * g0 + j2 * (1 - j2) * (tra + trb) + d * (1 - j2) ** 2
-    fa = _propagated_frobenius(j2, ma.frobenius_sq, tra, d)
-    fb = _propagated_frobenius(j2, mb.frobenius_sq, trb, d)
-    bad = (fa <= 0) | (fb <= 0)
-    if np.any(bad):
-        raise DegenerateError(
-            f"zero-norm tensor at step {int(np.asarray(ts)[bad][0])}"
-        )
-    return np.minimum(np.abs(g) / np.sqrt(fa * fb), 1.0)
+def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
+                     merge: np.ndarray) -> np.ndarray:
+    """P x len(grid) CKA under the marginal law of every pair i < j (row-major) in
+    one broadcast of step-0 traces, ||S||_F^2 and <S_a, S_b>; 1 from each i* on."""
+    ia, ib = np.triu_indices(len(moments0), 1)
+    j2 = j_values(schedule, grid)[None, :] ** 2
+    d = moments0[0].dim
+    trace = np.array([[np.trace(m.tensor)] for m in moments0])
+    g0 = np.array([[np.sum(moments0[a].tensor * moments0[b].tensor)] for a, b in zip(ia, ib)])
+    f = _propagated_frobenius(j2, np.array([[m.frobenius_sq] for m in moments0]), trace, d)
+    before = grid < merge[ia, ib][:, None]
+    bad = np.argwhere(before & ((f[ia] <= 0) | (f[ib] <= 0)))
+    if bad.size:
+        raise DegenerateError(f"zero-norm tensor at step {grid[bad[0, 1]]}")
+    den = f[ia] * f[ib]
+    # g = J^4 g0 + J^2 (1-J^2) (tr_a + tr_b) + d (1-J^2)^2, in place, added left to right
+    g = j2**2 * g0
+    g += j2 * (1 - j2) * (trace[ia] + trace[ib])
+    g += d * (1 - j2) ** 2
+    values = np.divide(np.abs(g, out=g), np.sqrt(den, out=den), out=den, where=before)
+    values[~before] = 1.0
+    return np.minimum(values, 1.0, out=values)
 
 
 def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
@@ -236,8 +249,8 @@ def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
                     n: int = 2, epsilon: float | None = None,
                     metric: str = "top_eigen_abs", mode: str = "analytic"):
     """Yield ((i, j), MergerSeries) for every pair i < j, row-major, from one
-    step-0 pass and one epsilon over all classes.  Lazy, so a caller that
-    streams the series never holds all K(K-1)/2 of them."""
+    step-0 pass and one epsilon over all classes.  The series are computed
+    on the first next(), all pairs at once."""
     yield from _all_pairs(sweep, partition.events, n, epsilon, metric, mode)[1]
 
 
@@ -251,73 +264,55 @@ def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
 
 def _all_pairs(sweep: TrajectorySweep, events, n: int, epsilon: float | None,
                metric: str, mode: str):
-    """(K x K first-merge matrix, lazy generator of ((i, j), MergerSeries) for
+    """(K x K first-merge matrix, generator of ((i, j), MergerSeries) for
     i < j row-major) from one step-0 pass and one epsilon over the events."""
-    events = [np.asarray(ev, dtype=np.int64) for ev in events]
-    if len(events) < 2:
-        raise DomainError("need at least two events")
-    # empty events raise here
-    moments0 = [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
+    events, moments0, scan = _step0(sweep, events, n, metric, mode)
     if epsilon is None:
         epsilon = default_epsilon(moments0)
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
-    if mode == "analytic":
-        merge = _merge_step_matrix(sweep.schedule, sweep.horizon, moments0, metric, n, epsilon)
-    elif mode == "empirical":
-        merge, sims = _empirical_walk(sweep, events, n, epsilon, _metric_stat(metric))
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    grid = np.asarray(sweep.steps, dtype=np.int64)
+    merge, sims = scan(epsilon)
 
     def series():
-        for i, j in combinations(range(len(events)), 2):
-            a, b, istar = events[i], events[j], int(merge[i, j])
-            if mode == "empirical":
-                values = sims[i, j]
-            else:
-                # as in empirical mode, the similarity is only evaluated before i*
-                values = np.ones(len(grid))
-                before = grid < istar
-                if before.any():
-                    values[before] = _propagated_cka(sweep.schedule, grid[before],
-                                                     moments0[i], moments0[j], n)
+        values = sims if sims is not None else _analytic_series(
+            sweep.schedule, np.asarray(sweep.steps), moments0, merge)
+        for p, (i, j) in enumerate(combinations(range(len(events)), 2)):
+            a, b = events[i], events[j]
             # i* <= horizon, so the last value is 1 when the grid ends there
             yield (i, j), MergerSeries(
-                pair=((int(a[0]), a.size), (int(b[0]), b.size)),
-                steps=tuple(int(t) for t in grid), values=values,
-                first_merge_step=istar, epsilon=float(epsilon), metric=metric, order=n,
+                pair=((int(a[0]), a.size), (int(b[0]), b.size)), steps=sweep.steps,
+                values=values[p], first_merge_step=int(merge[i, j]),
+                epsilon=float(epsilon), metric=metric, order=n,
             )
 
     return merge, series()
 
 
-def _empirical_walk(sweep: TrajectorySweep, events: list, n: int, epsilon: float,
-                    stat: str):
-    """First-merge matrix and K x K x len(steps) thresholded similarities from
-    one snapshot per grid step; a pair is 1 from its first step with a
-    distance <= epsilon (sticky) and from the horizon on."""
+def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: str):
+    """First-merge matrix and P x len(steps) thresholded similarities (pairs
+    i < j row-major) from one snapshot per grid step; a pair is 1 from its
+    first step with a distance <= epsilon (sticky) and from the horizon on."""
     k = len(events)
     merge = np.full((k, k), sweep.horizon, dtype=np.int64)
     np.fill_diagonal(merge, 0)
-    sims = np.ones((k, k, len(sweep.steps)))
-    pairs = list(combinations(range(k), 2))
+    pairs = list(enumerate(combinations(range(k), 2)))
+    sims = np.ones((len(pairs), len(sweep.steps)))
     for s, t in enumerate(sweep.steps):
         if t >= sweep.horizon or not pairs:
             break
-        live = {c for pair in pairs for c in pair}
+        live = {c for _, pair in pairs for c in pair}
         xt = sweep.snapshot(t)
         try:
             moments = {c: ConditionalMoments.from_tensor(
-                moments_from_rows(xt[events[c]], n)[1], n, t) for c in live}
+                moments_from_rows(xt[events[c]], 2)[1], 2, t) for c in live}
         except DegenerateError as exc:
             raise DegenerateError(f"step {t}: {exc}") from None
-        for i, j in pairs:
+        for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
                 merge[i, j] = merge[j, i] = t
             else:
-                sims[i, j, s] = normalized_M(moments[i], moments[j])
-        pairs = [(i, j) for i, j in pairs if merge[i, j] == sweep.horizon]
+                sims[p, s] = normalized_M(moments[i], moments[j])
+        pairs = [(p, (i, j)) for p, (i, j) in pairs if merge[i, j] == sweep.horizon]
         del xt, moments  # neither is held while the next snapshot is drawn
     return merge, sims
 
@@ -427,10 +422,9 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition,
         b <= a for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise DomainError("epsilon grid must be positive and increasing")
+    scan = _step0(sweep, partition.events, n, metric, mode)[2]
     counts = []
     for eps in eps_grid:
-        mt = pairwise_merge_times(sweep, partition, n=n, epsilon=eps,
-                                  metric=metric, mode=mode)
-        cascade = build_cascade(mt)
+        cascade = build_cascade(scan(eps)[0])
         counts.append(sum(1 for nd in cascade.internal_nodes() if nd.merge_step > 0))
     return counts

@@ -278,6 +278,7 @@ class TestErrorMapping:
          "--n-per-class", "3", "--out", "{tmp}/s.csv"],
         ["simulate", "--classes", "2", "--dim", "-1", "--spectra", "1/1",
          "--n-per-class", "3", "--out", "{tmp}/s.csv"],
+        ["analyze", "--input", "{data}", "--order", "1", "--epsilon", "0.01"],
     ])
     def test_bad_values_give_one_json_record(self, argv, tmp_path, small_fixture, capsys):
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]

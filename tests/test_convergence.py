@@ -187,6 +187,21 @@ class TestConvergenceStep:
         report = convergence_step(sw, views="coordinates")
         assert report.degenerate_views[0] == 1
 
+    @pytest.mark.parametrize("value", [0.7, 2.0])
+    @pytest.mark.parametrize("views", ["coordinates", RandomProjections(count=12, seed=3)])
+    def test_constant_column_is_degenerate(self, ddpm, value, views):
+        # at N=5000 the mean of a column of 0.7 is 0.7 + 1.1e-16, so the column
+        # centres to rounding noise, not to zero; it is still no live view
+        rng = np.random.default_rng(10)
+        live = np.column_stack([rng.standard_normal(5000), rng.exponential(size=5000)])
+        feats = np.column_stack([live, np.full(5000, value)])
+        ds = LabeledDataset(features=feats, labels=np.zeros(5000, dtype=int))
+        sw = sweep(ds, ddpm, [0], SeedPolicy(base_seed=11))
+        report = convergence_step(sw, views=views)
+        assert report.degenerate_views == (1,)
+        if views == "coordinates":  # oracle: scipy over the two live columns
+            assert report.steps[0][1] == np.mean(stats.normaltest(live).pvalue < 0.05)
+
     def test_alpha_validated(self, ddpm):
         rng = np.random.default_rng(12)
         ds = LabeledDataset(features=rng.standard_normal((100, 2)),

@@ -26,9 +26,10 @@ from vpmerge import (
     phase_spectrum,
     sweep,
 )
+from vpmerge import merger
 from vpmerge.data import EventPartition
 from vpmerge.merger import CascadeLeaf, CascadeNode, pairwise_series
-from vpmerge.schedule import betas
+from vpmerge.schedule import betas, j_values
 
 from conftest import five_class_sweep, two_class_dataset
 
@@ -91,6 +92,45 @@ def reference_empirical_series(sw, a, b, epsilon, metric, n=2):
             values[i] = normalized_M(mat, mbt)
     if sw.steps[-1] == sw.horizon:
         values[-1] = 1.0
+    return values, istar
+
+
+def propagated_frobenius(j2, m):
+    d, tr = m.dim, np.trace(m.tensor)
+    return j2**2 * m.frobenius_sq + 2 * j2 * (1 - j2) * tr + d * (1 - j2) ** 2
+
+
+def propagated_cka(schedule, ts, ma, mb):
+    """normalized_M along integer steps from step-0 moments (closed form)."""
+    j2 = j_values(schedule, ts) ** 2
+    d = ma.dim
+    tra, trb = np.trace(ma.tensor), np.trace(mb.tensor)
+    g0 = float(np.sum(ma.tensor * mb.tensor))
+    g = j2**2 * g0 + j2 * (1 - j2) * (tra + trb) + d * (1 - j2) ** 2
+    fa, fb = propagated_frobenius(j2, ma), propagated_frobenius(j2, mb)
+    bad = (fa <= 0) | (fb <= 0)
+    if np.any(bad):
+        raise DegenerateError(f"zero-norm tensor at step {int(np.asarray(ts)[bad][0])}")
+    return np.minimum(np.abs(g) / np.sqrt(fa * fb), 1.0)
+
+
+def reference_series(sw, a, b, epsilon, metric):
+    """Oracle: the per-pair analytic series the all-pairs broadcast replaced:
+    an integer scan of 0..T for i*, then propagated_cka on the grid steps
+    before it and 1 from it on; returns (values, i*)."""
+    ma, mb = (conditional_fluctuation(sw, ev, 0) for ev in (a, b))
+    j2 = j_values(sw.schedule, np.arange(0, sw.horizon + 1)) ** 2
+    if metric == "top_eigen_abs":
+        dist = j2 * np.abs(ma.top_eigenvalue - mb.top_eigenvalue)
+    else:
+        dist = np.abs(propagated_frobenius(j2, ma) - propagated_frobenius(j2, mb))
+    hits = np.flatnonzero(dist <= epsilon)
+    istar = int(hits[0]) if hits.size else sw.horizon
+    grid = np.asarray(sw.steps, dtype=np.int64)
+    values = np.ones(len(grid))
+    before = grid < istar
+    if before.any():
+        values[before] = propagated_cka(sw.schedule, grid[before], ma, mb)
     return values, istar
 
 
@@ -218,7 +258,7 @@ class TestPairwiseMergeTimes:
         assert mt[0, 1] == 0
 
     @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [2])  # the merger rejects order 1 (test_order_one_rejected)
     def test_matches_per_pair_series(self, ddpm, metric, n):
         sw = five_class_sweep(ddpm, [0, 500, 1000])
         part = partition_by_label(sw.dataset)
@@ -233,6 +273,12 @@ class TestPairwiseMergeTimes:
         sw, part = two_class_sweep
         with pytest.raises(DomainError, match="metric"):
             pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
+
+    def test_order_one_rejected(self, two_class_sweep):
+        # conditional-mean order-1 tensors are identically zero
+        sw, part = two_class_sweep
+        with pytest.raises(DomainError, match="order"):
+            pairwise_merge_times(sw, part, n=1, epsilon=0.06)
 
 
 class TestPairwiseSeries:
@@ -255,6 +301,48 @@ class TestPairwiseSeries:
             assert series.values.tobytes() == ref.values.tobytes()
         mt = pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode=mode)
         assert [mt[i, j] for (i, j), _ in got] == [s.first_merge_step for _, s in got]
+
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    @pytest.mark.parametrize("epsilon", [None, 0.02])
+    def test_matches_per_pair_reference(self, ddpm, metric, epsilon):
+        sw = five_class_sweep(ddpm, range(0, 1001, 10))
+        part = partition_by_label(sw.dataset)
+
+        def eps_over(events):  # the default is over the events passed in
+            return epsilon or default_epsilon(
+                [conditional_fluctuation(sw, ev, 0) for ev in events])
+
+        istars = set()
+        for (i, j), series in pairwise_series(sw, part, epsilon=epsilon, metric=metric):
+            pair = (part.events[i], part.events[j])
+            single = detect_series(sw, *pair, epsilon=epsilon, metric=metric)
+            for out, eps in ((series, eps_over(part.events)), (single, eps_over(pair))):
+                values, istar = reference_series(sw, *pair, eps, metric)
+                assert out.values.tobytes() == values.tobytes()
+                assert out.first_merge_step == istar
+                assert out.epsilon == eps
+            istars.add(series.first_merge_step)
+        assert len(istars) > 3  # the pairs merge at different steps
+
+    def test_zero_norm_tensor_raises_only_before_merging(self, ddpm):
+        # class 0 is one repeated row (a zero covariance, so a zero-norm tensor
+        # at step 0); class 2 is close enough to it to merge at step 0
+        rng = np.random.default_rng(3)
+        feats = np.vstack([np.zeros((50, 3)), 3.0 * rng.standard_normal((50, 3)),
+                           1e-3 * rng.standard_normal((50, 3))])
+        ds = LabeledDataset(features=feats, labels=np.repeat([0, 1, 2], 50))
+        sw = sweep(ds, ddpm, [0, 500, 1000], SeedPolicy(base_seed=3))
+        ev = partition_by_label(ds).events
+        merged = detect_series(sw, ev[0], ev[2], epsilon=0.01)
+        assert merged.first_merge_step == 0 and np.all(merged.values == 1.0)
+        assert reference_series(sw, ev[0], ev[2], 0.01, "top_eigen_abs")[1] == 0
+        with pytest.raises(DegenerateError) as want:
+            reference_series(sw, ev[0], ev[1], 0.01, "top_eigen_abs")
+        with pytest.raises(DegenerateError) as got:
+            detect_series(sw, ev[0], ev[1], epsilon=0.01)
+        assert str(got.value) == str(want.value) == "zero-norm tensor at step 0"
+        with pytest.raises(DegenerateError, match="at step 0"):
+            list(pairwise_series(sw, partition_by_label(ds), epsilon=0.01))
 
     def test_needs_two_events(self, two_class_sweep):
         sw, part = two_class_sweep
@@ -495,6 +583,23 @@ class TestPhaseSpectrum:
         grid = np.geomspace(1e-4, 20.0, 8)
         counts = phase_spectrum(sw, partition_by_label(ds), epsilon_grid=grid)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    def test_one_step0_pass_matches_per_epsilon(self, ddpm, monkeypatch, metric):
+        sw = five_class_sweep(ddpm, [0, 100, 250, 500, 1000])
+        part = partition_by_label(sw.dataset)
+        grid = np.geomspace(1e-3, 5.0, 12)
+        want = []  # the oracle: one pairwise_merge_times and cascade per epsilon
+        for eps in grid:
+            cascade = build_cascade(pairwise_merge_times(sw, part, epsilon=eps, metric=metric))
+            want.append(sum(nd.merge_step > 0 for nd in cascade.internal_nodes()))
+        assert len(set(want)) > 2
+        calls = []
+        moments = merger.conditional_fluctuation
+        monkeypatch.setattr(merger, "conditional_fluctuation",
+                            lambda *a, **kw: calls.append(a[1]) or moments(*a, **kw))
+        assert phase_spectrum(sw, part, metric=metric, epsilon_grid=grid) == want
+        assert len(calls) == part.n_events
 
     def test_grid_validation(self, two_class_sweep):
         sw, part = two_class_sweep
