@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .convergence import RandomProjections, convergence_step, empirical_cf_distance, moment_tv_check
 from .data import (
-    LabeledDataset,
     SyntheticSpec,
     load_dataset,
     partition_by_label,
@@ -34,7 +33,7 @@ from .data import (
     save_dataset,
     synth_gaussian_mixture,
 )
-from .errors import DataError, DomainError, NumericError, VpmergeError
+from .errors import DataError, DomainError, VpmergeError
 from .forward import SeedPolicy, sweep
 from .merger import (
     build_cascade,
@@ -107,16 +106,21 @@ def _cmd_mixing(args) -> int:
     return EXIT_OK
 
 
-def _analysis_inputs(args):
+def _sweep(args):
+    """The forward sweep of --input over --steps of the flags' schedule."""
     ds = load_dataset(args.input)
     sched = NoiseSchedule(beta0=args.beta0, betaT=args.betaT, horizon_T=args.T)
     steps = _steps_list(args.steps, sched.horizon_T)
-    sw = sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
-    part = partition_by_label(ds)
+    return sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
+
+
+def _analysis_inputs(args):
+    sw = _sweep(args)
+    part = partition_by_label(sw.dataset)
     # None: merge_times and the series CSV share the merger's all-class default
     eps = None if args.epsilon == "auto" else float(args.epsilon)
     metric = {"top-eigen": "top_eigen_abs", "trace": "trace_l1"}[args.metric]
-    return ds, sched, sw, part, eps, metric
+    return sw.schedule, sw, part, eps, metric
 
 
 def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
@@ -137,7 +141,7 @@ def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
 
 
 def _cmd_analyze(args) -> int:
-    ds, sched, sw, part, eps, metric = _analysis_inputs(args)
+    sched, sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
         mt = _series_csv(args.series_out, sw, part, args.order, eps, metric, args.mode)
     else:
@@ -155,7 +159,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_windows(args) -> int:
-    ds, sched, sw, part, eps, metric = _analysis_inputs(args)
+    sched, sw, part, eps, metric = _analysis_inputs(args)
     mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
                               metric=metric, mode=args.mode)
     report = convergence_step(
@@ -178,12 +182,8 @@ def _cmd_windows(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    ds = load_dataset(args.input)
-    sched = NoiseSchedule(beta0=args.beta0, betaT=args.betaT, horizon_T=args.T)
-    steps = _steps_list(args.steps, sched.horizon_T)
-    sw = sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
     report = convergence_step(
-        sw, alpha=args.alpha,
+        _sweep(args), alpha=args.alpha,
         views=RandomProjections(count=args.projections, seed=args.seed)
         if args.projections else "coordinates",
     )
@@ -218,11 +218,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    ds = load_dataset(args.input)
-    sched = NoiseSchedule(beta0=args.beta0, betaT=args.betaT, horizon_T=args.T)
-    steps = _steps_list(args.steps, sched.horizon_T)
-    sw = sweep(ds, sched, steps, SeedPolicy(base_seed=args.seed))
-    part = partition_by_label(ds)
+    sw = _sweep(args)
+    part = partition_by_label(sw.dataset)
     if not (0 <= args.class_a < part.n_events and 0 <= args.class_b < part.n_events):
         raise DomainError(f"classes must lie in [0, {part.n_events})")
     a, b = part.events[args.class_a], part.events[args.class_b]
@@ -360,7 +357,7 @@ def execute(argv) -> int:
         return EXIT_OK
     try:
         return args.func(args)
-    except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         _error_record("numeric", exc)
         return EXIT_NUMERIC
     except (DomainError, ValueError, IndexError) as exc:

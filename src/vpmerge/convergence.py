@@ -235,6 +235,8 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
 def _check_density(p: np.ndarray, grid: np.ndarray, name: str) -> None:
     if p.shape != grid.shape:
         raise DomainError(f"{name} and grid shapes differ")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(grid))):
+        raise DomainError(f"{name} or its grid has a non-finite value")
     if np.any(p < 0):
         raise DomainError(f"{name} has negative mass")
     total = np.trapezoid(p, grid)
@@ -270,6 +272,8 @@ def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> TVBoundReport:
     """
     if n < 2:
         raise DomainError("moment order n must be >= 2")
+    if not (math.isfinite(c0) and c0 > 0):
+        raise DomainError(f"c0 must be finite and > 0, got {c0}")
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -300,6 +304,8 @@ def empirical_cf_distance(a, b, freq_count: int = 64,
         raise DomainError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if freq_count < 1:
         raise DomainError("freq_count must be >= 1")
+    if freq_scale is not None and not (math.isfinite(freq_scale) and freq_scale > 0):
+        raise DomainError(f"freq_scale must be finite and > 0, got {freq_scale}")
     d = xa.shape[1]
     scale = freq_scale if freq_scale is not None else 1.0 / math.sqrt(d)
     rng = np.random.Generator(

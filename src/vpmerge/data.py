@@ -35,7 +35,6 @@ __all__ = [
     "read_csv",
     "partition_by_label",
     "synth_gaussian_mixture",
-    "standardize",
 ]
 
 _FVEC1_MAGIC = b"FVEC1"
@@ -98,7 +97,6 @@ class EventPartition:
     """Disjoint, exhaustive index lists, one per class event."""
 
     events: tuple
-    class_probs: np.ndarray
 
     def __post_init__(self) -> None:
         total = sum(len(e) for e in self.events)
@@ -107,10 +105,6 @@ class EventPartition:
             raise DataError("partition events overlap")
         if not np.array_equal(np.sort(joined), np.arange(total)):
             raise DataError("partition events do not cover the index set")
-        probs = np.asarray(self.class_probs, dtype=np.float64)
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise DataError("class probabilities must sum to 1")
-        object.__setattr__(self, "class_probs", probs)
 
     @property
     def n_events(self) -> int:
@@ -118,11 +112,10 @@ class EventPartition:
 
 
 def partition_by_label(ds: LabeledDataset) -> EventPartition:
-    """One event per distinct label, with empirical class probabilities."""
+    """One event per distinct label."""
     k = ds.n_classes
     events = tuple(np.flatnonzero(ds.labels == c) for c in range(k))
-    probs = np.array([len(e) / ds.count for e in events])
-    return EventPartition(events=events, class_probs=probs)
+    return EventPartition(events=events)
 
 
 @dataclass(frozen=True)
@@ -204,44 +197,18 @@ def synth_gaussian_mixture(spec: SyntheticSpec, seed: int) -> LabeledDataset:
     )
 
 
-def standardize(ds: LabeledDataset, mode: str = "global_unit_variance") -> LabeledDataset:
-    """Subtract the global mean and scale each coordinate to unit variance."""
-    if mode == "none":
-        return ds
-    if mode != "global_unit_variance":
-        raise DomainError(f"unknown standardize mode {mode!r}")
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)
-    bad = np.flatnonzero(std == 0.0)
-    if bad.size:
-        raise DataError(f"coordinate {int(bad[0])} has zero variance")
-    return LabeledDataset(
-        features=(ds.features - mean) / std,
-        labels=ds.labels.copy(),
-        label_map=dict(ds.label_map),
-    )
-
-
-def load_dataset(path, format: str | None = None) -> LabeledDataset:
+def load_dataset(path) -> LabeledDataset:
+    """Read a dataset; a .fvec1 suffix means fvec1, anything else CSV."""
     path = Path(path)
-    fmt = format or ("fvec1" if path.suffix == ".fvec1" else "csv")
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "fvec1":
-        return _load_fvec1(path)
-    raise DomainError(f"unknown dataset format {fmt!r}")
+    return _load_fvec1(path) if path.suffix == ".fvec1" else _load_csv(path)
 
 
-def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
+def save_dataset(ds: LabeledDataset, path) -> None:
+    """Write a dataset; a .fvec1 suffix means fvec1, anything else CSV."""
     path = Path(path)
-    fmt = format or ("fvec1" if path.suffix == ".fvec1" else "csv")
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            for label, row in zip(ds.labels, ds.features):
-                fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    elif fmt == "fvec1":
+    if path.suffix == ".fvec1":
         with open(path, "wb") as fh:
             fh.write(_FVEC1_MAGIC)
             fh.write(struct.pack("<QQ", ds.count, ds.dim))
@@ -252,7 +219,9 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
             rec["feat"] = ds.features.astype(np.float32)
             fh.write(rec.tobytes())
     else:
-        raise DomainError(f"unknown dataset format {fmt!r}")
+        with open(path, "w") as fh:
+            for label, row in zip(ds.labels, ds.features):
+                fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def read_csv(path, width: int | None = None) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all vpmerge modules.
 
 The CLI maps these onto exit codes: DomainError -> 2 (usage),
-DataError and subclasses -> 3 (data), NumericError -> 4 (numeric).
+DataError and subclasses -> 3 (data); numpy's LinAlgError -> 4 (numeric).
 """
 
 
@@ -19,7 +19,3 @@ class DataError(VpmergeError):
 
 class DegenerateError(DataError):
     """An event or tensor is too degenerate for the requested statistic."""
-
-
-class NumericError(VpmergeError):
-    """An iterative routine failed to converge."""

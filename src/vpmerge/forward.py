@@ -2,11 +2,10 @@
 
 The default noising path is the closed-form marginal
     x_t = J(t) x_0 + sqrt(1 - J(t)^2) eps,
-which is exact and O(1) per (sample, step); the stepwise DDPM update is
-kept for validation.  Noise is counter-based: every step draws from a
-Philox stream keyed by (base_seed, tag, step), so a sweep regenerates
-bit-identically from (dataset, schedule, steps, seed) and is independent
-of how work is scheduled across steps.
+which is exact and O(1) per (sample, step).  Noise is counter-based:
+every step draws from a Philox stream keyed by (base_seed, step), so a
+sweep regenerates bit-identically from (dataset, schedule, steps, seed)
+and is independent of how work is scheduled across steps.
 
 One-sweep property: all snapshots of a TrajectorySweep come from the same
 x_0 rows, so event membership fixed at step 0 indexes the same
@@ -21,12 +20,9 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import DomainError
-from .schedule import NoiseSchedule, beta_at, j_values
+from .schedule import NoiseSchedule, j_values
 
-__all__ = ["SeedPolicy", "TrajectorySweep", "noised_at", "step_ddpm", "sweep"]
-
-_TAG_MARGINAL = 0
-_TAG_DDPM = 1
+__all__ = ["SeedPolicy", "TrajectorySweep", "noised_at", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -36,16 +32,10 @@ class SeedPolicy:
 
     base_seed: int
 
-    def _stream(self, tag: int, step: int) -> np.random.Generator:
-        key = np.array(
-            [np.uint64(self.base_seed & 0xFFFFFFFFFFFFFFFF),
-             np.uint64((tag << 48) | step)],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def noise(self, n: int, d: int, step: int, tag: int = _TAG_MARGINAL) -> np.ndarray:
-        return self._stream(tag, step).standard_normal((n, d))
+    def noise(self, n: int, d: int, step: int) -> np.ndarray:
+        key = np.array([np.uint64(self.base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(step)],
+                       dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, d))
 
 
 def _features(ds) -> np.ndarray:
@@ -66,14 +56,6 @@ def noised_at(ds, schedule: NoiseSchedule, t: int, seeds: SeedPolicy) -> np.ndar
     eps *= sigma
     eps += j * x0
     return eps
-
-
-def step_ddpm(x_prev: np.ndarray, schedule: NoiseSchedule, t: int, seeds: SeedPolicy) -> np.ndarray:
-    """Single DDPM update x_t = sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps."""
-    beta = beta_at(schedule, t)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    eps = seeds.noise(x_prev.shape[0], x_prev.shape[1], t, tag=_TAG_DDPM)
-    return np.sqrt(1.0 - beta) * x_prev + np.sqrt(beta) * eps
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
         xt = sweep.snapshot(t)
         try:
             moments = {c: ConditionalMoments.from_tensor(
-                moments_from_rows(xt[events[c]], 2)[1], 2, t) for c in live}
+                moments_from_rows(xt[events[c]], 2)[1], 2) for c in live}
         except DegenerateError as exc:
             raise DegenerateError(f"step {t}: {exc}") from None
         for p, (i, j) in pairs:

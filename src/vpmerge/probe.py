@@ -190,6 +190,10 @@ def load_logits_csv(path) -> dict:
     arr = read_csv(path, width=3)
     steps = integer_column(arr[:, 0], "steps").tolist()
     classes = integer_column(arr[:, 1], "class ids").tolist()
+    if min(classes) < 0:
+        raise DataError(f"{path}: class ids must be >= 0, got {min(classes)}")
+    if len(set(zip(steps, classes))) < len(steps):
+        raise DataError(f"{path}: a (step, class) row appears twice")
     n_classes = max(classes) + 1
     out: dict = {}
     for t, c, v in zip(steps, classes, arr[:, 2].tolist()):

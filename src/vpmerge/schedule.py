@@ -23,11 +23,9 @@ from .errors import DomainError
 __all__ = [
     "NoiseSchedule",
     "MixingPrediction",
-    "beta_at",
     "betas",
     "attenuation",
     "j_values",
-    "marginal_params",
     "snr",
     "snr_of_attenuation",
     "predict_mixing_step",
@@ -67,16 +65,6 @@ class MixingPrediction:
     dim: int
 
 
-def beta_at(schedule: NoiseSchedule, t: int) -> float:
-    """Discrete beta_t, linearly interpolated over steps 1..T."""
-    if not 1 <= t <= schedule.horizon_T:
-        raise DomainError(f"step {t} outside [1, {schedule.horizon_T}]")
-    if schedule.horizon_T == 1:
-        return schedule.beta0
-    frac = (t - 1) / (schedule.horizon_T - 1)
-    return schedule.beta0 + (schedule.betaT - schedule.beta0) * frac
-
-
 def betas(schedule: NoiseSchedule) -> np.ndarray:
     """All discrete beta_t for t = 1..T as an array."""
     T = schedule.horizon_T
@@ -93,38 +81,17 @@ def _beta_integral(schedule: NoiseSchedule, t) -> np.ndarray:
     return schedule.beta0 * t + 0.5 * dbeta * t * t / schedule.horizon_T
 
 
-def j_values(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> np.ndarray:
-    """Attenuation J(t), vectorized over t.
-
-    continuous_integral: exp(-1/2 int beta), exact for the linear schedule.
-    discrete_product: prod_{i<=t} sqrt(1 - beta_i) from the DDPM update
-    (integer t only).
-    """
-    if mode == "continuous_integral":
-        return np.exp(-0.5 * _beta_integral(schedule, t))
-    if mode == "discrete_product":
-        cum = np.concatenate([[1.0], np.cumprod(np.sqrt(1.0 - betas(schedule)))])
-        idx = np.asarray(t, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx > schedule.horizon_T):
-            raise DomainError("step outside [0, horizon_T]")
-        return cum[idx]
-    raise DomainError(f"unknown attenuation mode {mode!r}")
+def j_values(schedule: NoiseSchedule, t) -> np.ndarray:
+    """Attenuation J(t) = exp(-1/2 int_0^t beta), vectorized over t; exact
+    for the linear schedule."""
+    return np.exp(-0.5 * _beta_integral(schedule, t))
 
 
-def attenuation(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> float:
+def attenuation(schedule: NoiseSchedule, t) -> float:
     """Surviving signal fraction J at one step t in [0, T]."""
     if not 0 <= t <= schedule.horizon_T:
         raise DomainError(f"step {t} outside [0, {schedule.horizon_T}]")
-    return float(j_values(schedule, t, mode=mode))
-
-
-def marginal_params(schedule: NoiseSchedule, t, mode: str = "continuous_integral"):
-    """(mean_scale, noise_variance) of the closed-form marginal at step t.
-
-    mean_scale^2 + noise_variance = 1 holds bit-exactly.
-    """
-    j = attenuation(schedule, t, mode=mode)
-    return j, 1.0 - j * j
+    return float(j_values(schedule, t))
 
 
 def snr_of_attenuation(j: float) -> float:
@@ -135,8 +102,8 @@ def snr_of_attenuation(j: float) -> float:
     return j2 / (1.0 - j2)
 
 
-def snr(schedule: NoiseSchedule, t, mode: str = "continuous_integral") -> float:
-    return snr_of_attenuation(attenuation(schedule, t, mode=mode))
+def snr(schedule: NoiseSchedule, t) -> float:
+    return snr_of_attenuation(attenuation(schedule, t))
 
 
 def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> MixingPrediction:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ from vpmerge import (
 @pytest.fixture(scope="session")
 def ddpm():
     return NoiseSchedule.ddpm_default()
+
+
+def discrete_product_oracle(sched, t):
+    """Independent oracle for the DDPM attenuation: explicit product of
+    sqrt(1 - beta_i) over steps 1..t."""
+    out = 1.0
+    for i in range(1, t + 1):
+        frac = (i - 1) / (sched.horizon_T - 1)
+        out *= math.sqrt(1.0 - (sched.beta0 + (sched.betaT - sched.beta0) * frac))
+    return out
 
 
 def two_class_dataset(seed, n_per_class=20000, d=16, lam_a=10.0, lam_b=4.0):

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from vpmerge import (
     NoiseSchedule,
     SeedPolicy,
-    TrajectorySweep,
     detect_series,
     load_dataset,
     partition_by_label,
-    save_dataset,
     sweep,
 )
 from vpmerge.cli import execute
+from vpmerge.data import save_dataset
+from vpmerge.forward import TrajectorySweep
 
 from conftest import five_class_sweep
 
@@ -279,8 +279,14 @@ class TestErrorMapping:
         ["simulate", "--classes", "2", "--dim", "-1", "--spectra", "1/1",
          "--n-per-class", "3", "--out", "{tmp}/s.csv"],
         ["analyze", "--input", "{data}", "--order", "1", "--epsilon", "0.01"],
+        ["tvcheck", "--input", "{tmp}/nan_q.csv"],
+        ["tvcheck", "--input", "{tmp}/dens.csv", "--c0", "inf"],
+        ["cf", "--input-a", "{data}", "--input-b", "{data}", "--scale", "nan"],
     ])
     def test_bad_values_give_one_json_record(self, argv, tmp_path, small_fixture, capsys):
+        # x,p,q density CSVs: a valid one, and one with a nan in column q
+        (tmp_path / "dens.csv").write_text("-1.0,0.0,0.5\n0.0,1.0,0.5\n1.0,0.0,0.5\n")
+        (tmp_path / "nan_q.csv").write_text("-1.0,0.0,0.5\n0.0,1.0,nan\n1.0,0.0,0.5\n")
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]
         assert run(argv) in (2, 3)
         err = capsys.readouterr().err
@@ -348,6 +354,10 @@ def random_argv(draw, files):
     return argv
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestRandomArgv:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -363,7 +373,9 @@ class TestRandomArgv:
         text = err.getvalue()
         if text:
             assert text.endswith("\n") and text.count("\n") == 1
-            assert set(json.loads(text)) == {"error", "message"}
+            assert set(json.loads(text, parse_constant=_no_constant)) == {"error", "message"}
+        if out.getvalue() and "--help" not in argv:  # help text is not JSON
+            json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 class TestReproducibility:

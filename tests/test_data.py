@@ -10,11 +10,9 @@ from vpmerge import (
     SyntheticSpec,
     load_dataset,
     partition_by_label,
-    save_dataset,
-    standardize,
     synth_gaussian_mixture,
 )
-from vpmerge.data import EventPartition
+from vpmerge.data import EventPartition, save_dataset
 
 
 class TestCsv:
@@ -117,33 +115,26 @@ class TestPartition:
         ds = LabeledDataset(features=np.zeros((3, 2)), labels=[0, 0, 1])
         part = partition_by_label(ds)
         assert [e.tolist() for e in part.events] == [[0, 1], [2]]
-        assert part.class_probs.tolist() == [2 / 3, 1 / 3]
 
     def test_single_label(self):
         ds = LabeledDataset(features=np.zeros((4, 2)), labels=[0, 0, 0, 0])
         part = partition_by_label(ds)
-        assert part.n_events == 1 and part.class_probs[0] == 1.0
+        assert part.n_events == 1 and part.events[0].tolist() == [0, 1, 2, 3]
 
     def test_non_contiguous_remap(self):
         ds = LabeledDataset(features=np.zeros((4, 2)), labels=[2, 2, 2, 5])
         assert ds.labels.tolist() == [0, 0, 0, 1]
         assert ds.label_map == {0: 2, 1: 5}
         part = partition_by_label(ds)
-        assert part.class_probs.tolist() == [0.75, 0.25]
+        assert [e.tolist() for e in part.events] == [[0, 1, 2], [3]]
 
     def test_overlap_rejected(self):
         with pytest.raises(DataError):
-            EventPartition(
-                events=(np.array([0, 1]), np.array([1, 2])),
-                class_probs=np.array([0.5, 0.5]),
-            )
+            EventPartition(events=(np.array([0, 1]), np.array([1, 2])))
 
     def test_gap_rejected(self):
         with pytest.raises(DataError):
-            EventPartition(
-                events=(np.array([0]), np.array([2])),
-                class_probs=np.array([0.5, 0.5]),
-            )
+            EventPartition(events=(np.array([0]), np.array([2])))
 
 
 class TestSynthetic:
@@ -183,27 +174,3 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             SyntheticSpec(means=np.zeros((1, 3)), spectra=np.array([[1.0, 2.0, 3.0]]),
                           samples_per_class=(10,))
-
-
-class TestStandardize:
-    def test_scales_to_unit_variance(self):
-        rng = np.random.default_rng(0)
-        feats = rng.standard_normal((5000, 3)) * np.array([2.0, 1.0, 0.5])
-        feats[:, 0] = np.tile([-2.0, 2.0], 2500)  # variance exactly 4
-        ds = LabeledDataset(features=feats, labels=np.zeros(5000, dtype=int))
-        out = standardize(ds)
-        assert np.allclose(out.features.var(axis=0), 1.0, atol=1e-9)
-        assert np.allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
-        # the variance-4 coordinate is scaled by exactly 0.5
-        assert np.array_equal(out.features[:, 0], feats[:, 0] * 0.5)
-
-    def test_none_is_identity(self):
-        ds = LabeledDataset(features=np.ones((3, 2)) * [1.0, 2.0],
-                            labels=[0, 1, 0])
-        assert standardize(ds, mode="none") is ds
-
-    def test_constant_coordinate_named(self):
-        feats = np.column_stack([np.arange(30.0), np.full(30, 7.0)])
-        ds = LabeledDataset(features=feats, labels=np.zeros(30, dtype=int))
-        with pytest.raises(DataError, match="coordinate 1"):
-            standardize(ds)

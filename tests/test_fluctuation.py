@@ -12,14 +12,10 @@ from vpmerge import (
     LabeledDataset,
     SeedPolicy,
     conditional_fluctuation,
-    cross_fluctuation_G,
-    gaussian_central_moment,
     normalized_M,
-    scalar_moment_trajectory,
     sweep,
-    top_eigenvalue,
 )
-from vpmerge.fluctuation import moments_from_rows
+from vpmerge.fluctuation import cross_fluctuation_G, moments_from_rows, top_eigenvalue
 from vpmerge.schedule import j_values
 
 
@@ -41,18 +37,23 @@ class TestConditionalFluctuation:
         m = conditional_fluctuation(sw, np.arange(100000), 0, n=2)
         assert np.linalg.norm(m.tensor - np.eye(4), ord=2) < 0.03
 
-    def test_first_order_conditional_centering_is_zero(self, ddpm):
+    def test_first_order_rejected(self, ddpm):
+        # an order-1 tensor under own-mean centring is identically zero
         sw = gaussian_sweep(ddpm, 1, n=500)
-        m = conditional_fluctuation(sw, np.arange(500), 0, n=1)
-        assert np.array_equal(m.tensor, np.zeros(4))
+        for propagate in (True, False):
+            with pytest.raises(DomainError, match="order must be 2"):
+                conditional_fluctuation(sw, np.arange(500), 0, n=1, propagate=propagate)
+        with pytest.raises(DomainError, match="order must be 2"):
+            moments_from_rows(sw.dataset.features, 1)
+        with pytest.raises(DomainError, match="order must be 2"):
+            ConditionalMoments.from_tensor(np.eye(4), order=1)
 
-    def test_half_space_mean_global_centering(self, ddpm):
-        # E[x1 | x1 > 0] = sqrt(2/pi) for a standard normal, others 0
-        sw = gaussian_sweep(ddpm, 2, n=200000)
-        event = np.flatnonzero(sw.dataset.features[:, 0] > 0)
-        m = conditional_fluctuation(sw, event, 0, n=1, centering="global_mean")
-        assert m.tensor[0] == pytest.approx(math.sqrt(2 / math.pi), abs=0.01)
-        assert np.all(np.abs(m.tensor[1:]) < 0.01)
+    def test_own_mean_centring_and_event_count(self):
+        rows = np.array([[1.0, 2.0], [3.0, 2.0], [5.0, 8.0]])
+        mean, tensor = moments_from_rows(rows, 2)
+        dev = rows - rows.mean(axis=0)
+        assert np.array_equal(mean, rows.mean(axis=0))
+        assert np.array_equal(tensor, dev.T @ dev / 3)
 
     def test_empty_event(self, ddpm):
         sw = gaussian_sweep(ddpm, 3, n=100)
@@ -111,9 +112,8 @@ class TestCrossFluctuation:
 
     def test_mismatch_errors(self):
         a = from_matrix(np.eye(2))
-        v = ConditionalMoments.from_tensor(np.array([1.0, 0.0]), order=1)
         with pytest.raises(DomainError):
-            cross_fluctuation_G(a, v)
+            ConditionalMoments.from_tensor(np.array([1.0, 0.0]))  # not an order-2 tensor
         with pytest.raises(DomainError):
             cross_fluctuation_G(a, from_matrix(np.eye(3)))
 
@@ -196,74 +196,7 @@ class TestTopEigenvalue:
             top_eigenvalue(np.zeros((2, 3)))
 
 
-class TestScalarMoments:
-    def test_gaussian_central_moments(self):
-        assert gaussian_central_moment(3) == 0.0
-        assert gaussian_central_moment(4) == 3.0
-        assert gaussian_central_moment(6) == 15.0
-        assert gaussian_central_moment(0) == 1.0
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 16))
-    def test_double_factorial_brute_force(self, n):
-        if n % 2 == 1:
-            assert gaussian_central_moment(n) == 0.0
-        else:
-            assert gaussian_central_moment(n) == math.prod(range(1, n, 2))
-
-    def test_variance_preservation(self, ddpm):
-        for t in (0, 100, 500, 1000):
-            assert scalar_moment_trajectory(1.0, 2, ddpm, t) == pytest.approx(1.0, rel=1e-12)
-
-    def test_odd_moment_decay(self, ddpm):
-        t = 400
-        j3 = float(j_values(ddpm, t)) ** 3
-        assert scalar_moment_trajectory(2.0, 3, ddpm, t) == pytest.approx(2.0 * j3, rel=1e-12)
-        # the quoted arithmetic case: J^3 = 0.125 gives 0.25
-        assert 0.125 * 2.0 + (1 - 0.125) * gaussian_central_moment(3) == 0.25
-
-    def test_laplace_fourth_moment_mc_oracle(self, ddpm):
-        # unit-variance Laplace has mu4 = 6; noised toward the Gaussian 3
-        rng = np.random.default_rng(11)
-        x0 = rng.laplace(0.0, 1 / math.sqrt(2), size=100000)
-        t = 182  # J^4 close to 0.5
-        j = float(j_values(ddpm, t))
-        xt = j * x0 + math.sqrt(1 - j * j) * rng.standard_normal(100000)
-        emp = np.mean((xt - xt.mean()) ** 4)
-        pred = scalar_moment_trajectory(6.0, 4, ddpm, t)
-        assert abs(emp - pred) / pred < 0.05
-        assert pred == pytest.approx(j**4 * 6 + (1 - j**4) * 3, rel=1e-12)
-
-    def test_order_below_two_rejected(self, ddpm):
-        with pytest.raises(DomainError):
-            scalar_moment_trajectory(1.0, 1, ddpm, 5)
-
-
 class TestOneSweepEstimator:
-    def test_error_shrinks_with_more_sweeps(self, ddpm):
-        # half-space event of a standard normal, global centering, p known:
-        # the analytic conditional second-moment tensor is the identity
-        d, n, t = 4, 2000, 300
-        tensors = []
-        for r in range(50):
-            rng = np.random.default_rng(1000 + r)
-            ds = LabeledDataset(
-                features=rng.standard_normal((n, d)), labels=np.zeros(n, dtype=int)
-            )
-            sw = sweep(ds, ddpm, [0, t], SeedPolicy(base_seed=r))
-            event = np.flatnonzero(ds.features[:, 0] > 0)
-            m = conditional_fluctuation(
-                sw, event, t, n=2, centering="global_mean",
-                propagate=False, known_prob=0.5,
-            )
-            tensors.append(m.tensor)
-        target = np.eye(d)
-
-        def err(k):
-            return np.linalg.norm(np.mean(tensors[:k], axis=0) - target, ord=2)
-
-        assert err(50) < err(5)
-
     def test_ratio_estimator_consistency(self):
         d = 8
         spec_a, spec_b = np.r_[10.0, np.ones(7)], np.r_[4.0, 2.0, np.ones(6)]

@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
-from vpmerge import (
-    DomainError,
-    LabeledDataset,
-    NoiseSchedule,
-    SeedPolicy,
-    noised_at,
-    step_ddpm,
-    sweep,
-)
-from vpmerge.schedule import j_values
+from vpmerge import DomainError, LabeledDataset, NoiseSchedule, SeedPolicy, sweep
+from vpmerge.forward import noised_at
+from vpmerge.schedule import betas, j_values
+
+from conftest import discrete_product_oracle
+
+
+def step_ddpm(x_prev, schedule, t, seeds):
+    """Oracle: one DDPM update x_t = sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps.
+
+    Its noise comes from a Philox stream keyed by (seed, (1 << 48) | t), so
+    it never shares a stream with the marginal snapshots' (seed, t) keys.
+    """
+    if not 1 <= t <= schedule.horizon_T:
+        raise DomainError(f"step {t} outside [1, {schedule.horizon_T}]")
+    beta = betas(schedule)[t - 1]
+    key = np.array([np.uint64(seeds.base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64((1 << 48) | t)],
+                   dtype=np.uint64)
+    eps = np.random.Generator(np.random.Philox(key=key)).standard_normal(np.shape(x_prev))
+    return np.sqrt(1.0 - beta) * x_prev + np.sqrt(beta) * eps
 
 
 def unit_dataset(seed, n=10000, d=4):
@@ -83,7 +93,7 @@ class TestStepDdpm:
         pol = SeedPolicy(base_seed=2)
         for i in range(1, t + 1):
             x = step_ddpm(x, ddpm, i, pol)
-        jd = float(j_values(ddpm, t, mode="discrete_product"))
+        jd = discrete_product_oracle(ddpm, t)
         target = 1.0 - jd * jd
         assert np.all(np.abs(x.var(axis=0) - target) / target < 0.03)
 

@@ -12,13 +12,8 @@ from vpmerge import (
     LabeledDataset,
     NoiseSchedule,
     SeedPolicy,
-    TrajectorySweep,
-    build_cascade,
     conditional_fluctuation,
-    default_epsilon,
     detect_series,
-    guidance_windows,
-    interpolation_schedule,
     lattice_jump,
     normalized_M,
     pairwise_merge_times,
@@ -28,7 +23,9 @@ from vpmerge import (
 )
 from vpmerge import merger
 from vpmerge.data import EventPartition
-from vpmerge.merger import CascadeLeaf, CascadeNode, pairwise_series
+from vpmerge.forward import TrajectorySweep
+from vpmerge.merger import (CascadeLeaf, CascadeNode, build_cascade, default_epsilon,
+                            guidance_windows, interpolation_schedule, pairwise_series)
 from vpmerge.schedule import betas, j_values
 
 from conftest import five_class_sweep, two_class_dataset
@@ -346,7 +343,7 @@ class TestPairwiseSeries:
 
     def test_needs_two_events(self, two_class_sweep):
         sw, part = two_class_sweep
-        one = EventPartition(events=(np.concatenate(part.events),), class_probs=np.ones(1))
+        one = EventPartition(events=(np.concatenate(part.events),))
         with pytest.raises(DomainError, match="two events"):
             next(pairwise_series(sw, one))
 

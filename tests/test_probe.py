@@ -11,13 +11,11 @@ from vpmerge import (
     LabeledDataset,
     NoiseSchedule,
     SeedPolicy,
-    load_logits_csv,
-    probe_through_time,
     sweep,
-    train_linear_probe,
     weight_law,
-    weighted_score_aggregate,
 )
+from vpmerge.probe import (load_logits_csv, probe_through_time, train_linear_probe,
+                           weighted_score_aggregate)
 
 
 class TestTrainLinearProbe:
@@ -128,7 +126,7 @@ class TestWeightLaw:
         assert law.weights[steps >= 20].sum() == pytest.approx(1.0)
 
     def test_weights_proportional_to_inverse_snr(self, ddpm):
-        from vpmerge import snr
+        from vpmerge.schedule import snr
 
         law = weight_law("inverse_snr", ddpm, 5, 9)
         ratios = [w * snr(ddpm, t) for t, w in zip(law.steps, law.weights)]
@@ -234,4 +232,17 @@ class TestLogitsFile:
         path = tmp_path / "logits.csv"
         path.write_text("5,0,1.0\n5,0.5,0.0\n")
         with pytest.raises(DataError, match="class ids"):
+            load_logits_csv(path)
+
+    def test_negative_class_id_rejected(self, tmp_path):
+        # -1 would index the last slot and overwrite class 0's logit
+        path = tmp_path / "logits.csv"
+        path.write_text("0,0,1.0\n0,-1,2.0\n")
+        with pytest.raises(DataError, match="class ids must be >= 0"):
+            load_logits_csv(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "logits.csv"
+        path.write_text("5,0,1.0\n5,1,0.0\n5,0,3.0\n")
+        with pytest.raises(DataError, match="appears twice"):
             load_logits_csv(path)

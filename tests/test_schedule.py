@@ -5,52 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpmerge import (
-    DomainError,
-    NoiseSchedule,
-    attenuation,
-    beta_at,
-    marginal_params,
-    predict_mixing_step,
-    snr,
-)
-from vpmerge.schedule import betas, j_values, snr_of_attenuation
+from vpmerge import DomainError, NoiseSchedule, predict_mixing_step
+from vpmerge.schedule import attenuation, betas, j_values, snr, snr_of_attenuation
+
+from conftest import discrete_product_oracle
 
 
-def discrete_product_oracle(sched, t):
-    """Independent oracle: explicit product of sqrt(1 - beta_i)."""
-    out = 1.0
-    for i in range(1, t + 1):
-        frac = (i - 1) / (sched.horizon_T - 1)
-        out *= math.sqrt(1.0 - (sched.beta0 + (sched.betaT - sched.beta0) * frac))
-    return out
+def discrete_products(sched, ts):
+    return np.array([discrete_product_oracle(sched, int(t)) for t in ts])
 
 
 class TestBetaAt:
+    """beta_t of the discrete schedule is betas(schedule)[t - 1]."""
+
     def test_endpoints(self, ddpm):
-        assert beta_at(ddpm, 1) == pytest.approx(1e-4)
-        assert beta_at(ddpm, 1000) == pytest.approx(0.02)
+        assert betas(ddpm)[0] == pytest.approx(1e-4)
+        assert betas(ddpm)[999] == pytest.approx(0.02)
+        assert len(betas(ddpm)) == 1000
 
     def test_midpoint_linear_interpolation(self, ddpm):
         expected = 1e-4 + 0.0199 * 499 / 999
-        assert beta_at(ddpm, 500) == pytest.approx(expected, rel=1e-12)
+        assert betas(ddpm)[499] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.010039, abs=5e-6)
-
-    def test_out_of_range(self, ddpm):
-        with pytest.raises(DomainError):
-            beta_at(ddpm, 0)
-        with pytest.raises(DomainError):
-            beta_at(ddpm, 1001)
 
     def test_single_step_horizon(self):
         sched = NoiseSchedule(beta0=0.01, betaT=0.01, horizon_T=1)
-        assert beta_at(sched, 1) == 0.01
+        assert betas(sched).tolist() == [0.01]
 
 
 class TestAttenuation:
     def test_empty_product(self, ddpm):
         assert attenuation(ddpm, 0) == 1.0
-        assert attenuation(ddpm, 0, mode="discrete_product") == 1.0
+        assert discrete_product_oracle(ddpm, 0) == 1.0
 
     def test_continuous_midpoint(self, ddpm):
         j = attenuation(ddpm, 500)
@@ -72,14 +58,14 @@ class TestAttenuation:
         # the O(beta^2) product correction stays under 1% through step ~689
         ts = np.arange(0, 651)
         jc = j_values(ddpm, ts)
-        jd = j_values(ddpm, ts, mode="discrete_product")
+        jd = discrete_products(ddpm, ts)
         assert np.max(np.abs(jd - jc) / jc) < 0.01
 
     def test_discrete_continuous_gap_bounded_at_horizon(self, ddpm):
         # beyond ~0.69T the gap exceeds the 1% band; it stays below 3.5%
         ts = np.arange(0, 1001)
         jc = j_values(ddpm, ts)
-        jd = j_values(ddpm, ts, mode="discrete_product")
+        jd = discrete_products(ddpm, ts)
         assert np.max(np.abs(jd - jc) / jc) < 0.035
 
     def test_range_check(self, ddpm):
@@ -87,27 +73,6 @@ class TestAttenuation:
             attenuation(ddpm, -1)
         with pytest.raises(DomainError):
             attenuation(ddpm, 1001)
-
-
-class TestMarginalParams:
-    def test_at_zero(self, ddpm):
-        assert marginal_params(ddpm, 0) == (1.0, 0.0)
-
-    def test_arithmetic_from_attenuation(self, ddpm):
-        scale, var = marginal_params(ddpm, 500)
-        assert scale == pytest.approx(0.2812, abs=5e-5)
-        assert var == pytest.approx(1 - 0.2812**2, abs=5e-5)
-        assert var == pytest.approx(0.92093, abs=5e-5)
-
-    def test_at_horizon(self, ddpm):
-        scale, var = marginal_params(ddpm, 1000)
-        assert scale == pytest.approx(6.56e-3, abs=2e-5)
-        assert var == pytest.approx(0.999957, abs=1e-6)
-
-    def test_variance_preserving_bit_exact(self, ddpm):
-        for t in range(0, 1001, 7):
-            scale, var = marginal_params(ddpm, t)
-            assert scale * scale + var == 1.0
 
 
 class TestSnr:
