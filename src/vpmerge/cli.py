@@ -81,29 +81,28 @@ def _steps_list(spec: str, horizon: int) -> list:
     return sorted({int(round(i * horizon / (count - 1))) for i in range(count)})
 
 
-def _emit_json(payload: dict, args, out_path=None) -> None:
+def _emit_json(payload: dict, args) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {"config": config, "version": __version__,
            "seed": getattr(args, "seed", None)}
     doc.update(payload)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_mixing(args) -> int:
+def _cmd_mixing(args) -> dict:
     sched = NoiseSchedule(beta0=args.beta0, betaT=args.betaT, horizon_T=args.T)
     pred = predict_mixing_step(sched, args.dim)
-    _emit_json({
+    return {
         "schedule": sched.to_dict(),
         "dim": pred.dim,
         "t_mix_steps": pred.t_mix_steps,
         "t_mix_fraction": pred.t_mix_fraction,
-    }, args, args.out)
-    return EXIT_OK
+    }
 
 
 def _sweep(args):
@@ -120,7 +119,15 @@ def _analysis_inputs(args):
     # None: merge_times and the series CSV share the merger's all-class default
     eps = None if args.epsilon == "auto" else float(args.epsilon)
     metric = {"top-eigen": "top_eigen_abs", "trace": "trace_l1"}[args.metric]
-    return sw.schedule, sw, part, eps, metric
+    return sw, part, eps, metric
+
+
+def _convergence(args, sw, **kwargs):
+    """convergence_step over the flags' views: --projections seeded
+    projections, or the coordinates when it is 0."""
+    views = (RandomProjections(count=args.projections, seed=args.seed)
+             if args.projections else "coordinates")
+    return convergence_step(sw, alpha=args.alpha, views=views, **kwargs)
 
 
 def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
@@ -140,58 +147,43 @@ def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
     return mt
 
 
-def _cmd_analyze(args) -> int:
-    sched, sw, part, eps, metric = _analysis_inputs(args)
+def _cmd_analyze(args) -> dict:
+    sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
         mt = _series_csv(args.series_out, sw, part, args.order, eps, metric, args.mode)
     else:
         mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
                                   metric=metric, mode=args.mode)
-    cascade = build_cascade(mt)
-    payload = {
-        "schedule": sched.to_dict(),
+    return {
+        "schedule": sw.schedule.to_dict(),
         "classes": part.n_events,
         "merge_times": mt.tolist(),
-        "cascade": cascade.to_dict(),
+        "cascade": build_cascade(mt).to_dict(),
     }
-    _emit_json(payload, args, args.out)
-    return EXIT_OK
 
 
-def _cmd_windows(args) -> int:
-    sched, sw, part, eps, metric = _analysis_inputs(args)
+def _cmd_windows(args) -> dict:
+    sw, part, eps, metric = _analysis_inputs(args)
     mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
                               metric=metric, mode=args.mode)
-    report = convergence_step(
-        sw, alpha=args.alpha,
-        views=RandomProjections(count=args.projections, seed=args.seed)
-        if args.projections else "coordinates",
-        stop_at_detection=True,  # only detected_step is read
-    )
-    wins = guidance_windows(mt, report.detected_step, sched.horizon_T)
-    eta = interpolation_schedule(sched, args.eta_scale)
-    payload = {
-        "schedule": sched.to_dict(),
-        "istar": report.detected_step,
+    # only detected_step is read
+    istar = _convergence(args, sw, stop_at_detection=True).detected_step
+    wins = guidance_windows(mt, istar, sw.horizon)
+    eta = interpolation_schedule(sw.schedule, args.eta_scale)
+    return {
+        "schedule": sw.schedule.to_dict(),
+        "istar": istar,
         "classes": [w.to_dict() for w in wins],
         "eta_schedule": {"scale": eta.scale, "eta": eta.eta.tolist(),
                          "warning": eta.warning},
     }
-    _emit_json(payload, args, args.out)
-    return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    report = convergence_step(
-        _sweep(args), alpha=args.alpha,
-        views=RandomProjections(count=args.projections, seed=args.seed)
-        if args.projections else "coordinates",
-    )
-    _emit_json(report.to_dict(), args, args.out)
-    return EXIT_OK
+def _cmd_converge(args) -> dict:
+    return _convergence(args, _sweep(args)).to_dict()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     chunks = args.spectra.split("/")
     if len(chunks) != args.classes:
         raise DomainError(f"--spectra gives {len(chunks)} classes, --classes {args.classes}")
@@ -212,20 +204,17 @@ def _cmd_simulate(args) -> int:
         means=np.array(means), spectra=np.array(spectra),
         samples_per_class=(args.n_per_class,) * k,
     )
-    ds = synth_gaussian_mixture(spec, seed=args.seed)
-    save_dataset(ds, args.out)
-    return EXIT_OK
+    save_dataset(synth_gaussian_mixture(spec, seed=args.seed), args.out)
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> None:
     sw = _sweep(args)
     part = partition_by_label(sw.dataset)
     if not (0 <= args.class_a < part.n_events and 0 <= args.class_b < part.n_events):
         raise DomainError(f"classes must lie in [0, {part.n_events})")
     a, b = part.events[args.class_a], part.events[args.class_b]
     if args.merge_step == "auto":
-        series = detect_series(sw, a, b, n=2)
-        merge_step = series.first_merge_step
+        merge_step = detect_series(sw, a, b, n=2).first_merge_step
     else:
         merge_step = int(args.merge_step)
     result = probe_through_time(sw, a, b, merge_step, split=args.split,
@@ -234,32 +223,29 @@ def _cmd_probe(args) -> int:
         fh.write("step,accuracy,defined\n")
         for t, acc, ok in zip(result.steps, result.accuracies, result.defined):
             fh.write(f"{t},{float(acc)!r},{int(ok)}\n")
-    return EXIT_OK
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args) -> dict:
     a = load_dataset(args.input_a)
     b = load_dataset(args.input_b)
     res = empirical_cf_distance(a, b, freq_count=args.freqs,
                                 freq_scale=args.scale, seed=args.seed)
-    _emit_json({
+    return {
         "delta": res.delta, "freq_count": res.freq_count,
         "freq_scale": res.freq_scale,
-    }, args, args.out)
-    return EXIT_OK
+    }
 
 
-def _cmd_tvcheck(args) -> int:
+def _cmd_tvcheck(args) -> dict:
     arr = read_csv(args.input, width=3)
     report = moment_tv_check(arr[:, 1], arr[:, 2], arr[:, 0],
                              n=args.order, c0=args.c0)
-    _emit_json({
+    return {
         "d_tv": report.d_tv, "moment_bound": report.moment_bound,
         "second_moment_bound": report.second_moment_bound,
         "constant": report.constant, "bound_value": report.bound_value,
         "holds": report.holds,
-    }, args, args.out)
-    return EXIT_OK
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +342,10 @@ def execute(argv) -> int:
     except SystemExit:  # --help, printed to stdout
         return EXIT_OK
     try:
-        return args.func(args)
+        payload = args.func(args)  # None for the commands that write only --out
+        if payload is not None:
+            _emit_json(payload, args)
+        return EXIT_OK
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         _error_record("numeric", exc)
         return EXIT_NUMERIC

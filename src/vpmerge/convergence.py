@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import philox
 from .errors import DegenerateError, DomainError
 from .forward import TrajectorySweep
 
@@ -85,7 +86,6 @@ class CFDistance:
     delta: float
     freq_count: int
     freq_scale: float
-    seed: int
 
 
 def _k2_from_moments(n: int, m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> np.ndarray:
@@ -176,9 +176,7 @@ def _projections(views, d: int) -> np.ndarray | None:
     if views == "coordinates":
         return None
     if isinstance(views, RandomProjections):
-        key = np.array([views.seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        proj = rng.standard_normal((d, views.count))
+        proj = philox(views.seed, 0xC0DE).standard_normal((d, views.count))
         proj /= np.linalg.norm(proj, axis=0)
         return proj
     raise DomainError(f"unknown views spec {views!r}")
@@ -268,25 +266,31 @@ def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> TVBoundReport:
     """Check d_TV(p, q) <= C_n (M^2 + B) with C_n = c0 (1 + n!) (2^n + 48).
 
     M is the largest gap between centered moments up to order n; B bounds
-    |mean| and the variance of both densities.
+    |mean| and the variance of both densities.  C_n and the bound must be
+    finite floats, which needs n <= 170 (171! overflows a float).
     """
-    if n < 2:
-        raise DomainError("moment order n must be >= 2")
+    if not 2 <= n <= 170:
+        raise DomainError(f"moment order n must lie in [2, 170], got {n}")
     if not (math.isfinite(c0) and c0 > 0):
         raise DomainError(f"c0 must be finite and > 0, got {c0}")
+    c_n = c0 * (1.0 + math.factorial(n)) * (2.0**n + 48.0)
+    if not math.isfinite(c_n):
+        raise DomainError(f"C_n overflows a float at n = {n}, c0 = {c0}")
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
     d_tv = tv_distance_1d(p, q, grid)
-    mp = _grid_central_moments(p, grid, n + 1)
-    mq = _grid_central_moments(q, grid, n + 1)
-    m_bound = float(np.max(np.abs(mp[1 : n + 1] - mq[1 : n + 1])))
-    b_bound = float(max(abs(mp[0]), abs(mq[0]), mp[2], mq[2]))
-    c_n = c0 * (1.0 + math.factorial(n)) * (2.0**n + 48.0)
-    bound = c_n * (m_bound**2 + b_bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mp = _grid_central_moments(p, grid, n + 1)
+        mq = _grid_central_moments(q, grid, n + 1)
+        m_bound = np.max(np.abs(mp[1 : n + 1] - mq[1 : n + 1]))
+        b_bound = max(abs(mp[0]), abs(mq[0]), mp[2], mq[2])
+        bound = c_n * (m_bound**2 + b_bound)
+    if not np.isfinite(bound):
+        raise DomainError(f"the bound C_n (M^2 + B) is not finite at n = {n}, c0 = {c0}")
     return TVBoundReport(
-        d_tv=d_tv, moment_bound=m_bound, second_moment_bound=b_bound,
-        constant=c_n, bound_value=bound, holds=bool(d_tv <= bound),
+        d_tv=d_tv, moment_bound=float(m_bound), second_moment_bound=float(b_bound),
+        constant=c_n, bound_value=float(bound), holds=bool(d_tv <= bound),
     )
 
 
@@ -308,12 +312,8 @@ def empirical_cf_distance(a, b, freq_count: int = 64,
         raise DomainError(f"freq_scale must be finite and > 0, got {freq_scale}")
     d = xa.shape[1]
     scale = freq_scale if freq_scale is not None else 1.0 / math.sqrt(d)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xF0F0], dtype=np.uint64))
-    )
-    freqs = scale * rng.standard_normal((freq_count, d))
+    freqs = scale * philox(seed, 0xF0F0).standard_normal((freq_count, d))
     phi_a = np.exp(1j * xa @ freqs.T).mean(axis=0)
     phi_b = np.exp(1j * xb @ freqs.T).mean(axis=0)
     delta = float(np.sqrt(np.mean(np.abs(phi_a - phi_b) ** 2)))
-    return CFDistance(delta=delta, freq_count=freq_count,
-                      freq_scale=float(scale), seed=seed)
+    return CFDistance(delta=delta, freq_count=freq_count, freq_scale=float(scale))

@@ -5,6 +5,12 @@ covariance accumulation stays accurate.  Labels are remapped to the
 contiguous range 0..K-1 on construction; the original labels are kept
 in ``label_map``.
 
+Every random stream in vpmerge is a counter-based Philox generator made
+by ``philox(seed, tag)``: the forward noise of step t (tag t), the rows
+and rotation of synthetic class k (tags k and (1 << 32) | (k << 8) | k),
+the convergence projections (0xC0DE), the CF frequency probes (0xF0F0)
+and the probe's train/test split (0xB0BE).
+
 File formats
 ------------
 CSV (read_csv, the reader of every CSV input): one record per line, an
@@ -29,6 +35,7 @@ from .errors import DataError, DomainError
 __all__ = [
     "LabeledDataset",
     "EventPartition",
+    "philox",
     "SyntheticSpec",
     "load_dataset",
     "save_dataset",
@@ -61,19 +68,14 @@ class LabeledDataset:
             raise DataError("features contain non-finite values")
         if feats.shape[0] == 0:
             raise DataError("dataset is empty")
+        if feats.shape[1] == 0:
+            raise DataError("dataset has no feature columns")
         if np.any(labels < 0):
             raise DataError("labels must be non-negative integers")
-        uniq = np.unique(labels)
-        if not np.array_equal(uniq, np.arange(len(uniq))):
-            remap = {int(orig): new for new, orig in enumerate(uniq)}
-            labels = np.array([remap[int(v)] for v in labels], dtype=np.int64)
-            object.__setattr__(
-                self, "label_map", {new: int(orig) for new, orig in enumerate(uniq)}
-            )
-        elif not self.label_map:
-            object.__setattr__(
-                self, "label_map", {int(v): int(v) for v in uniq}
-            )
+        uniq, labels = np.unique(labels, return_inverse=True)
+        if not (self.label_map and np.array_equal(uniq, np.arange(len(uniq)))):
+            object.__setattr__(self, "label_map",
+                               {new: int(orig) for new, orig in enumerate(uniq)})
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
         self.features.setflags(write=False)
@@ -123,13 +125,14 @@ class SyntheticSpec:
     """Gaussian mixture: per class a mean, a covariance spectrum, a rotation.
 
     Class k is sampled from N(mean_k, Q_k diag(spectrum_k) Q_k^T) with Q_k a
-    seeded orthogonal matrix.  Spectra must be non-negative and non-increasing.
+    seeded orthogonal matrix.  Means and spectra must be finite, spectra
+    non-negative and non-increasing; samples_per_class gives one count per
+    class.
     """
 
     means: np.ndarray  # (K, d)
     spectra: np.ndarray  # (K, d)
     samples_per_class: tuple
-    rotation_seeds: tuple = ()
 
     def __post_init__(self) -> None:
         means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
@@ -140,22 +143,18 @@ class SyntheticSpec:
             raise DomainError("need at least one class")
         if means.shape[1] < 1:
             raise DomainError("need at least one feature dimension")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(spectra))):
+            raise DomainError("means and spectra must be finite")
         if np.any(spectra < 0):
             raise DomainError("spectra must be non-negative")
         if np.any(np.diff(spectra, axis=1) > 1e-12):
             raise DomainError("spectra must be non-increasing")
-        counts = tuple(int(c) for c in np.atleast_1d(self.samples_per_class))
-        if len(counts) == 1:
-            counts = counts * means.shape[0]
+        counts = tuple(int(c) for c in self.samples_per_class)
         if len(counts) != means.shape[0] or any(c < 1 for c in counts):
             raise DomainError("samples_per_class must give a positive count per class")
-        rots = tuple(self.rotation_seeds) or tuple(range(means.shape[0]))
-        if len(rots) != means.shape[0]:
-            raise DomainError("rotation_seeds must give one seed per class")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "spectra", spectra)
         object.__setattr__(self, "samples_per_class", counts)
-        object.__setattr__(self, "rotation_seeds", rots)
 
     @property
     def n_classes(self) -> int:
@@ -166,13 +165,14 @@ class SyntheticSpec:
         return self.means.shape[1]
 
 
-def _class_rng(seed: int, tag: int) -> np.random.Generator:
+def philox(seed: int, tag: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed mod 2^64, tag)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rotation(seed: int, class_index: int, rotation_seed: int, d: int) -> np.ndarray:
-    rng = _class_rng(seed, (1 << 32) | (rotation_seed << 8) | class_index)
+def _rotation(seed: int, class_index: int, d: int) -> np.ndarray:
+    rng = philox(seed, (1 << 32) | (class_index << 8) | class_index)
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
 
@@ -186,8 +186,8 @@ def synth_gaussian_mixture(spec: SyntheticSpec, seed: int) -> LabeledDataset:
     blocks, labels = [], []
     for k in range(spec.n_classes):
         n_k = spec.samples_per_class[k]
-        rng = _class_rng(seed, k)
-        q = _rotation(seed, k, spec.rotation_seeds[k], spec.dim)
+        rng = philox(seed, k)
+        q = _rotation(seed, k, spec.dim)
         z = rng.standard_normal((n_k, spec.dim))
         x = (z * np.sqrt(spec.spectra[k])) @ q.T + spec.means[k]
         blocks.append(x)
@@ -251,8 +251,6 @@ def integer_column(values: np.ndarray, what: str) -> np.ndarray:
 
 def _load_csv(path: Path) -> LabeledDataset:
     arr = read_csv(path)
-    if arr.shape[1] < 2:
-        raise DataError(f"{path}: need a label and at least one feature")
     return LabeledDataset(features=np.ascontiguousarray(arr[:, 1:]),
                           labels=integer_column(arr[:, 0], "labels"))
 

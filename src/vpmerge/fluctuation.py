@@ -13,7 +13,9 @@ Moments at a noised step can be obtained two ways:
 
 * propagate=True (exact): the law of J x0 + sigma eps conditioned on a
   step-0 event has covariance J^2 S0 + (1 - J^2) I, so the step-0
-  estimate is pushed forward analytically with no extra MC noise.
+  estimate is pushed forward analytically with no extra MC noise; its
+  squared norm is the closed form of propagated_frobenius, the one
+  copy of that law (the merger uses it too).
 * propagate=False (empirical): recompute from the sweep's stochastic
   snapshot at t.
 
@@ -38,6 +40,7 @@ __all__ = [
     "moments_from_rows",
     "cross_fluctuation_G",
     "normalized_M",
+    "propagated_frobenius",
     "top_eigenvalue",
 ]
 
@@ -94,10 +97,15 @@ def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
     if t not in sweep.steps and not (propagate and 0 in sweep.steps):
         raise DomainError(f"step {t} not in sweep steps")
     if propagate:
-        tensor0 = moments_from_rows(sweep.dataset.features[event], n)[1]
-        return propagate_moments(ConditionalMoments.from_tensor(tensor0), sweep.schedule, t)
+        m0 = ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
+        return m0 if t == 0 else propagate_moments(m0, sweep.schedule, t)
     tensor = moments_from_rows(sweep.snapshot(t)[event], n)[1]
     return ConditionalMoments.from_tensor(tensor)
+
+
+def propagated_frobenius(j2, frobenius_sq, trace, d):
+    """||J^2 A + (1-J^2) I||_F^2 = J^4 ||A||^2 + 2 J^2 (1-J^2) tr A + d (1-J^2)^2."""
+    return j2**2 * frobenius_sq + 2 * j2 * (1 - j2) * trace + d * (1 - j2) ** 2
 
 
 def propagate_moments(m0: ConditionalMoments, schedule: NoiseSchedule,
@@ -109,8 +117,8 @@ def propagate_moments(m0: ConditionalMoments, schedule: NoiseSchedule,
     # eigenvectors are preserved by a J^2 A + (1-J^2) I map, so the top
     # eigenvalue propagates exactly, with no eigensolve
     top = j2 * m0.top_eigenvalue + (1.0 - j2)
-    return ConditionalMoments(tensor=tensor, top_eigenvalue=top,
-                              frobenius_sq=float(np.sum(tensor * tensor)))
+    frobenius_sq = propagated_frobenius(j2, m0.frobenius_sq, np.trace(m0.tensor), m0.dim)
+    return ConditionalMoments(tensor=tensor, top_eigenvalue=top, frobenius_sq=float(frobenius_sq))
 
 
 def cross_fluctuation_G(a: ConditionalMoments, b: ConditionalMoments) -> float:

@@ -1,11 +1,11 @@
 """Empirical forward diffusion: marginal noising and one-sweep trajectories.
 
-The default noising path is the closed-form marginal
+A snapshot at step t is the closed-form marginal
     x_t = J(t) x_0 + sqrt(1 - J(t)^2) eps,
 which is exact and O(1) per (sample, step).  Noise is counter-based:
-every step draws from a Philox stream keyed by (base_seed, step), so a
-sweep regenerates bit-identically from (dataset, schedule, steps, seed)
-and is independent of how work is scheduled across steps.
+every step draws from the Philox stream ``data.philox(base_seed, step)``,
+so a sweep regenerates bit-identically from (dataset, schedule, steps,
+seed) and is independent of how work is scheduled across steps.
 
 One-sweep property: all snapshots of a TrajectorySweep come from the same
 x_0 rows, so event membership fixed at step 0 indexes the same
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, philox
 from .errors import DomainError
 from .schedule import NoiseSchedule, j_values
 
-__all__ = ["SeedPolicy", "TrajectorySweep", "noised_at", "sweep"]
+__all__ = ["SeedPolicy", "TrajectorySweep", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -33,29 +33,7 @@ class SeedPolicy:
     base_seed: int
 
     def noise(self, n: int, d: int, step: int) -> np.ndarray:
-        key = np.array([np.uint64(self.base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(step)],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, d))
-
-
-def _features(ds) -> np.ndarray:
-    return ds.features if isinstance(ds, LabeledDataset) else np.asarray(ds, dtype=np.float64)
-
-
-def noised_at(ds, schedule: NoiseSchedule, t: int, seeds: SeedPolicy) -> np.ndarray:
-    """Closed-form marginal snapshot J(t) x0 + sqrt(1 - J^2) eps."""
-    if not 0 <= t <= schedule.horizon_T:
-        raise DomainError(f"step {t} outside [0, {schedule.horizon_T}]")
-    x0 = _features(ds)
-    if t == 0:
-        return x0.copy()
-    j = float(j_values(schedule, t))
-    sigma = np.sqrt(1.0 - j * j)
-    # built inside the noise buffer: bit-identical to j * x0 + sigma * eps
-    eps = seeds.noise(x0.shape[0], x0.shape[1], t)
-    eps *= sigma
-    eps += j * x0
-    return eps
+        return philox(self.base_seed, step).standard_normal((n, d))
 
 
 @dataclass(frozen=True)
@@ -73,9 +51,19 @@ class TrajectorySweep:
     seeds: SeedPolicy
 
     def snapshot(self, t: int) -> np.ndarray:
+        """Closed-form marginal snapshot J(t) x0 + sqrt(1 - J^2) eps at sweep step t."""
         if t not in self.steps:
             raise DomainError(f"step {t} not in sweep steps")
-        return noised_at(self.dataset, self.schedule, t, self.seeds)
+        x0 = self.dataset.features
+        if t == 0:
+            return x0.copy()
+        j = float(j_values(self.schedule, t))
+        sigma = np.sqrt(1.0 - j * j)
+        # built inside the noise buffer: bit-identical to j * x0 + sigma * eps
+        eps = self.seeds.noise(x0.shape[0], x0.shape[1], t)
+        eps *= sigma
+        eps += j * x0
+        return eps
 
     @property
     def horizon(self) -> int:

@@ -42,7 +42,7 @@ import numpy as np
 from .data import EventPartition
 from .errors import DegenerateError, DomainError
 from .fluctuation import (ConditionalMoments, conditional_fluctuation, moments_from_rows,
-                          normalized_M)
+                          normalized_M, propagated_frobenius)
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, betas, j_values
 
@@ -69,13 +69,10 @@ __all__ = [
 class MergerSeries:
     """Thresholded similarity per step for one event pair, plus i*."""
 
-    pair: tuple
     steps: tuple
     values: np.ndarray
     first_merge_step: int
     epsilon: float
-    metric: str
-    order: int
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class MergerCascade:
     """Single-linkage dendrogram over class events; heights are merge steps."""
 
     root: object
-    n_classes: int
 
     def internal_nodes(self) -> list:
         out, stack = [], [self.root]
@@ -163,11 +159,6 @@ def _metric_stat(metric: str) -> str:
     return stats[metric]
 
 
-def _propagated_frobenius(j2, frobenius_sq, trace, d):
-    """||J^2 A + (1-J^2) I||_F^2 = J^4 ||A||^2 + 2 J^2 (1-J^2) tr A + d (1-J^2)^2."""
-    return j2**2 * frobenius_sq + 2 * j2 * (1 - j2) * trace + d * (1 - j2) ** 2
-
-
 def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tuple:
     """(events as arrays, their step-0 moments, scan); scan(eps) is (first-merge
     matrix, P x len(steps) empirical similarities or None).  Analytic scan: the
@@ -190,7 +181,7 @@ def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tu
     stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
     if metric == "trace_l1":
         trace = np.array([np.trace(m.tensor) for m in moments0])
-        stat = _propagated_frobenius(j2, stat, trace, moments0[0].dim)
+        stat = propagated_frobenius(j2, stat, trace, moments0[0].dim)
 
     def scan(epsilon):
         out = np.zeros((k, k), dtype=np.int64)
@@ -216,7 +207,7 @@ def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
     d = moments0[0].dim
     trace = np.array([[np.trace(m.tensor)] for m in moments0])
     g0 = np.array([[np.sum(moments0[a].tensor * moments0[b].tensor)] for a, b in zip(ia, ib)])
-    f = _propagated_frobenius(j2, np.array([[m.frobenius_sq] for m in moments0]), trace, d)
+    f = propagated_frobenius(j2, np.array([[m.frobenius_sq] for m in moments0]), trace, d)
     before = grid < merge[ia, ib][:, None]
     bad = np.argwhere(before & ((f[ia] <= 0) | (f[ib] <= 0)))
     if bad.size:
@@ -277,13 +268,9 @@ def _all_pairs(sweep: TrajectorySweep, events, n: int, epsilon: float | None,
         values = sims if sims is not None else _analytic_series(
             sweep.schedule, np.asarray(sweep.steps), moments0, merge)
         for p, (i, j) in enumerate(combinations(range(len(events)), 2)):
-            a, b = events[i], events[j]
             # i* <= horizon, so the last value is 1 when the grid ends there
-            yield (i, j), MergerSeries(
-                pair=((int(a[0]), a.size), (int(b[0]), b.size)), steps=sweep.steps,
-                values=values[p], first_merge_step=int(merge[i, j]),
-                epsilon=float(epsilon), metric=metric, order=n,
-            )
+            yield (i, j), MergerSeries(steps=sweep.steps, values=values[p],
+                                       first_merge_step=int(merge[i, j]), epsilon=float(epsilon))
 
     return merge, series()
 
@@ -344,7 +331,7 @@ def build_cascade(merge_times: np.ndarray) -> MergerCascade:
         dist[lo, :] = dist[:, lo] = np.minimum(dist[lo], dist[hi])
         dist[lo, lo] = np.inf
         dist[hi, :] = dist[:, hi] = np.inf
-    return MergerCascade(root=nodes[0], n_classes=k)
+    return MergerCascade(root=nodes[0])
 
 
 def guidance_windows(merge_times: np.ndarray, istar: int, horizon: int) -> list:

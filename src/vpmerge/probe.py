@@ -7,10 +7,11 @@ merge step: beyond it the two events are statistically
 indistinguishable and accuracy is undefined.
 
 Weight laws distribute unit mass over a step window: uniform,
-proportional to 1/SNR(t) (zero weight at t = 0, where SNR is infinite),
-or the truncated variant that additionally zeroes steps below a floor
-(default 20).  Aggregation averages per-step class softmaxes under a
-law; the per-step scores come from an external file, no model runs here.
+proportional to 1/SNR(t) = (1 - J(t)^2) / J(t)^2 (zero weight at t = 0,
+where SNR is infinite), or the truncated variant that additionally
+zeroes steps below TRUNCATION_FLOOR (20).  Aggregation averages per-step
+class softmaxes under a law; the per-step scores come from an external
+file, no model runs here.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import integer_column, read_csv
+from .data import integer_column, philox, read_csv
 from .errors import DataError, DomainError
 from .forward import TrajectorySweep
-from .schedule import NoiseSchedule, snr
+from .schedule import NoiseSchedule, j_values
 
 __all__ = [
     "ProbeResult",
@@ -44,25 +45,12 @@ class ProbeResult:
     steps: tuple
     accuracies: tuple        # nan where undefined
     defined: tuple
-    split: float
-    seed: int
-    merge_step: int
 
 
 @dataclass(frozen=True)
 class WeightLaw:
-    kind: str
-    t_start: int
-    t_stop: int
-    floor: int
     steps: tuple
     weights: np.ndarray
-
-    def weight_at(self, t: int) -> float:
-        try:
-            return float(self.weights[self.steps.index(t)])
-        except ValueError:
-            return 0.0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -90,10 +78,7 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
 
     x = np.vstack([feats_a, feats_b])
     y = np.concatenate([np.zeros(len(feats_a)), np.ones(len(feats_b))])
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xB0BE], dtype=np.uint64))
-    )
-    order = rng.permutation(len(x))
+    order = philox(seed, 0xB0BE).permutation(len(x))
     n_train = int(round(split * len(x)))
     if n_train < 1 or n_train >= len(x):
         raise DomainError("split leaves an empty train or test set")
@@ -117,10 +102,12 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
 def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
                        split: float = 0.8, seed: int = 0) -> ProbeResult:
     """Probe accuracy at every sweep step strictly below the merge step."""
-    if merge_step > sweep.horizon:
-        raise DomainError(f"merge_step {merge_step} beyond horizon {sweep.horizon}")
+    if not 0 <= merge_step <= sweep.horizon:
+        raise DomainError(f"merge_step {merge_step} outside [0, {sweep.horizon}]")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if np.intersect1d(a, b).size:
+        raise DomainError("events must be disjoint")
     steps, accs, defined = [], [], []
     for t in sweep.steps:
         steps.append(int(t))
@@ -132,12 +119,10 @@ def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
             accs.append(float("nan"))
             defined.append(False)
     return ProbeResult(steps=tuple(steps), accuracies=tuple(accs),
-                       defined=tuple(defined), split=split, seed=seed,
-                       merge_step=merge_step)
+                       defined=tuple(defined))
 
 
-def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int,
-               floor: int = TRUNCATION_FLOOR) -> WeightLaw:
+def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int) -> WeightLaw:
     """Normalized step weights on [t_start, t_stop] for the given law."""
     if t_start > t_stop:
         raise DomainError(f"empty window [{t_start}, {t_stop}]")
@@ -147,19 +132,20 @@ def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int,
     if kind == "uniform":
         w = np.ones(len(steps))
     elif kind in ("inverse_snr", "truncated_inverse_snr"):
-        w = np.array([
-            0.0 if t == 0 else 1.0 / snr(schedule, int(t)) for t in steps
-        ])
+        j = j_values(schedule, steps)
+        j2 = j * j
+        with np.errstate(divide="ignore", over="ignore"):  # J = 1 (t = 0): SNR = inf, weight 0
+            w = 1.0 / (j2 / (1.0 - j2))
         if kind == "truncated_inverse_snr":
-            w[steps < floor] = 0.0
+            w[steps < TRUNCATION_FLOOR] = 0.0
     else:
         raise DomainError(f"unknown weight law {kind!r}")
     total = w.sum()
     if total <= 0.0:
         raise DomainError("weight law has empty support on this window")
-    return WeightLaw(kind=kind, t_start=int(t_start), t_stop=int(t_stop),
-                     floor=int(floor), steps=tuple(int(t) for t in steps),
-                     weights=w / total)
+    if total == np.inf:  # J^2 underflows to 0 on the window
+        raise DomainError("weight law has an infinite weight on this window")
+    return WeightLaw(steps=tuple(int(t) for t in steps), weights=w / total)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

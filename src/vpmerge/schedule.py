@@ -4,7 +4,7 @@ A linear schedule beta(t) drives the forward process
     dx = -1/2 beta(t) x dt + sqrt(beta(t)) dW,
 whose marginal is N(J(t) x0, (1 - J(t)^2) I) with the signal-attenuation
 factor J(t) = exp(-1/2 int_0^t beta).  For a linear beta the integral is
-closed form, so J, SNR and the mixing-time prediction are all analytic.
+closed form, so J and the mixing-time prediction are analytic.
 
 Conventions: t = 0 is clean data, t = horizon_T is (near) white noise.
 The discrete DDPM schedule puts beta_t on steps 1..T with
@@ -24,10 +24,7 @@ __all__ = [
     "NoiseSchedule",
     "MixingPrediction",
     "betas",
-    "attenuation",
     "j_values",
-    "snr",
-    "snr_of_attenuation",
     "predict_mixing_step",
 ]
 
@@ -85,25 +82,6 @@ def j_values(schedule: NoiseSchedule, t) -> np.ndarray:
     """Attenuation J(t) = exp(-1/2 int_0^t beta), vectorized over t; exact
     for the linear schedule."""
     return np.exp(-0.5 * _beta_integral(schedule, t))
-
-
-def attenuation(schedule: NoiseSchedule, t) -> float:
-    """Surviving signal fraction J at one step t in [0, T]."""
-    if not 0 <= t <= schedule.horizon_T:
-        raise DomainError(f"step {t} outside [0, {schedule.horizon_T}]")
-    return float(j_values(schedule, t))
-
-
-def snr_of_attenuation(j: float) -> float:
-    """SNR = J^2 / (1 - J^2); +inf at J = 1."""
-    j2 = j * j
-    if j2 >= 1.0:
-        return math.inf
-    return j2 / (1.0 - j2)
-
-
-def snr(schedule: NoiseSchedule, t) -> float:
-    return snr_of_attenuation(attenuation(schedule, t))
 
 
 def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> MixingPrediction:

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -239,6 +240,47 @@ class TestTvcheck:
         assert doc["constant"] == 156.0
 
 
+# (argv, exit code, a substring of the error message); 2 is a flag value the
+# command cannot use, 3 a file it cannot read or write or a dataset it cannot use
+BAD_VALUES = [
+    (["analyze", "--input", "{data}", "--epsilon", "abc"], 2, ""),
+    (["converge", "--input", "{data}", "--steps", "1,x"], 2, ""),
+    (["probe", "--input", "{data}", "--merge-step", "soon", "--out", "{tmp}/p.csv"], 2, ""),
+    (["probe", "--input", "{data}", "--class-a", "77", "--out", "{tmp}/p.csv"], 2, ""),
+    (["probe", "--input", "{data}", "--class-b", "-1", "--out", "{tmp}/p.csv"], 2, ""),
+    (["mixing", "--dim", "64", "--out", "{tmp}/missing/m.json"], 3, ""),
+    (["simulate", "--classes", "1", "--dim", "2", "--spectra", "1,x",
+      "--n-per-class", "10", "--out", "{tmp}/s.fvec1"], 2, ""),
+    (["mixing", "--dim", "abc"], 2, ""),
+    (["analyze"], 2, ""),
+    (["simulate", "--classes", "2", "--dim", "0", "--spectra", "1/1",
+      "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, ""),
+    (["simulate", "--classes", "2", "--dim", "-1", "--spectra", "1/1",
+      "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, ""),
+    (["analyze", "--input", "{data}", "--order", "1", "--epsilon", "0.01"], 2, ""),
+    (["tvcheck", "--input", "{tmp}/nan_q.csv"], 2, ""),
+    (["tvcheck", "--input", "{tmp}/dens.csv", "--c0", "inf"], 2, ""),
+    (["cf", "--input-a", "{data}", "--input-b", "{data}", "--scale", "nan"], 2, ""),
+    # C_n = c0 (1 + n!) (2^n + 48) is inf at n = 170; 171! does not fit a float
+    (["tvcheck", "--input", "{tmp}/dens.csv", "--order", "170"], 2, "C_n"),
+    (["tvcheck", "--input", "{tmp}/dens.csv", "--c0", "1e308"], 2, "C_n"),
+    (["tvcheck", "--input", "{tmp}/dens.csv", "--order", "171"], 2, "170"),
+    (["tvcheck", "--input", "{tmp}/dens.csv", "--order", "100000"], 2, "170"),
+    (["probe", "--input", "{data}", "--merge-step", "-5", "--out", "{tmp}/p.csv"], 2,
+     "merge_step"),
+    (["probe", "--input", "{data}", "--class-a", "0", "--class-b", "0", "--merge-step", "500",
+      "--out", "{tmp}/p.csv"], 2, "disjoint"),
+    (["cf", "--input-a", "{tmp}/nofeat.fvec1", "--input-b", "{tmp}/nofeat.fvec1"], 3,
+     "no feature columns"),
+    (["analyze", "--input", "{tmp}/nofeat.fvec1"], 3, "no feature columns"),
+    (["converge", "--input", "{tmp}/nofeat.fvec1", "--steps", "3"], 3, "no feature columns"),
+    (["simulate", "--classes", "2", "--dim", "2", "--spectra", "inf/1",
+      "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, "finite"),
+    (["simulate", "--classes", "2", "--dim", "2", "--spectra", "1/1", "--means", "nan,0/0,0",
+      "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, "finite"),
+]
+
+
 class TestErrorMapping:
     def test_unknown_flag_usage(self):
         assert run(["mixing", "--dim", "64", "--bogus", "1"]) == 2
@@ -263,35 +305,23 @@ class TestErrorMapping:
     def test_domain_error_usage(self, tmp_path, small_fixture):
         assert run(["mixing", "--dim", "2"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--input", "{data}", "--epsilon", "abc"],
-        ["converge", "--input", "{data}", "--steps", "1,x"],
-        ["probe", "--input", "{data}", "--merge-step", "soon", "--out", "{tmp}/p.csv"],
-        ["probe", "--input", "{data}", "--class-a", "77", "--out", "{tmp}/p.csv"],
-        ["probe", "--input", "{data}", "--class-b", "-1", "--out", "{tmp}/p.csv"],
-        ["mixing", "--dim", "64", "--out", "{tmp}/missing/m.json"],
-        ["simulate", "--classes", "1", "--dim", "2", "--spectra", "1,x",
-         "--n-per-class", "10", "--out", "{tmp}/s.fvec1"],
-        ["mixing", "--dim", "abc"],
-        ["analyze"],
-        ["simulate", "--classes", "2", "--dim", "0", "--spectra", "1/1",
-         "--n-per-class", "3", "--out", "{tmp}/s.csv"],
-        ["simulate", "--classes", "2", "--dim", "-1", "--spectra", "1/1",
-         "--n-per-class", "3", "--out", "{tmp}/s.csv"],
-        ["analyze", "--input", "{data}", "--order", "1", "--epsilon", "0.01"],
-        ["tvcheck", "--input", "{tmp}/nan_q.csv"],
-        ["tvcheck", "--input", "{tmp}/dens.csv", "--c0", "inf"],
-        ["cf", "--input-a", "{data}", "--input-b", "{data}", "--scale", "nan"],
-    ])
-    def test_bad_values_give_one_json_record(self, argv, tmp_path, small_fixture, capsys):
+    @pytest.mark.parametrize("argv,code,message", BAD_VALUES,
+                             ids=[f"argv{i}" for i in range(len(BAD_VALUES))])
+    def test_bad_values_give_one_json_record(self, argv, code, message, tmp_path,
+                                             small_fixture, capsys):
         # x,p,q density CSVs: a valid one, and one with a nan in column q
         (tmp_path / "dens.csv").write_text("-1.0,0.0,0.5\n0.0,1.0,0.5\n1.0,0.0,0.5\n")
         (tmp_path / "nan_q.csv").write_text("-1.0,0.0,0.5\n0.0,1.0,nan\n1.0,0.0,0.5\n")
+        # fvec1 with d = 0: four rows of two classes, each a bare uint32 label
+        (tmp_path / "nofeat.fvec1").write_bytes(
+            b"FVEC1" + struct.pack("<QQ", 4, 0) + struct.pack("<4I", 0, 0, 1, 1))
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]
-        assert run(argv) in (2, 3)
+        assert run(argv) == code
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1
-        assert set(json.loads(err)) == {"error", "message"}
+        record = json.loads(err)
+        assert set(record) == {"error", "message"}
+        assert message in record["message"]
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,10 @@ from vpmerge import (
     partition_by_label,
     synth_gaussian_mixture,
 )
+from vpmerge.convergence import RandomProjections, _projections, empirical_cf_distance
 from vpmerge.data import EventPartition, save_dataset
+from vpmerge.forward import SeedPolicy
+from vpmerge.probe import train_linear_probe
 
 
 class TestCsv:
@@ -174,3 +177,58 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             SyntheticSpec(means=np.zeros((1, 3)), spectra=np.array([[1.0, 2.0, 3.0]]),
                           samples_per_class=(10,))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite"):
+                SyntheticSpec(means=np.zeros((2, 2)), spectra=np.array([[bad, bad], [1.0, 1.0]]),
+                              samples_per_class=(10, 10))
+            with pytest.raises(DomainError, match="finite"):
+                SyntheticSpec(means=np.array([[bad, 0.0], [0.0, 0.0]]), spectra=np.ones((2, 2)),
+                              samples_per_class=(10, 10))
+        with pytest.raises(DomainError, match="count per class"):
+            SyntheticSpec(means=np.zeros((2, 3)), spectra=np.ones((2, 3)),
+                          samples_per_class=(10,))
+
+
+def stream(seed, tag):
+    """The Philox generator keyed by (seed mod 2^64, tag), built here; a key
+    given as a list would go through float64 above 2^63."""
+    key = np.array([seed & (2**64 - 1), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5])
+def test_every_random_stream_keeps_its_key(seed):
+    """The forward noise (tag = step), synthetic rows (tag k) and rotations
+    (tag (1 << 32) | (k << 8) | k), convergence projections (0xC0DE), CF
+    frequency probes (0xF0F0) and the probe's split (0xB0BE)."""
+    n, d = 50, 3
+    assert np.array_equal(SeedPolicy(seed).noise(n, d, 370),
+                          stream(seed, 370).standard_normal((n, d)))
+
+    spec = SyntheticSpec(means=np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]]),
+                         spectra=np.array([[4.0, 2.0, 1.0], [1.0, 1.0, 0.5]]),
+                         samples_per_class=(20, 30))
+    ds = synth_gaussian_mixture(spec, seed)
+    for k in range(2):
+        q, r = np.linalg.qr(stream(seed, (1 << 32) | (k << 8) | k).standard_normal((d, d)))
+        q = q * np.sign(np.diag(r))
+        z = stream(seed, k).standard_normal((spec.samples_per_class[k], d))
+        want = (z * np.sqrt(spec.spectra[k])) @ q.T + spec.means[k]
+        assert np.array_equal(ds.features[ds.labels == k], want)
+
+    proj = stream(seed, 0xC0DE).standard_normal((d, 5))
+    assert np.array_equal(_projections(RandomProjections(count=5, seed=seed), d),
+                          proj / np.linalg.norm(proj, axis=0))
+
+    xa, xb = ds.features[:20], ds.features[20:]
+    freqs = (1.0 / np.sqrt(d)) * stream(seed, 0xF0F0).standard_normal((8, d))
+    gap = np.exp(1j * xa @ freqs.T).mean(axis=0) - np.exp(1j * xb @ freqs.T).mean(axis=0)
+    assert empirical_cf_distance(xa, xb, freq_count=8, seed=seed).delta == float(
+        np.sqrt(np.mean(np.abs(gap) ** 2)))
+
+    # constant features: the probe predicts class a (the train majority, or a
+    # tie at w = 0), so its accuracy is the share of class a in the test rows
+    order = stream(seed, 0xB0BE).permutation(500)
+    labels = np.r_[np.zeros(300), np.ones(200)]
+    share = float(np.mean(labels[order[400:]] == 0))
+    assert train_linear_probe(np.zeros((300, 2)), np.zeros((200, 2)), seed=seed) == share

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vpmerge import DomainError, LabeledDataset, NoiseSchedule, SeedPolicy, sweep
-from vpmerge.forward import noised_at
 from vpmerge.schedule import betas, j_values
 
 from conftest import discrete_product_oracle
@@ -32,14 +31,16 @@ def unit_dataset(seed, n=10000, d=4):
 
 
 class TestNoisedAt:
+    """The closed-form marginal snapshot J(t) x0 + sqrt(1 - J^2) eps."""
+
     def test_step_zero_is_identity(self, ddpm):
         ds = unit_dataset(0, n=100)
-        out = noised_at(ds, ddpm, 0, SeedPolicy(base_seed=5))
+        out = sweep(ds, ddpm, [0], SeedPolicy(base_seed=5)).snapshot(0)
         assert np.array_equal(out, ds.features)
 
     def test_terminal_moments(self, ddpm):
         ds = unit_dataset(1, n=10000, d=4)
-        out = noised_at(ds, ddpm, 1000, SeedPolicy(base_seed=5))
+        out = sweep(ds, ddpm, [1000], SeedPolicy(base_seed=5)).snapshot(1000)
         assert np.all(np.abs(out.var(axis=0) - 1.0) < 0.05)
         assert np.all(np.abs(out.mean(axis=0)) < 0.05)
 
@@ -47,7 +48,7 @@ class TestNoisedAt:
         ds = unit_dataset(2, n=500)
         pol = SeedPolicy(base_seed=11)
         assert np.array_equal(
-            noised_at(ds, ddpm, 400, pol), noised_at(ds, ddpm, 400, pol)
+            sweep(ds, ddpm, [400], pol).snapshot(400), sweep(ds, ddpm, [400], pol).snapshot(400)
         )
 
     def test_matches_closed_form_bit_exact(self, ddpm):
@@ -58,7 +59,7 @@ class TestNoisedAt:
         for t in (1, 370, 1000):
             j = float(j_values(ddpm, t))
             expected = j * ds.features + np.sqrt(1.0 - j * j) * pol.noise(2000, 8, t)
-            assert noised_at(ds, ddpm, t, pol).tobytes() == expected.tobytes()
+            assert sweep(ds, ddpm, [t], pol).snapshot(t).tobytes() == expected.tobytes()
 
     def test_marginal_law_for_fixed_x0(self, ddpm):
         # N copies of one point: mean J x0, covariance (1 - J^2) I
@@ -67,7 +68,7 @@ class TestNoisedAt:
             features=np.tile(x0, (100000, 1)), labels=np.zeros(100000, dtype=int)
         )
         t = 300
-        out = noised_at(ds, ddpm, t, SeedPolicy(base_seed=3))
+        out = sweep(ds, ddpm, [t], SeedPolicy(base_seed=3)).snapshot(t)
         j = float(j_values(ddpm, t))
         var = 1.0 - j * j
         se_mean = np.sqrt(var / 100000)

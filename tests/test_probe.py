@@ -14,8 +14,9 @@ from vpmerge import (
     sweep,
     weight_law,
 )
-from vpmerge.probe import (load_logits_csv, probe_through_time, train_linear_probe,
-                           weighted_score_aggregate)
+from vpmerge.probe import (TRUNCATION_FLOOR, load_logits_csv, probe_through_time,
+                           train_linear_probe, weighted_score_aggregate)
+from vpmerge.schedule import j_values
 
 
 class TestTrainLinearProbe:
@@ -101,6 +102,14 @@ class TestProbeThroughTime:
         with pytest.raises(DomainError):
             probe_through_time(sw, a, b, merge_step=2000)
 
+    def test_negative_merge_step_and_overlap_rejected(self, ddpm):
+        sw, ds = self.make_sweep(ddpm)
+        a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
+        with pytest.raises(DomainError, match="outside"):
+            probe_through_time(sw, a, b, merge_step=-5)
+        with pytest.raises(DomainError, match="disjoint"):
+            probe_through_time(sw, a, a, merge_step=500)
+
 
 class TestWeightLaw:
     def test_uniform(self, ddpm):
@@ -126,10 +135,9 @@ class TestWeightLaw:
         assert law.weights[steps >= 20].sum() == pytest.approx(1.0)
 
     def test_weights_proportional_to_inverse_snr(self, ddpm):
-        from vpmerge.schedule import snr
-
         law = weight_law("inverse_snr", ddpm, 5, 9)
-        ratios = [w * snr(ddpm, t) for t, w in zip(law.steps, law.weights)]
+        j2 = j_values(ddpm, np.array(law.steps)) ** 2
+        ratios = law.weights * j2 / (1.0 - j2)
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_empty_window(self, ddpm):
@@ -139,6 +147,12 @@ class TestWeightLaw:
     def test_unknown_kind(self, ddpm):
         with pytest.raises(DomainError):
             weight_law("cosine", ddpm, 0, 10)
+
+    def test_infinite_weight_rejected(self):
+        # int_0^T beta = 1400: J(T)^2 = exp(-1400) underflows to 0, so 1/SNR(T) = inf
+        sched = NoiseSchedule(beta0=0.5, betaT=0.9, horizon_T=2000)
+        with pytest.raises(DomainError, match="infinite"):
+            weight_law("inverse_snr", sched, 0, 2000)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -156,7 +170,7 @@ class TestWeightLaw:
         assert np.all(law.weights >= 0.0)
         if kind == "truncated_inverse_snr":
             steps = np.array(law.steps)
-            assert np.all(law.weights[steps < law.floor] == 0.0)
+            assert np.all(law.weights[steps < TRUNCATION_FLOOR] == 0.0)
 
 
 class TestWeightedAggregate:

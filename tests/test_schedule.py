@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpmerge import DomainError, NoiseSchedule, predict_mixing_step
-from vpmerge.schedule import attenuation, betas, j_values, snr, snr_of_attenuation
+from vpmerge import DomainError, NoiseSchedule, predict_mixing_step, weight_law
+from vpmerge.schedule import betas, j_values
 
 from conftest import discrete_product_oracle
 
@@ -35,18 +36,18 @@ class TestBetaAt:
 
 class TestAttenuation:
     def test_empty_product(self, ddpm):
-        assert attenuation(ddpm, 0) == 1.0
+        assert j_values(ddpm, 0) == 1.0
         assert discrete_product_oracle(ddpm, 0) == 1.0
 
     def test_continuous_midpoint(self, ddpm):
-        j = attenuation(ddpm, 500)
+        j = float(j_values(ddpm, 500))
         assert j == pytest.approx(math.exp(-0.025 - 1.24375), rel=1e-12)
         assert j == pytest.approx(0.2812, abs=5e-5)
         # cross-check against the discrete-product oracle
         assert j == pytest.approx(discrete_product_oracle(ddpm, 500), rel=0.01)
 
     def test_continuous_horizon(self, ddpm):
-        j = attenuation(ddpm, 1000)
+        j = float(j_values(ddpm, 1000))
         assert j == pytest.approx(math.exp(-5.025), rel=1e-12)
         assert j == pytest.approx(6.56e-3, abs=2e-5)
 
@@ -68,27 +69,25 @@ class TestAttenuation:
         jd = discrete_products(ddpm, ts)
         assert np.max(np.abs(jd - jc) / jc) < 0.035
 
-    def test_range_check(self, ddpm):
-        with pytest.raises(DomainError):
-            attenuation(ddpm, -1)
-        with pytest.raises(DomainError):
-            attenuation(ddpm, 1001)
-
 
 class TestSnr:
-    def test_arithmetic(self):
-        assert snr_of_attenuation(0.1) == pytest.approx(0.01 / 0.99, rel=1e-12)
-        assert snr_of_attenuation(0.1) == pytest.approx(0.010101, abs=1e-6)
+    """SNR(t) = J^2 / (1 - J^2), read through the inverse-SNR weight law
+    (its one user)."""
 
     def test_infinity_sentinel_at_zero(self, ddpm):
-        assert snr(ddpm, 0) == math.inf
-
-    def test_symmetry_point(self):
-        assert snr_of_attenuation(math.sqrt(0.5)) == pytest.approx(1.0, rel=1e-12)
+        # J(0) is exactly 1: SNR is infinite and its weight 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = weight_law("inverse_snr", ddpm, 0, 3)
+        assert law.weights[0] == 0.0 and np.all(law.weights[1:] > 0.0)
 
     def test_strictly_decreasing(self, ddpm):
-        vals = [snr(ddpm, t) for t in range(1, 1001, 50)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        # 1/SNR(t) = exp(int_0^t beta) - 1 grows with t
+        law = weight_law("inverse_snr", ddpm, 1, 1000)
+        assert np.all(np.diff(law.weights[::50]) > 0.0)
+        t = np.arange(1, 1001)
+        oracle = np.expm1(ddpm.beta0 * t + 0.5 * (ddpm.betaT - ddpm.beta0) * t * t / 1000)
+        assert np.allclose(law.weights, oracle / oracle.sum(), rtol=1e-9)
 
 
 class TestMixingPrediction:
