@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from itertools import combinations
 
 import numpy as np
 
@@ -86,7 +88,11 @@ def _emit_json(payload: dict, args) -> None:
     doc = {"config": config, "version": __version__,
            "seed": getattr(args, "seed", None)}
     doc.update(payload)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except RecursionError:  # only a cascade nests this deep: a chain of K - 1 merges
+        raise DataError(f"the cascade of {payload['classes']} classes nests too deeply "
+                        "to write as JSON") from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -96,13 +102,7 @@ def _emit_json(payload: dict, args) -> None:
 
 def _cmd_mixing(args) -> dict:
     sched = NoiseSchedule(beta0=args.beta0, betaT=args.betaT, horizon_T=args.T)
-    pred = predict_mixing_step(sched, args.dim)
-    return {
-        "schedule": sched.to_dict(),
-        "dim": pred.dim,
-        "t_mix_steps": pred.t_mix_steps,
-        "t_mix_fraction": pred.t_mix_fraction,
-    }
+    return {"schedule": sched.to_dict(), **asdict(predict_mixing_step(sched, args.dim))}
 
 
 def _sweep(args):
@@ -130,19 +130,15 @@ def _convergence(args, sw, **kwargs):
     return convergence_step(sw, alpha=args.alpha, views=views, **kwargs)
 
 
-def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
-    """Write the per-pair series CSV (rows i,j,t,repr(v), one join per pair);
-    return the merge-time matrix read off the same series, so the grid is
-    walked once."""
-    mt = np.zeros((part.n_events, part.n_events), dtype=np.int64)
-    steps = [f"{t}," for t in sw.steps]
+def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write the per-pair series CSV (rows i,j,t,repr(v), one join per pair)
+    from pairwise_series' matrix and values; return the matrix."""
+    steps = [f"{t}," for t in steps]
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
-        for (i, j), series in pairwise_series(sw, part, n=n, epsilon=eps,
-                                              metric=metric, mode=mode):
-            mt[i, j] = mt[j, i] = series.first_merge_step
+        for (i, j), row in zip(combinations(range(len(mt)), 2), values):
             head = f"{i},{j},"
-            cells = map(str.__add__, steps, map(repr, series.values.tolist()))
+            cells = map(str.__add__, steps, map(repr, row.tolist()))
             fh.write(head + ("\n" + head).join(cells) + "\n")
     return mt
 
@@ -150,7 +146,9 @@ def _series_csv(path, sw, part, n, eps, metric, mode) -> np.ndarray:
 def _cmd_analyze(args) -> dict:
     sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
-        mt = _series_csv(args.series_out, sw, part, args.order, eps, metric, args.mode)
+        mt = _series_csv(args.series_out, sw.steps,
+                         *pairwise_series(sw, part, n=args.order, epsilon=eps,
+                                          metric=metric, mode=args.mode))
     else:
         mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
                                   metric=metric, mode=args.mode)
@@ -158,7 +156,7 @@ def _cmd_analyze(args) -> dict:
         "schedule": sw.schedule.to_dict(),
         "classes": part.n_events,
         "merge_times": mt.tolist(),
-        "cascade": build_cascade(mt).to_dict(),
+        "cascade": build_cascade(mt),
     }
 
 
@@ -228,24 +226,14 @@ def _cmd_probe(args) -> None:
 def _cmd_cf(args) -> dict:
     a = load_dataset(args.input_a)
     b = load_dataset(args.input_b)
-    res = empirical_cf_distance(a, b, freq_count=args.freqs,
-                                freq_scale=args.scale, seed=args.seed)
-    return {
-        "delta": res.delta, "freq_count": res.freq_count,
-        "freq_scale": res.freq_scale,
-    }
+    return asdict(empirical_cf_distance(a, b, freq_count=args.freqs,
+                                        freq_scale=args.scale, seed=args.seed))
 
 
 def _cmd_tvcheck(args) -> dict:
     arr = read_csv(args.input, width=3)
-    report = moment_tv_check(arr[:, 1], arr[:, 2], arr[:, 0],
-                             n=args.order, c0=args.c0)
-    return {
-        "d_tv": report.d_tv, "moment_bound": report.moment_bound,
-        "second_moment_bound": report.second_moment_bound,
-        "constant": report.constant, "bound_value": report.bound_value,
-        "holds": report.holds,
-    }
+    return asdict(moment_tv_check(arr[:, 1], arr[:, 2], arr[:, 0],
+                                  n=args.order, c0=args.c0))
 
 
 def build_parser() -> argparse.ArgumentParser:

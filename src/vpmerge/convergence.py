@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import philox
-from .errors import DegenerateError, DomainError
+from .errors import DataError, DegenerateError, DomainError
 from .forward import TrajectorySweep
 
 __all__ = [
@@ -134,7 +134,7 @@ def _view_moments(x: np.ndarray, proj: np.ndarray | None = None) -> tuple:
     """
     n, d = x.shape
     if n < 20:
-        raise DomainError(f"need at least 20 samples, got {n}")
+        raise DataError(f"need at least 20 samples, got {n}")
     width = d + (0 if proj is None else proj.shape[1])
     mean = x.mean(axis=0)
     block = np.empty((min(BLOCK_ROWS, n), width))

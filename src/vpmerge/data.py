@@ -53,7 +53,7 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    label_map: dict = field(default_factory=dict)  # contiguous -> original
+    label_map: dict = field(init=False)  # contiguous -> original
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -73,9 +73,8 @@ class LabeledDataset:
         if np.any(labels < 0):
             raise DataError("labels must be non-negative integers")
         uniq, labels = np.unique(labels, return_inverse=True)
-        if not (self.label_map and np.array_equal(uniq, np.arange(len(uniq)))):
-            object.__setattr__(self, "label_map",
-                               {new: int(orig) for new, orig in enumerate(uniq)})
+        object.__setattr__(self, "label_map",
+                           {new: int(orig) for new, orig in enumerate(uniq)})
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
         self.features.setflags(write=False)

@@ -23,9 +23,10 @@ pair compared.  Tensors are covariances (order 2).
 
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
 and phase_spectrum (for its whole eps grid) share one step-0 pass, one
-conditional_fluctuation per class, in either mode.  The default threshold
-eps = max_k lambda_k_max(0) / 400 is resolved over all classes in the
-first two (so they agree), over the two events alone in detect_series.
+conditional_fluctuation per class, in either mode (phase_spectrum is
+analytic only).  The default threshold eps = max_k lambda_k_max(0) / 400
+is resolved over all classes in the first two (so they agree), over the
+two events alone in detect_series.
 
 Cascades are single linkage over merge times; ties go to the pair of
 clusters whose smallest class ids (lo, hi) are lexicographically first.
@@ -40,7 +41,7 @@ from math import comb
 import numpy as np
 
 from .data import EventPartition
-from .errors import DegenerateError, DomainError
+from .errors import DataError, DegenerateError, DomainError
 from .fluctuation import (ConditionalMoments, conditional_fluctuation, moments_from_rows,
                           normalized_M, propagated_frobenius)
 from .forward import TrajectorySweep
@@ -48,9 +49,6 @@ from .schedule import NoiseSchedule, betas, j_values
 
 __all__ = [
     "MergerSeries",
-    "CascadeLeaf",
-    "CascadeNode",
-    "MergerCascade",
     "GuidanceWindow",
     "EtaSchedule",
     "default_epsilon",
@@ -73,44 +71,6 @@ class MergerSeries:
     values: np.ndarray
     first_merge_step: int
     epsilon: float
-
-
-@dataclass(frozen=True)
-class CascadeLeaf:
-    class_id: int
-
-    def to_dict(self) -> dict:
-        return {"class": self.class_id}
-
-
-@dataclass(frozen=True)
-class CascadeNode:
-    merge_step: int
-    left: object
-    right: object
-
-    def to_dict(self) -> dict:
-        return {"step": self.merge_step,
-                "children": [self.left.to_dict(), self.right.to_dict()]}
-
-
-@dataclass(frozen=True)
-class MergerCascade:
-    """Single-linkage dendrogram over class events; heights are merge steps."""
-
-    root: object
-
-    def internal_nodes(self) -> list:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, CascadeNode):
-                out.append(node)
-                stack.extend([node.left, node.right])
-        return out
-
-    def to_dict(self) -> dict:
-        return self.root.to_dict()
 
 
 @dataclass(frozen=True)
@@ -160,20 +120,20 @@ def _metric_stat(metric: str) -> str:
 
 
 def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tuple:
-    """(events as arrays, their step-0 moments, scan); scan(eps) is (first-merge
+    """(step-0 moments of the events, scan); scan(eps) is (first-merge
     matrix, P x len(steps) empirical similarities or None).  Analytic scan: the
     first step in 0..horizon where a pair's distance is <= eps (the horizon if
     none), one row of pairs at a time over a J^2 table built once."""
     events = [np.asarray(ev, dtype=np.int64) for ev in events]
     if len(events) < 2:
-        raise DomainError("need at least two events")
+        raise DataError("need at least two events")
     if n != 2:  # order-1 tensors under conditional-mean centring are identically zero
         raise DomainError(f"the merger compares order-2 tensors, got order {n}")
     # empty events raise here
     moments0 = [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
     if mode == "empirical":
         stat = _metric_stat(metric)
-        return events, moments0, lambda eps: _empirical_walk(sweep, events, eps, stat)
+        return moments0, lambda eps: _empirical_walk(sweep, events, eps, stat)
     if mode != "analytic":
         raise DomainError(f"unknown mode {mode!r}")
     horizon, k = sweep.horizon, len(events)
@@ -195,7 +155,7 @@ def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tu
             out[i, i + 1:] = out[i + 1:, i] = first
         return out, None
 
-    return events, moments0, scan
+    return moments0, scan
 
 
 def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
@@ -229,20 +189,23 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
 
     Per step: the normalized cross-fluctuation while the metric distance
     exceeds epsilon, exactly 1 otherwise; i* is the first step of the 1
-    branch and is sticky.  Events merge no later than the horizon.
+    branch and is sticky.  Events merge no later than the horizon, so the
+    last value is 1 when the grid ends there.
     """
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
-    return next(_all_pairs(sweep, [a, b], n, epsilon, metric, mode)[1])[1]
+    merge, values, epsilon = _all_pairs(sweep, [a, b], n, epsilon, metric, mode, series=True)
+    return MergerSeries(steps=sweep.steps, values=values[0],
+                        first_merge_step=int(merge[0, 1]), epsilon=float(epsilon))
 
 
 def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
                     n: int = 2, epsilon: float | None = None,
-                    metric: str = "top_eigen_abs", mode: str = "analytic"):
-    """Yield ((i, j), MergerSeries) for every pair i < j, row-major, from one
-    step-0 pass and one epsilon over all classes.  The series are computed
-    on the first next(), all pairs at once."""
-    yield from _all_pairs(sweep, partition.events, n, epsilon, metric, mode)[1]
+                    metric: str = "top_eigen_abs", mode: str = "analytic") -> tuple:
+    """(K x K first-merge matrix, P x len(steps) thresholded similarities with
+    one row per pair i < j, row-major) from one step-0 pass and one epsilon
+    over all classes."""
+    return _all_pairs(sweep, partition.events, n, epsilon, metric, mode, series=True)[:2]
 
 
 def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
@@ -250,29 +213,23 @@ def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
                          metric: str = "top_eigen_abs",
                          mode: str = "analytic") -> np.ndarray:
     """K x K symmetric matrix of first merger steps; zero diagonal."""
-    return _all_pairs(sweep, partition.events, n, epsilon, metric, mode)[0]
+    return _all_pairs(sweep, partition.events, n, epsilon, metric, mode, series=False)[0]
 
 
 def _all_pairs(sweep: TrajectorySweep, events, n: int, epsilon: float | None,
-               metric: str, mode: str):
-    """(K x K first-merge matrix, generator of ((i, j), MergerSeries) for
-    i < j row-major) from one step-0 pass and one epsilon over the events."""
-    events, moments0, scan = _step0(sweep, events, n, metric, mode)
+               metric: str, mode: str, series: bool) -> tuple:
+    """(K x K first-merge matrix, P x len(steps) similarities of the pairs
+    i < j row-major or None, epsilon) from one step-0 pass and one epsilon
+    over the events; the analytic similarities are computed only for series."""
+    moments0, scan = _step0(sweep, events, n, metric, mode)
     if epsilon is None:
         epsilon = default_epsilon(moments0)
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
-    merge, sims = scan(epsilon)
-
-    def series():
-        values = sims if sims is not None else _analytic_series(
-            sweep.schedule, np.asarray(sweep.steps), moments0, merge)
-        for p, (i, j) in enumerate(combinations(range(len(events)), 2)):
-            # i* <= horizon, so the last value is 1 when the grid ends there
-            yield (i, j), MergerSeries(steps=sweep.steps, values=values[p],
-                                       first_merge_step=int(merge[i, j]), epsilon=float(epsilon))
-
-    return merge, series()
+    merge, values = scan(epsilon)
+    if series and values is None:
+        values = _analytic_series(sweep.schedule, np.asarray(sweep.steps), moments0, merge)
+    return merge, values, epsilon
 
 
 def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: str):
@@ -304,14 +261,15 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
     return merge, sims
 
 
-def build_cascade(merge_times: np.ndarray) -> MergerCascade:
-    """Single-linkage agglomeration with merge times as the dissimilarity.
+def _single_linkage(merge_times: np.ndarray):
+    """Yield (lo, hi, height) for each of the K - 1 single-linkage merges,
+    with merge times as the dissimilarity; heights are non-decreasing
+    (single linkage is ultrametric-safe).
 
-    Heights are non-decreasing toward the root (single linkage is
-    ultrametric-safe).  Row i of the distance matrix stands for the
-    cluster whose smallest member is i; a merge folds row hi into row lo
-    by a minimum.  The first row-major argmin is the smallest (lo, hi),
-    which is the tie-break, so the tree is deterministic.
+    Row i of the distance matrix stands for the cluster whose smallest
+    member is i; a merge folds row hi into row lo by a minimum.  The first
+    row-major argmin is the smallest (lo, hi), which is the tie-break, so
+    the merges are deterministic.
     """
     mt = np.asarray(merge_times, dtype=np.float64)
     if mt.ndim != 2 or mt.shape[0] != mt.shape[1]:
@@ -323,15 +281,23 @@ def build_cascade(merge_times: np.ndarray) -> MergerCascade:
     k = mt.shape[0]
     dist = mt.copy()
     np.fill_diagonal(dist, np.inf)
-    nodes = [CascadeLeaf(i) for i in range(k)]
     for _ in range(k - 1):
         lo, hi = divmod(int(np.argmin(dist)), k)
-        nodes[lo] = CascadeNode(merge_step=int(round(dist[lo, hi])),
-                                left=nodes[lo], right=nodes[hi])
+        yield lo, hi, int(round(dist[lo, hi]))
         dist[lo, :] = dist[:, lo] = np.minimum(dist[lo], dist[hi])
         dist[lo, lo] = np.inf
         dist[hi, :] = dist[:, hi] = np.inf
-    return MergerCascade(root=nodes[0])
+
+
+def build_cascade(merge_times: np.ndarray) -> dict:
+    """Single-linkage dendrogram over class events as its JSON tree:
+    {"class": c} leaves, {"step": h, "children": [left, right]} nodes with
+    the merge step as height; the root is the cluster of class 0."""
+    tree = {}  # smallest member -> subtree, for the clusters merged so far
+    for lo, hi, step in _single_linkage(merge_times):
+        tree[lo] = {"step": step, "children": [tree.pop(lo, {"class": lo}),
+                                               tree.pop(hi, {"class": hi})]}
+    return tree.get(0, {"class": 0})
 
 
 def guidance_windows(merge_times: np.ndarray, istar: int, horizon: int) -> list:
@@ -399,8 +365,7 @@ def lattice_jump(series, tau: int = 1, order: int = 1,
 
 
 def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition,
-                   n: int = 2, metric: str = "top_eigen_abs",
-                   epsilon_grid=(), mode: str = "analytic") -> list:
+                   metric: str = "top_eigen_abs", epsilon_grid=()) -> list:
     """Count of positive-step merger events in the cascade, per epsilon."""
     eps_grid = [float(e) for e in epsilon_grid]
     if not eps_grid:
@@ -409,9 +374,5 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition,
         b <= a for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise DomainError("epsilon grid must be positive and increasing")
-    scan = _step0(sweep, partition.events, n, metric, mode)[2]
-    counts = []
-    for eps in eps_grid:
-        cascade = build_cascade(scan(eps)[0])
-        counts.append(sum(1 for nd in cascade.internal_nodes() if nd.merge_step > 0))
-    return counts
+    scan = _step0(sweep, partition.events, 2, metric, "analytic")[1]
+    return [sum(step > 0 for _, _, step in _single_linkage(scan(eps)[0])) for eps in eps_grid]

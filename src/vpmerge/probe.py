@@ -72,7 +72,7 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
     if feats_b.ndim == 1:
         feats_b = feats_b[:, None]
     if feats_a.shape[0] < 10 or feats_b.shape[0] < 10:
-        raise DomainError("each class needs at least 10 samples")
+        raise DataError("each class needs at least 10 samples")
     if not 0.0 < split < 1.0:
         raise DomainError(f"split fraction must lie in (0, 1), got {split}")
 

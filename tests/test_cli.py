@@ -278,6 +278,14 @@ BAD_VALUES = [
       "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, "finite"),
     (["simulate", "--classes", "2", "--dim", "2", "--spectra", "1/1", "--means", "nan,0/0,0",
       "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, "finite"),
+    # every class merges at step 0: the cascade is a 519-deep chain, too deep for json
+    (["analyze", "--input", "{tmp}/deep.csv", "--steps", "2", "--epsilon", "1e6"], 3,
+     "520 classes"),
+    # a dataset too small for the statistic is a data error
+    (["analyze", "--input", "{tmp}/one.csv"], 3, "two events"),
+    (["converge", "--input", "{tmp}/four.csv"], 3, "at least 20 samples"),
+    (["probe", "--input", "{tmp}/four.csv", "--merge-step", "500", "--out", "{tmp}/p.csv"], 3,
+     "at least 10 samples"),
 ]
 
 
@@ -315,6 +323,12 @@ class TestErrorMapping:
         # fvec1 with d = 0: four rows of two classes, each a bare uint32 label
         (tmp_path / "nofeat.fvec1").write_bytes(
             b"FVEC1" + struct.pack("<QQ", 4, 0) + struct.pack("<4I", 0, 0, 1, 1))
+        # 520 classes of 3 rows, d = 2; one class of 3 rows; two classes of 2 rows
+        rows = np.random.default_rng(0).standard_normal((1560, 2)).tolist()
+        (tmp_path / "deep.csv").write_text(
+            "".join(f"{i // 3},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
+        (tmp_path / "one.csv").write_text("0,1.0,2.0\n0,2.0,0.5\n0,-1.0,0.3\n")
+        (tmp_path / "four.csv").write_text("0,1.0,2.0\n0,2.0,0.5\n1,-1.0,0.3\n1,0.4,-0.7\n")
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]
         assert run(argv) == code
         err = capsys.readouterr().err

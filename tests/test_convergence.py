@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from vpmerge import (
+    DataError,
     DegenerateError,
     DomainError,
     LabeledDataset,
@@ -124,7 +125,7 @@ class TestDagostinoPearson:
             dagostino_pearson(np.full(100, 3.0))
 
     def test_short_sample(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             dagostino_pearson(np.arange(19.0))
 
     def test_batch_columns(self):
@@ -259,7 +260,7 @@ class TestConvergenceStep:
         ds = LabeledDataset(features=rng.standard_normal((19, 3)),
                             labels=np.zeros(19, dtype=int))
         sw = sweep(ds, ddpm, [0, 500], SeedPolicy(base_seed=24))
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             convergence_step(sw, views=RandomProjections(count=4))
 
 class TestTvDistance:

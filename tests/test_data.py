@@ -131,6 +131,12 @@ class TestPartition:
         part = partition_by_label(ds)
         assert [e.tolist() for e in part.events] == [[0, 1, 2], [3]]
 
+    def test_label_map_is_computed(self):
+        ds = LabeledDataset(features=np.zeros((3, 2)), labels=[1, 0, 1])
+        assert ds.label_map == {0: 0, 1: 1}
+        with pytest.raises(TypeError):
+            LabeledDataset(features=np.zeros((3, 2)), labels=[1, 0, 1], label_map={0: 7, 1: 9})
+
     def test_overlap_rejected(self):
         with pytest.raises(DataError):
             EventPartition(events=(np.array([0, 1]), np.array([1, 2])))

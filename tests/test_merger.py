@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vpmerge import (
     ConditionalMoments,
+    DataError,
     DegenerateError,
     DomainError,
     LabeledDataset,
@@ -24,8 +25,8 @@ from vpmerge import (
 from vpmerge import merger
 from vpmerge.data import EventPartition
 from vpmerge.forward import TrajectorySweep
-from vpmerge.merger import (CascadeLeaf, CascadeNode, build_cascade, default_epsilon,
-                            guidance_windows, interpolation_schedule, pairwise_series)
+from vpmerge.merger import (build_cascade, default_epsilon, guidance_windows,
+                            interpolation_schedule, pairwise_series)
 from vpmerge.schedule import betas, j_values
 
 from conftest import five_class_sweep, two_class_dataset
@@ -48,7 +49,7 @@ def closed_form_merge_step(sched, delta_lambda, eps):
 def reference_cascade(mt):
     """Oracle: the active-pair rescan single linkage the matrix update replaced."""
     k = mt.shape[0]
-    nodes = {i: CascadeLeaf(i) for i in range(k)}
+    nodes = {i: {"class": i} for i in range(k)}
     members = {i: [i] for i in range(k)}
     active = list(range(k))
     while len(active) > 1:
@@ -63,11 +64,22 @@ def reference_cascade(mt):
                     best = (key, ca, cb)
         (d, _, _), ca, cb = best
         lo, hi = (ca, cb) if min(members[ca]) < min(members[cb]) else (cb, ca)
-        nodes[lo] = CascadeNode(merge_step=int(round(d)), left=nodes[lo], right=nodes[hi])
+        nodes[lo] = {"step": int(round(d)), "children": [nodes[lo], nodes[hi]]}
         members[lo] = members[lo] + members[hi]
         active.remove(hi)
         del nodes[hi], members[hi]
-    return nodes[active[0]].to_dict()
+    return nodes[active[0]]
+
+
+def internal_nodes(tree):
+    """The {"step", "children"} nodes of a cascade tree, walked without recursion."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if "step" in node:
+            out.append(node)
+            stack.extend(node["children"])
+    return out
 
 
 def reference_empirical_series(sw, a, b, epsilon, metric, n=2):
@@ -288,16 +300,16 @@ class TestPairwiseSeries:
         # epsilon None is one threshold over all classes, not per pair
         eps = epsilon or default_epsilon(
             [conditional_fluctuation(sw, ev, 0) for ev in part.events])
-        got = list(pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode=mode))
-        assert [pair for pair, _ in got] == [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        for (i, j), series in got:
+        mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode=mode)
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert values.shape == (len(pairs), len(sw.steps))
+        for (i, j), row in zip(pairs, values):
             ref = detect_series(sw, part.events[i], part.events[j], epsilon=eps,
                                 metric=metric, mode=mode)
-            assert series.first_merge_step == ref.first_merge_step
-            assert series.epsilon == ref.epsilon
-            assert series.values.tobytes() == ref.values.tobytes()
-        mt = pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode=mode)
-        assert [mt[i, j] for (i, j), _ in got] == [s.first_merge_step for _, s in got]
+            assert mt[i, j] == mt[j, i] == ref.first_merge_step
+            assert row.tobytes() == ref.values.tobytes()
+        assert np.array_equal(
+            mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode=mode))
 
     @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
     @pytest.mark.parametrize("epsilon", [None, 0.02])
@@ -309,17 +321,20 @@ class TestPairwiseSeries:
             return epsilon or default_epsilon(
                 [conditional_fluctuation(sw, ev, 0) for ev in events])
 
-        istars = set()
-        for (i, j), series in pairwise_series(sw, part, epsilon=epsilon, metric=metric):
+        mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric)
+        assert np.array_equal(mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric))
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for (i, j), row in zip(pairs, values):
             pair = (part.events[i], part.events[j])
+            ref, istar = reference_series(sw, *pair, eps_over(part.events), metric)
+            assert row.tobytes() == ref.tobytes()
+            assert mt[i, j] == mt[j, i] == istar
             single = detect_series(sw, *pair, epsilon=epsilon, metric=metric)
-            for out, eps in ((series, eps_over(part.events)), (single, eps_over(pair))):
-                values, istar = reference_series(sw, *pair, eps, metric)
-                assert out.values.tobytes() == values.tobytes()
-                assert out.first_merge_step == istar
-                assert out.epsilon == eps
-            istars.add(series.first_merge_step)
-        assert len(istars) > 3  # the pairs merge at different steps
+            ref, istar = reference_series(sw, *pair, eps_over(pair), metric)
+            assert single.values.tobytes() == ref.tobytes()
+            assert single.first_merge_step == istar
+            assert single.epsilon == eps_over(pair)
+        assert len(set(mt[np.triu_indices(5, 1)])) > 3  # the pairs merge at different steps
 
     def test_zero_norm_tensor_raises_only_before_merging(self, ddpm):
         # class 0 is one repeated row (a zero covariance, so a zero-norm tensor
@@ -339,13 +354,13 @@ class TestPairwiseSeries:
             detect_series(sw, ev[0], ev[1], epsilon=0.01)
         assert str(got.value) == str(want.value) == "zero-norm tensor at step 0"
         with pytest.raises(DegenerateError, match="at step 0"):
-            list(pairwise_series(sw, partition_by_label(ds), epsilon=0.01))
+            pairwise_series(sw, partition_by_label(ds), epsilon=0.01)
 
     def test_needs_two_events(self, two_class_sweep):
         sw, part = two_class_sweep
         one = EventPartition(events=(np.concatenate(part.events),))
-        with pytest.raises(DomainError, match="two events"):
-            next(pairwise_series(sw, one))
+        with pytest.raises(DataError, match="two events"):
+            pairwise_series(sw, one)
 
 
 class TestEmpiricalWalk:
@@ -360,18 +375,21 @@ class TestEmpiricalWalk:
                 [conditional_fluctuation(sw, ev, 0) for ev in events])
 
         eps_all = eps_over(part.events)
-        mt = pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
-        got = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
-        for (i, j), series in got:
+        mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
+        assert np.array_equal(mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric,
+                                                       mode="empirical"))
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for (i, j), row in zip(pairs, values):
             pair = (part.events[i], part.events[j])
+            ref, istar = reference_empirical_series(sw, *pair, eps_all, metric)
+            assert row.tobytes() == ref.tobytes()
+            assert mt[i, j] == mt[j, i] == istar
             single = detect_series(sw, *pair, epsilon=epsilon, metric=metric,
                                    mode="empirical")
-            for out, eps in ((series, eps_all), (single, eps_over(pair))):
-                values, istar = reference_empirical_series(sw, *pair, eps, metric)
-                assert out.values.tobytes() == values.tobytes()
-                assert out.first_merge_step == istar
-                assert out.epsilon == eps
-            assert mt[i, j] == mt[j, i] == series.first_merge_step
+            ref, istar = reference_empirical_series(sw, *pair, eps_over(pair), metric)
+            assert single.values.tobytes() == ref.tobytes()
+            assert single.first_merge_step == istar
+            assert single.epsilon == eps_over(pair)
 
     def test_one_snapshot_per_grid_step(self, ddpm, monkeypatch):
         sw = five_class_sweep(ddpm, range(0, 1001, 50))
@@ -386,12 +404,10 @@ class TestEmpiricalWalk:
 
 class TestCascade:
     def test_single_leaf(self):
-        cascade = build_cascade(np.zeros((1, 1)))
-        assert cascade.to_dict() == {"class": 0}
+        assert build_cascade(np.zeros((1, 1))) == {"class": 0}
 
     def test_two_classes(self):
-        cascade = build_cascade(np.array([[0, 100], [100, 0]]))
-        assert cascade.to_dict() == {
+        assert build_cascade(np.array([[0, 100], [100, 0]])) == {
             "step": 100, "children": [{"class": 0}, {"class": 1}]
         }
 
@@ -401,8 +417,7 @@ class TestCascade:
             [100, 0, 350],
             [400, 350, 0],
         ])
-        cascade = build_cascade(mt)
-        assert cascade.to_dict() == {
+        assert build_cascade(mt) == {
             "step": 350,
             "children": [
                 {"step": 100, "children": [{"class": 0}, {"class": 1}]},
@@ -417,18 +432,9 @@ class TestCascade:
             m = rng.integers(1, 1000, size=(k, k)).astype(float)
             m = np.triu(m, 1)
             m = m + m.T
-            cascade = build_cascade(m)
-
-            def max_child_height(node):
-                from vpmerge.merger import CascadeNode
-
-                if not isinstance(node, CascadeNode):
-                    return 0
-                for child in (node.left, node.right):
-                    assert max_child_height(child) <= node.merge_step
-                return node.merge_step
-
-            max_child_height(cascade.root)
+            for node in internal_nodes(build_cascade(m)):
+                for child in node["children"]:
+                    assert child.get("step", 0) <= node["step"]
 
     def test_matches_scipy_heights(self):
         from scipy.cluster.hierarchy import linkage
@@ -440,14 +446,25 @@ class TestCascade:
             m = rng.integers(1, 1000, size=(k, k)).astype(float)
             m = np.triu(m, 1)
             m = m + m.T
-            ours = sorted(n.merge_step for n in build_cascade(m).internal_nodes())
+            ours = sorted(n["step"] for n in internal_nodes(build_cascade(m)))
             ref = sorted(int(round(h)) for h in linkage(squareform(m), "single")[:, 2])
             assert ours == ref
 
     @settings(max_examples=200, deadline=None)
     @given(tie_heavy_matrices())
     def test_matches_reference_on_ties(self, m):
-        assert build_cascade(m).to_dict() == reference_cascade(m)
+        assert build_cascade(m) == reference_cascade(m)
+
+    def test_deep_chain_without_recursion(self):
+        # every class merges at step 0: ties make a K - 1 deep left chain
+        k = 1000
+        node, right = build_cascade(np.zeros((k, k))), []
+        while "step" in node:
+            assert node["step"] == 0
+            node, leaf = node["children"]
+            right.append(leaf["class"])
+        assert node == {"class": 0}
+        assert right == list(range(k - 1, 0, -1))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -589,7 +606,7 @@ class TestPhaseSpectrum:
         want = []  # the oracle: one pairwise_merge_times and cascade per epsilon
         for eps in grid:
             cascade = build_cascade(pairwise_merge_times(sw, part, epsilon=eps, metric=metric))
-            want.append(sum(nd.merge_step > 0 for nd in cascade.internal_nodes()))
+            want.append(sum(nd["step"] > 0 for nd in internal_nodes(cascade)))
         assert len(set(want)) > 2
         calls = []
         moments = merger.conditional_fluctuation

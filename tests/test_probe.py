@@ -40,7 +40,7 @@ class TestTrainLinearProbe:
         assert abs(acc - bayes) < 0.03
 
     def test_small_class_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             train_linear_probe(np.zeros((5, 2)), np.zeros((50, 2)))
 
     def test_bad_split(self):
