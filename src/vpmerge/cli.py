@@ -166,14 +166,11 @@ def _cmd_windows(args) -> dict:
                               metric=metric, mode=args.mode)
     # only detected_step is read
     istar = _convergence(args, sw, stop_at_detection=True).detected_step
-    wins = guidance_windows(mt, istar, sw.horizon)
-    eta = interpolation_schedule(sw.schedule, args.eta_scale)
     return {
         "schedule": sw.schedule.to_dict(),
         "istar": istar,
-        "classes": [w.to_dict() for w in wins],
-        "eta_schedule": {"scale": eta.scale, "eta": eta.eta.tolist(),
-                         "warning": eta.warning},
+        "classes": guidance_windows(mt, istar, sw.horizon),
+        "eta_schedule": interpolation_schedule(sw.schedule, args.eta_scale),
     }
 
 
@@ -215,12 +212,11 @@ def _cmd_probe(args) -> None:
         merge_step = detect_series(sw, a, b, n=2).first_merge_step
     else:
         merge_step = int(args.merge_step)
-    result = probe_through_time(sw, a, b, merge_step, split=args.split,
-                                seed=args.seed)
+    accs = probe_through_time(sw, a, b, merge_step, split=args.split, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write("step,accuracy,defined\n")
-        for t, acc, ok in zip(result.steps, result.accuracies, result.defined):
-            fh.write(f"{t},{float(acc)!r},{int(ok)}\n")
+        for t, acc in zip(sw.steps, accs):
+            fh.write(f"{t},{acc!r},{int(t < merge_step)}\n")
 
 
 def _cmd_cf(args) -> dict:

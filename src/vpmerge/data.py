@@ -40,6 +40,7 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "read_csv",
+    "integer_column",
     "partition_by_label",
     "synth_gaussian_mixture",
 ]

@@ -41,6 +41,7 @@ __all__ = [
     "cross_fluctuation_G",
     "normalized_M",
     "propagated_frobenius",
+    "propagate_moments",
     "top_eigenvalue",
 ]
 
@@ -90,17 +91,16 @@ def moments_from_rows(rows: np.ndarray, n: int):
 
 def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
                             propagate: bool = True) -> ConditionalMoments:
-    """Conditional covariance of one event at step t of a sweep."""
+    """Conditional covariance of one event at step t of a sweep.  Propagated
+    moments read the dataset rows, so t may be any step in [0, horizon];
+    empirical ones read the snapshot, so t must be a sweep step."""
     event = np.asarray(event, dtype=np.int64)
-    if event.size == 0:
-        raise DomainError("event is empty")
-    if t not in sweep.steps and not (propagate and 0 in sweep.steps):
-        raise DomainError(f"step {t} not in sweep steps")
-    if propagate:
-        m0 = ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
-        return m0 if t == 0 else propagate_moments(m0, sweep.schedule, t)
-    tensor = moments_from_rows(sweep.snapshot(t)[event], n)[1]
-    return ConditionalMoments.from_tensor(tensor)
+    if not propagate:
+        return ConditionalMoments.from_tensor(moments_from_rows(sweep.snapshot(t)[event], n)[1])
+    if not 0 <= t <= sweep.horizon:
+        raise DomainError(f"step {t} outside [0, {sweep.horizon}]")
+    m0 = ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
+    return m0 if t == 0 else propagate_moments(m0, sweep.schedule, t)
 
 
 def propagated_frobenius(j2, frobenius_sq, trace, d):

@@ -49,8 +49,6 @@ from .schedule import NoiseSchedule, betas, j_values
 
 __all__ = [
     "MergerSeries",
-    "GuidanceWindow",
-    "EtaSchedule",
     "default_epsilon",
     "detect_series",
     "pairwise_series",
@@ -71,36 +69,6 @@ class MergerSeries:
     values: np.ndarray
     first_merge_step: int
     epsilon: float
-
-
-@dataclass(frozen=True)
-class GuidanceWindow:
-    """Per-class guidance interval; t_end <= t_start in forward time.
-
-    t_start is the global convergence index, t_end the class's first
-    merge step (guidance belongs between them).  A class whose first
-    merge falls after the convergence index gets an empty window and
-    the never_merged flag.
-    """
-
-    class_id: int
-    t_end: int
-    t_start: int
-    never_merged: bool
-
-    def to_dict(self) -> dict:
-        return {"class": self.class_id, "t_end": self.t_end,
-                "t_start": self.t_start, "never_merged": self.never_merged,
-                "t_merge": self.t_end, "t_conv": self.t_start}
-
-
-@dataclass(frozen=True)
-class EtaSchedule:
-    """Exemplar-interpolation schedule eta_t = s * beta_t / max_u beta_u."""
-
-    eta: np.ndarray
-    scale: float
-    warning: str | None = None
 
 
 def default_epsilon(moments0) -> float:
@@ -127,9 +95,7 @@ def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tu
     events = [np.asarray(ev, dtype=np.int64) for ev in events]
     if len(events) < 2:
         raise DataError("need at least two events")
-    if n != 2:  # order-1 tensors under conditional-mean centring are identically zero
-        raise DomainError(f"the merger compares order-2 tensors, got order {n}")
-    # empty events raise here
+    # empty events and an order other than 2 raise here
     moments0 = [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
     if mode == "empirical":
         stat = _metric_stat(metric)
@@ -246,11 +212,8 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
             break
         live = {c for _, pair in pairs for c in pair}
         xt = sweep.snapshot(t)
-        try:
-            moments = {c: ConditionalMoments.from_tensor(
-                moments_from_rows(xt[events[c]], 2)[1], 2) for c in live}
-        except DegenerateError as exc:
-            raise DegenerateError(f"step {t}: {exc}") from None
+        moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1], 2)
+                   for c in live}
         for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
                 merge[i, j] = merge[j, i] = t
@@ -301,29 +264,27 @@ def build_cascade(merge_times: np.ndarray) -> dict:
 
 
 def guidance_windows(merge_times: np.ndarray, istar: int, horizon: int) -> list:
-    """Per-class (t_end, t_start) with t_end the first merge, t_start = i*."""
+    """Per-class guidance windows as the dicts `windows` writes: t_end (also
+    written as t_merge) is the class's first merge step, t_start (also t_conv)
+    the convergence index i*.  A class whose first merge falls after i* gets the
+    empty window [i*, i*] and never_merged."""
     if not 0 <= istar <= horizon:
         raise DomainError(f"istar {istar} outside [0, {horizon}]")
-    mt = np.asarray(merge_times)
-    k = mt.shape[0]
     out = []
-    for c in range(k):
-        others = [mt[c, j] for j in range(k) if j != c]
-        t_merge = int(min(others)) if others else horizon
-        if t_merge > istar:
-            out.append(GuidanceWindow(class_id=c, t_end=istar, t_start=istar,
-                                      never_merged=True))
-        else:
-            out.append(GuidanceWindow(class_id=c, t_end=t_merge, t_start=istar,
-                                      never_merged=False))
+    for c, row in enumerate(np.asarray(merge_times).tolist()):
+        t_merge = int(min(row[:c] + row[c + 1:], default=horizon))
+        t_end = min(t_merge, istar)
+        out.append({"class": c, "t_end": t_end, "t_start": istar, "never_merged": t_merge > istar,
+                    "t_merge": t_end, "t_conv": istar})
     return out
 
 
 _ETA_BAND = (1e-4, 1e-2)
 
 
-def interpolation_schedule(schedule: NoiseSchedule, s: float) -> EtaSchedule:
-    """eta_t = s * beta_t / max_u beta_u for t = 1..T."""
+def interpolation_schedule(schedule: NoiseSchedule, s: float) -> dict:
+    """{"scale", "eta", "warning"}: eta_t = s * beta_t / max_u beta_u for t = 1..T,
+    and a warning (or None) when s lies outside the search band."""
     if not 0.0 < s <= 1.0:
         raise DomainError(f"scale s must lie in (0, 1], got {s}")
     warning = None
@@ -333,7 +294,7 @@ def interpolation_schedule(schedule: NoiseSchedule, s: float) -> EtaSchedule:
             "larger values degrade sharpness"
         )
     b = betas(schedule)
-    return EtaSchedule(eta=s * b / b.max(), scale=float(s), warning=warning)
+    return {"scale": float(s), "eta": (s * b / b.max()).tolist(), "warning": warning}
 
 
 def lattice_jump(series, tau: int = 1, order: int = 1,
@@ -364,8 +325,8 @@ def lattice_jump(series, tau: int = 1, order: int = 1,
     return out
 
 
-def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition,
-                   metric: str = "top_eigen_abs", epsilon_grid=()) -> list:
+def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_grid,
+                   metric: str = "top_eigen_abs") -> list:
     """Count of positive-step merger events in the cascade, per epsilon."""
     eps_grid = [float(e) for e in epsilon_grid]
     if not eps_grid:

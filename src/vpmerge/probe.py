@@ -26,7 +26,6 @@ from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, j_values
 
 __all__ = [
-    "ProbeResult",
     "WeightLaw",
     "train_linear_probe",
     "probe_through_time",
@@ -38,13 +37,6 @@ __all__ = [
 GD_ITERATIONS = 500
 GD_STEP = 0.1
 TRUNCATION_FLOOR = 20
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    steps: tuple
-    accuracies: tuple        # nan where undefined
-    defined: tuple
 
 
 @dataclass(frozen=True)
@@ -67,10 +59,6 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
     """Held-out accuracy of a logistic probe separating the two samples."""
     feats_a = np.asarray(feats_a, dtype=np.float64)
     feats_b = np.asarray(feats_b, dtype=np.float64)
-    if feats_a.ndim == 1:
-        feats_a = feats_a[:, None]
-    if feats_b.ndim == 1:
-        feats_b = feats_b[:, None]
     if feats_a.shape[0] < 10 or feats_b.shape[0] < 10:
         raise DataError("each class needs at least 10 samples")
     if not 0.0 < split < 1.0:
@@ -100,26 +88,22 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
 
 
 def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
-                       split: float = 0.8, seed: int = 0) -> ProbeResult:
-    """Probe accuracy at every sweep step strictly below the merge step."""
+                       split: float = 0.8, seed: int = 0) -> list:
+    """Held-out probe accuracy at each sweep step, NaN from the merge step on."""
     if not 0 <= merge_step <= sweep.horizon:
         raise DomainError(f"merge_step {merge_step} outside [0, {sweep.horizon}]")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
-    steps, accs, defined = [], [], []
+    accs = []
     for t in sweep.steps:
-        steps.append(int(t))
         if t < merge_step:
             snap = sweep.snapshot(t)
             accs.append(train_linear_probe(snap[a], snap[b], split=split, seed=seed))
-            defined.append(True)
         else:
             accs.append(float("nan"))
-            defined.append(False)
-    return ProbeResult(steps=tuple(steps), accuracies=tuple(accs),
-                       defined=tuple(defined))
+    return accs
 
 
 def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int) -> WeightLaw:

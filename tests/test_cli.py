@@ -110,6 +110,17 @@ class TestAnalyze:
                     "--epsilon", "auto", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["merge_times"][0][1] > 0
 
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    def test_steps_without_zero(self, tmp_path, small_fixture, mode):
+        # the step-0 moments come from the dataset rows, not from a snapshot
+        merge_times = []
+        for steps in ("100,500,1000", "0,100,500,1000"):
+            out = tmp_path / "an.json"
+            assert run(["analyze", "--input", str(small_fixture), "--steps", steps,
+                        "--mode", mode, "--out", str(out)]) == 0
+            merge_times.append(json.loads(out.read_text())["merge_times"])
+        assert merge_times[0] == merge_times[1]
+
     def test_epsilon_auto_series_matches_merge_times(self, tmp_path, three_class_fixture):
         out, series = tmp_path / "an.json", tmp_path / "series.csv"
         assert run(["analyze", "--input", str(three_class_fixture), "--steps", "101",
@@ -178,6 +189,12 @@ class TestWindows:
         assert len(doc["eta_schedule"]["eta"]) == 1000
         assert doc["eta_schedule"]["warning"] is None
 
+    def test_steps_without_zero(self, tmp_path, small_fixture):
+        out = tmp_path / "win.json"
+        assert run(["windows", "--input", str(small_fixture), "--steps", "100,500,1000",
+                    "--projections", "8", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["classes"]) == 2
+
 
 class TestConverge:
     def test_normality_json(self, tmp_path):
@@ -210,6 +227,13 @@ class TestProbeCommand:
         assert len(lines) == 6
         last = lines[-1].split(",")
         assert last[0] == "1000" and last[2] == "0"
+
+    def test_steps_without_zero(self, tmp_path, small_fixture):
+        out = tmp_path / "probe.csv"
+        assert run(["probe", "--input", str(small_fixture), "--steps", "100,500",
+                    "--out", str(out)]) == 0
+        steps = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert steps == ["100", "500"]
 
 
 class TestCf:
@@ -286,6 +310,10 @@ BAD_VALUES = [
     (["converge", "--input", "{tmp}/four.csv"], 3, "at least 20 samples"),
     (["probe", "--input", "{tmp}/four.csv", "--merge-step", "500", "--out", "{tmp}/p.csv"], 3,
      "at least 10 samples"),
+    # a step count below 1, and --means for the wrong number of classes
+    (["analyze", "--input", "{data}", "--steps", "0"], 2, "step count"),
+    (["simulate", "--classes", "2", "--dim", "2", "--spectra", "1/1", "--means", "0,0",
+      "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, "--means"),
 ]
 
 

@@ -65,6 +65,22 @@ class TestConditionalFluctuation:
         with pytest.raises(DegenerateError):
             conditional_fluctuation(sw, np.array([3]), 0, n=2)
 
+    def test_propagated_needs_no_step_zero_in_the_grid(self, ddpm):
+        # propagated moments read the dataset rows, never the step-0 snapshot
+        with_zero = gaussian_sweep(ddpm, 2, n=500, steps=(0, 300))
+        without = gaussian_sweep(ddpm, 2, n=500, steps=(300,))
+        ev = np.arange(250)
+        for t in (0, 300, 700):
+            a = conditional_fluctuation(with_zero, ev, t)
+            b = conditional_fluctuation(without, ev, t)
+            assert np.array_equal(a.tensor, b.tensor)
+            assert (a.top_eigenvalue, a.frobenius_sq) == (b.top_eigenvalue, b.frobenius_sq)
+        for t in (-1, ddpm.horizon_T + 1):
+            with pytest.raises(DomainError, match="outside"):
+                conditional_fluctuation(without, ev, t)
+        with pytest.raises(DomainError, match="not in sweep steps"):
+            conditional_fluctuation(without, ev, 0, propagate=False)
+
     def test_propagated_matches_empirical(self, ddpm):
         sw = gaussian_sweep(ddpm, 5, n=50000, d=6, steps=(0, 300))
         ev = np.arange(25000)

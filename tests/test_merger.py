@@ -471,26 +471,28 @@ class TestCascade:
             build_cascade(np.array([[0, 1], [2, 0]]))
         with pytest.raises(DomainError):
             build_cascade(np.array([[0, -1], [-1, 0]]))
+        with pytest.raises(DomainError, match="square"):
+            build_cascade(np.zeros((2, 3)))
 
 
 class TestGuidanceWindows:
     def test_rule_applied(self):
         mt = np.array([[0, 350], [350, 0]])
         wins = guidance_windows(mt, istar=600, horizon=1000)
-        assert wins[0].t_end == 350 and wins[0].t_start == 600
-        assert not wins[0].never_merged
+        assert wins[0]["t_end"] == 350 and wins[0]["t_start"] == 600
+        assert not wins[0]["never_merged"]
 
     def test_boundary_empty_window(self):
         mt = np.array([[0, 600], [600, 0]])
         wins = guidance_windows(mt, istar=600, horizon=1000)
-        assert wins[0].t_end == wins[0].t_start == 600
-        assert not wins[0].never_merged
+        assert wins[0]["t_end"] == wins[0]["t_start"] == 600
+        assert not wins[0]["never_merged"]
 
     def test_never_merged_clamped(self):
         mt = np.array([[0, 1000], [1000, 0]])
         wins = guidance_windows(mt, istar=600, horizon=1000)
-        assert wins[0].t_end == wins[0].t_start == 600
-        assert wins[0].never_merged
+        assert wins[0]["t_end"] == wins[0]["t_start"] == 600
+        assert wins[0]["never_merged"]
 
     def test_min_over_partners(self):
         mt = np.array([
@@ -499,12 +501,26 @@ class TestGuidanceWindows:
             [500, 420, 0],
         ])
         wins = guidance_windows(mt, istar=600, horizon=1000)
-        assert [w.t_end for w in wins] == [350, 350, 420]
+        assert [w["t_end"] for w in wins] == [350, 350, 420]
 
     def test_both_labels_in_dict(self):
-        mt = np.array([[0, 350], [350, 0]])
-        d = guidance_windows(mt, istar=600, horizon=1000)[0].to_dict()
-        assert d["t_merge"] == d["t_end"] and d["t_conv"] == d["t_start"]
+        mt = np.array([[0, 350, 900], [350, 0, 900], [900, 900, 0]])
+        wins = guidance_windows(mt, istar=600, horizon=1000)
+        assert wins == [
+            {"class": 0, "t_end": 350, "t_start": 600, "never_merged": False,
+             "t_merge": 350, "t_conv": 600},
+            {"class": 1, "t_end": 350, "t_start": 600, "never_merged": False,
+             "t_merge": 350, "t_conv": 600},
+            {"class": 2, "t_end": 600, "t_start": 600, "never_merged": True,
+             "t_merge": 600, "t_conv": 600},
+        ]
+        # plain Python values, as json.dumps writes them
+        assert {type(v) for w in wins for v in w.values()} == {int, bool}
+
+    def test_single_class_never_merges(self):
+        assert guidance_windows(np.zeros((1, 1)), istar=600, horizon=1000) == [
+            {"class": 0, "t_end": 600, "t_start": 600, "never_merged": True,
+             "t_merge": 600, "t_conv": 600}]
 
     def test_istar_range(self):
         with pytest.raises(DomainError):
@@ -514,24 +530,26 @@ class TestGuidanceWindows:
 class TestInterpolationSchedule:
     def test_max_beta_gives_scale(self, ddpm):
         sched = interpolation_schedule(ddpm, 0.001)
-        assert sched.eta[-1] == pytest.approx(0.001, rel=1e-12)
+        assert sched["scale"] == 0.001
+        assert sched["eta"][-1] == pytest.approx(0.001, rel=1e-12)
 
     def test_half_beta(self):
         ddpm = NoiseSchedule.ddpm_default()
         b = betas(ddpm)
-        sched = interpolation_schedule(ddpm, 0.001)
+        eta = interpolation_schedule(ddpm, 0.001)["eta"]
         idx = int(np.argmin(np.abs(b - b.max() / 2)))
-        assert sched.eta[idx] == pytest.approx(0.001 * b[idx] / b.max(), rel=1e-12)
-        assert sched.eta[idx] == pytest.approx(5e-4, rel=2e-3)
+        assert eta[idx] == pytest.approx(0.001 * b[idx] / b.max(), rel=1e-12)
+        assert eta[idx] == pytest.approx(5e-4, rel=2e-3)
 
     def test_monotone_for_linear(self, ddpm):
-        sched = interpolation_schedule(ddpm, 0.01)
-        assert np.all(np.diff(sched.eta) >= 0)
+        eta = interpolation_schedule(ddpm, 0.01)["eta"]
+        assert len(eta) == ddpm.horizon_T
+        assert np.all(np.diff(eta) >= 0)
 
     def test_band_warning(self, ddpm):
-        assert interpolation_schedule(ddpm, 1e-3).warning is None
-        warned = interpolation_schedule(ddpm, 0.5)
-        assert warned.warning is not None and "0.5" in warned.warning
+        assert interpolation_schedule(ddpm, 1e-3)["warning"] is None
+        warned = interpolation_schedule(ddpm, 0.5)["warning"]
+        assert warned is not None and "0.5" in warned
 
     def test_scale_range(self, ddpm):
         with pytest.raises(DomainError):
@@ -553,6 +571,11 @@ class TestLatticeJump:
     def test_too_short(self):
         with pytest.raises(DomainError):
             lattice_jump(np.ones(4), tau=1, order=2, eps_disc=0.1)
+
+    @pytest.mark.parametrize("tau,order", [(0, 1), (1, 0)])
+    def test_tau_and_order_at_least_one(self, tau, order):
+        with pytest.raises(DomainError, match=">= 1"):
+            lattice_jump(np.ones(20), tau=tau, order=order, eps_disc=0.1)
 
     def test_recovers_merger_step(self, ddpm):
         ds = two_class_dataset(seed=0)

@@ -66,35 +66,34 @@ class TestProbeThroughTime:
         sw, ds = self.make_sweep(ddpm)
         sw0 = sweep(ds, ddpm, [0], SeedPolicy(base_seed=9))
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
-        res = probe_through_time(sw0, a, b, merge_step=1000, seed=10)
+        accs = probe_through_time(sw0, a, b, merge_step=1000, seed=10)
         direct = train_linear_probe(ds.features[a], ds.features[b], seed=10)
-        assert res.accuracies == (direct,)
+        assert accs == [direct]
 
     def test_bayes_accuracy_at_zero(self, ddpm):
         sw, ds = self.make_sweep(ddpm, sep=2.0)
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
-        res = probe_through_time(sw, a, b, merge_step=1000, seed=11)
+        accs = probe_through_time(sw, a, b, merge_step=1000, seed=11)
         bayes = 0.5 * (1 + math.erf(1 / math.sqrt(2)))
-        assert abs(res.accuracies[0] - bayes) < 0.02
+        assert abs(accs[0] - bayes) < 0.02
 
     def test_merge_step_zero_all_undefined(self, ddpm):
         sw, ds = self.make_sweep(ddpm)
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
-        res = probe_through_time(sw, a, b, merge_step=0, seed=12)
-        assert not any(res.defined)
-        assert all(math.isnan(v) for v in res.accuracies)
+        accs = probe_through_time(sw, a, b, merge_step=0, seed=12)
+        assert len(accs) == 3 and all(math.isnan(v) for v in accs)
 
     def test_undefined_beyond_merge_step(self, ddpm):
         sw, ds = self.make_sweep(ddpm)
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
-        res = probe_through_time(sw, a, b, merge_step=300, seed=13)
-        assert res.defined == (True, True, False)
+        accs = probe_through_time(sw, a, b, merge_step=300, seed=13)
+        assert [math.isnan(v) for v in accs] == [False, False, True]
 
     def test_never_below_chance_when_defined(self, ddpm):
         sw, ds = self.make_sweep(ddpm, n=5000, sep=1.0)
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
-        res = probe_through_time(sw, a, b, merge_step=1000, seed=14)
-        assert all(acc >= 0.45 for acc in res.accuracies)
+        accs = probe_through_time(sw, a, b, merge_step=1000, seed=14)
+        assert all(acc >= 0.45 for acc in accs)
 
     def test_merge_step_beyond_horizon(self, ddpm):
         sw, ds = self.make_sweep(ddpm)
@@ -143,6 +142,11 @@ class TestWeightLaw:
     def test_empty_window(self, ddpm):
         with pytest.raises(DomainError):
             weight_law("uniform", ddpm, 5, 4)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 5), (5, 1001)])
+    def test_window_outside_horizon(self, ddpm, start, stop):
+        with pytest.raises(DomainError, match="outside"):
+            weight_law("uniform", ddpm, start, stop)
 
     def test_unknown_kind(self, ddpm):
         with pytest.raises(DomainError):
