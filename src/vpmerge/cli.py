@@ -147,11 +147,9 @@ def _cmd_analyze(args) -> dict:
     sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
         mt = _series_csv(args.series_out, sw.steps,
-                         *pairwise_series(sw, part, n=args.order, epsilon=eps,
-                                          metric=metric, mode=args.mode))
+                         *pairwise_series(sw, part, epsilon=eps, metric=metric, mode=args.mode))
     else:
-        mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
-                                  metric=metric, mode=args.mode)
+        mt = pairwise_merge_times(sw, part, epsilon=eps, metric=metric, mode=args.mode)
     return {
         "schedule": sw.schedule.to_dict(),
         "classes": part.n_events,
@@ -162,8 +160,7 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_windows(args) -> dict:
     sw, part, eps, metric = _analysis_inputs(args)
-    mt = pairwise_merge_times(sw, part, n=args.order, epsilon=eps,
-                              metric=metric, mode=args.mode)
+    mt = pairwise_merge_times(sw, part, epsilon=eps, metric=metric, mode=args.mode)
     # only detected_step is read
     istar = _convergence(args, sw, stop_at_detection=True).detected_step
     return {
@@ -209,7 +206,7 @@ def _cmd_probe(args) -> None:
         raise DomainError(f"classes must lie in [0, {part.n_events})")
     a, b = part.events[args.class_a], part.events[args.class_b]
     if args.merge_step == "auto":
-        merge_step = detect_series(sw, a, b, n=2).first_merge_step
+        merge_step = detect_series(sw, a, b).first_merge_step
     else:
         merge_step = int(args.merge_step)
     accs = probe_through_time(sw, a, b, merge_step, split=args.split, seed=args.seed)
@@ -251,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         _schedule_args(p)
         p.add_argument("--steps", default="101",
                        help="step count (even subsample) or comma list")
+        # only order 2 is computed; the flag stays for the config echo
         p.add_argument("--order", type=int, default=2, choices=(2,))
         p.add_argument("--metric", default="top-eigen", choices=("top-eigen", "trace"))
         p.add_argument("--epsilon", default="auto")
@@ -337,6 +335,9 @@ def execute(argv) -> int:
         _error_record("domain", exc)
         return EXIT_USAGE
     except (DataError, OSError) as exc:
+        _error_record("data", exc)
+        return EXIT_DATA
+    except MemoryError as exc:  # the size that did not fit comes from the input
         _error_record("data", exc)
         return EXIT_DATA
     except VpmergeError as exc:

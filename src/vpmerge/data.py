@@ -40,7 +40,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "read_csv",
-    "integer_column",
     "partition_by_label",
     "synth_gaussian_mixture",
 ]
@@ -242,7 +241,7 @@ def read_csv(path, width: int | None = None) -> np.ndarray:
     return arr
 
 
-def integer_column(values: np.ndarray, what: str) -> np.ndarray:
+def _integer_column(values: np.ndarray, what: str) -> np.ndarray:
     """values as int64; DataError unless every one is a whole number."""
     if not np.all((values == np.round(values)) & (np.abs(values) < 2.0**63)):
         raise DataError(f"{what} must be integers")
@@ -252,7 +251,7 @@ def integer_column(values: np.ndarray, what: str) -> np.ndarray:
 def _load_csv(path: Path) -> LabeledDataset:
     arr = read_csv(path)
     return LabeledDataset(features=np.ascontiguousarray(arr[:, 1:]),
-                          labels=integer_column(arr[:, 0], "labels"))
+                          labels=_integer_column(arr[:, 0], "labels"))
 
 
 def _load_fvec1(path: Path) -> LabeledDataset:
@@ -260,13 +259,15 @@ def _load_fvec1(path: Path) -> LabeledDataset:
     if len(raw) < 21 or raw[:5] != _FVEC1_MAGIC:
         raise DataError(f"{path} is not an fvec1 file")
     n, d = struct.unpack("<QQ", raw[5:21])
-    rec_dtype = np.dtype([("label", "<u4"), ("feat", "<f4", (d,))])
-    expected = 21 + n * rec_dtype.itemsize
+    # Python ints, so a d that numpy cannot take as a record shape is a size mismatch
+    expected = 21 + n * (4 + 4 * d)
     if len(raw) != expected:
         raise DataError(
             f"{path}: expected {expected} bytes for N={n}, d={d}, got {len(raw)}"
         )
-    rec = np.frombuffer(raw[21:], dtype=rec_dtype)
+    if n == 0:  # N = 0 passes the size check with a d the record dtype cannot take
+        raise DataError("dataset is empty")
+    rec = np.frombuffer(raw[21:], dtype=[("label", "<u4"), ("feat", "<f4", (d,))])
     feats = rec["feat"].astype(np.float64)
     if feats.size and not np.all(np.isfinite(feats)):
         raise DataError(f"{path} contains non-finite features")

@@ -9,13 +9,13 @@ the normalized form
 is the cosine similarity, i.e. the centred kernel alignment between the
 two conditional covariance matrices.
 
-Moments at a noised step can be obtained two ways:
+Moments come from one of two sources:
 
-* propagate=True (exact): the law of J x0 + sigma eps conditioned on a
-  step-0 event has covariance J^2 S0 + (1 - J^2) I, so the step-0
-  estimate is pushed forward analytically with no extra MC noise; its
-  squared norm is the closed form of propagated_frobenius, the one
-  copy of that law (the merger uses it too).
+* propagate=True: the step-0 moments of the dataset rows (only t = 0).
+  Later steps follow from them in closed form: the law of J x0 + sigma eps
+  conditioned on a step-0 event has covariance J^2 S0 + (1 - J^2) I, whose
+  squared norm is propagated_frobenius, the one copy of that law (the
+  merger reads it with J^2 directly).
 * propagate=False (empirical): recompute from the sweep's stochastic
   snapshot at t.
 
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError
 from .forward import TrajectorySweep
-from .schedule import NoiseSchedule, j_values
+# unused here; perfbench's schedule.j_calls counter patches j_values by this name
+from .schedule import j_values  # noqa: F401
 
 __all__ = [
     "ConditionalMoments",
@@ -41,7 +42,6 @@ __all__ = [
     "cross_fluctuation_G",
     "normalized_M",
     "propagated_frobenius",
-    "propagate_moments",
     "top_eigenvalue",
 ]
 
@@ -92,33 +92,19 @@ def moments_from_rows(rows: np.ndarray, n: int):
 def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
                             propagate: bool = True) -> ConditionalMoments:
     """Conditional covariance of one event at step t of a sweep.  Propagated
-    moments read the dataset rows, so t may be any step in [0, horizon];
-    empirical ones read the snapshot, so t must be a sweep step."""
+    moments read the dataset rows, so t must be 0 and the grid need not hold
+    it; empirical ones read the snapshot, so t must be a sweep step."""
     event = np.asarray(event, dtype=np.int64)
     if not propagate:
         return ConditionalMoments.from_tensor(moments_from_rows(sweep.snapshot(t)[event], n)[1])
-    if not 0 <= t <= sweep.horizon:
-        raise DomainError(f"step {t} outside [0, {sweep.horizon}]")
-    m0 = ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
-    return m0 if t == 0 else propagate_moments(m0, sweep.schedule, t)
+    if t != 0:
+        raise DomainError(f"propagated moments are step-0 moments, got step {t}")
+    return ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
 
 
 def propagated_frobenius(j2, frobenius_sq, trace, d):
     """||J^2 A + (1-J^2) I||_F^2 = J^4 ||A||^2 + 2 J^2 (1-J^2) tr A + d (1-J^2)^2."""
     return j2**2 * frobenius_sq + 2 * j2 * (1 - j2) * trace + d * (1 - j2) ** 2
-
-
-def propagate_moments(m0: ConditionalMoments, schedule: NoiseSchedule,
-                      t: int) -> ConditionalMoments:
-    """Push step-0 moments through the marginal law to step t (exact)."""
-    j = float(j_values(schedule, t))
-    j2 = j * j
-    tensor = j2 * m0.tensor + (1.0 - j2) * np.eye(m0.dim)
-    # eigenvectors are preserved by a J^2 A + (1-J^2) I map, so the top
-    # eigenvalue propagates exactly, with no eigensolve
-    top = j2 * m0.top_eigenvalue + (1.0 - j2)
-    frobenius_sq = propagated_frobenius(j2, m0.frobenius_sq, np.trace(m0.tensor), m0.dim)
-    return ConditionalMoments(tensor=tensor, top_eigenvalue=top, frobenius_sq=float(frobenius_sq))
 
 
 def cross_fluctuation_G(a: ConditionalMoments, b: ConditionalMoments) -> float:

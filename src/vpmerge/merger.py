@@ -9,7 +9,7 @@ merger is sticky).  Distances:
   eigenvalue proxy (covariance spectra collapse toward identity under
   the VP flow, so the top eigenvalues govern the merger).
 * trace_l1: |F_a - F_b| with F the squared Hilbert norm of the
-  conditional tensor, i.e. the trace Tr(Sigma^T Sigma) when n = 2.
+  conditional tensor, i.e. the trace Tr(Sigma^T Sigma).
 
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
@@ -42,8 +42,8 @@ import numpy as np
 
 from .data import EventPartition
 from .errors import DataError, DegenerateError, DomainError
-from .fluctuation import (ConditionalMoments, conditional_fluctuation, moments_from_rows,
-                          normalized_M, propagated_frobenius)
+from .fluctuation import (ConditionalMoments, _check_order, conditional_fluctuation,
+                          moments_from_rows, normalized_M, propagated_frobenius)
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, betas, j_values
 
@@ -87,7 +87,7 @@ def _metric_stat(metric: str) -> str:
     return stats[metric]
 
 
-def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tuple:
+def _step0(sweep: TrajectorySweep, events, metric: str, mode: str) -> tuple:
     """(step-0 moments of the events, scan); scan(eps) is (first-merge
     matrix, P x len(steps) empirical similarities or None).  Analytic scan: the
     first step in 0..horizon where a pair's distance is <= eps (the horizon if
@@ -95,8 +95,8 @@ def _step0(sweep: TrajectorySweep, events, n: int, metric: str, mode: str) -> tu
     events = [np.asarray(ev, dtype=np.int64) for ev in events]
     if len(events) < 2:
         raise DataError("need at least two events")
-    # empty events and an order other than 2 raise here
-    moments0 = [conditional_fluctuation(sweep, ev, 0, n=n, propagate=True) for ev in events]
+    # empty events raise here
+    moments0 = [conditional_fluctuation(sweep, ev, 0, propagate=True) for ev in events]
     if mode == "empirical":
         stat = _metric_stat(metric)
         return moments0, lambda eps: _empirical_walk(sweep, events, eps, stat)
@@ -160,34 +160,35 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
     """
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
-    merge, values, epsilon = _all_pairs(sweep, [a, b], n, epsilon, metric, mode, series=True)
+    _check_order(n)  # n is the tensor order, always 2
+    merge, values, epsilon = _all_pairs(sweep, [a, b], epsilon, metric, mode, series=True)
     return MergerSeries(steps=sweep.steps, values=values[0],
                         first_merge_step=int(merge[0, 1]), epsilon=float(epsilon))
 
 
 def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
-                    n: int = 2, epsilon: float | None = None,
+                    epsilon: float | None = None,
                     metric: str = "top_eigen_abs", mode: str = "analytic") -> tuple:
     """(K x K first-merge matrix, P x len(steps) thresholded similarities with
     one row per pair i < j, row-major) from one step-0 pass and one epsilon
     over all classes."""
-    return _all_pairs(sweep, partition.events, n, epsilon, metric, mode, series=True)[:2]
+    return _all_pairs(sweep, partition.events, epsilon, metric, mode, series=True)[:2]
 
 
 def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
-                         n: int = 2, epsilon: float | None = None,
+                         epsilon: float | None = None,
                          metric: str = "top_eigen_abs",
                          mode: str = "analytic") -> np.ndarray:
     """K x K symmetric matrix of first merger steps; zero diagonal."""
-    return _all_pairs(sweep, partition.events, n, epsilon, metric, mode, series=False)[0]
+    return _all_pairs(sweep, partition.events, epsilon, metric, mode, series=False)[0]
 
 
-def _all_pairs(sweep: TrajectorySweep, events, n: int, epsilon: float | None,
+def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
                metric: str, mode: str, series: bool) -> tuple:
     """(K x K first-merge matrix, P x len(steps) similarities of the pairs
     i < j row-major or None, epsilon) from one step-0 pass and one epsilon
     over the events; the analytic similarities are computed only for series."""
-    moments0, scan = _step0(sweep, events, n, metric, mode)
+    moments0, scan = _step0(sweep, events, metric, mode)
     if epsilon is None:
         epsilon = default_epsilon(moments0)
     if not epsilon > 0.0:
@@ -212,7 +213,7 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
             break
         live = {c for _, pair in pairs for c in pair}
         xt = sweep.snapshot(t)
-        moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1], 2)
+        moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1])
                    for c in live}
         for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
@@ -335,5 +336,5 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_gr
         b <= a for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise DomainError("epsilon grid must be positive and increasing")
-    scan = _step0(sweep, partition.events, 2, metric, "analytic")[1]
+    scan = _step0(sweep, partition.events, metric, "analytic")[1]
     return [sum(step > 0 for _, _, step in _single_linkage(scan(eps)[0])) for eps in eps_grid]

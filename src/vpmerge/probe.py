@@ -9,29 +9,22 @@ indistinguishable and accuracy is undefined.
 Weight laws distribute unit mass over a step window: uniform,
 proportional to 1/SNR(t) = (1 - J(t)^2) / J(t)^2 (zero weight at t = 0,
 where SNR is infinite), or the truncated variant that additionally
-zeroes steps below TRUNCATION_FLOOR (20).  Aggregation averages per-step
-class softmaxes under a law; the per-step scores come from an external
-file, no model runs here.
+zeroes steps below TRUNCATION_FLOOR (20).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import integer_column, philox, read_csv
+from .data import philox
 from .errors import DataError, DomainError
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, j_values
 
 __all__ = [
-    "WeightLaw",
     "train_linear_probe",
     "probe_through_time",
     "weight_law",
-    "weighted_score_aggregate",
-    "load_logits_csv",
 ]
 
 GD_ITERATIONS = 500
@@ -39,19 +32,10 @@ GD_STEP = 0.1
 TRUNCATION_FLOOR = 20
 
 
-@dataclass(frozen=True)
-class WeightLaw:
-    steps: tuple
-    weights: np.ndarray
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
@@ -106,8 +90,8 @@ def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
     return accs
 
 
-def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int) -> WeightLaw:
-    """Normalized step weights on [t_start, t_stop] for the given law."""
+def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int) -> np.ndarray:
+    """Normalized weights of the steps t_start..t_stop for the given law."""
     if t_start > t_stop:
         raise DomainError(f"empty window [{t_start}, {t_stop}]")
     if t_start < 0 or t_stop > schedule.horizon_T:
@@ -129,47 +113,4 @@ def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int) ->
         raise DomainError("weight law has empty support on this window")
     if total == np.inf:  # J^2 underflows to 0 on the window
         raise DomainError("weight law has an infinite weight on this window")
-    return WeightLaw(steps=tuple(int(t) for t in steps), weights=w / total)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    ez = np.exp(z)
-    return ez / ez.sum()
-
-
-def weighted_score_aggregate(per_step_scores, law: WeightLaw) -> np.ndarray:
-    """Weight-averaged softmax over steps: sum_t w(t) softmax(scores_t).
-
-    per_step_scores maps step -> length-K logit vector; every step with
-    positive weight must be present.
-    """
-    out = None
-    for t, w in zip(law.steps, law.weights):
-        if w == 0.0:
-            continue
-        if t not in per_step_scores:
-            raise DomainError(f"missing scores for step {t} (weight {w})")
-        probs = _softmax(np.asarray(per_step_scores[t], dtype=np.float64))
-        out = w * probs if out is None else out + w * probs
-    return out
-
-
-def load_logits_csv(path) -> dict:
-    """Read step,class,logit rows into {step: length-K logit vector}."""
-    arr = read_csv(path, width=3)
-    steps = integer_column(arr[:, 0], "steps").tolist()
-    classes = integer_column(arr[:, 1], "class ids").tolist()
-    if min(classes) < 0:
-        raise DataError(f"{path}: class ids must be >= 0, got {min(classes)}")
-    if len(set(zip(steps, classes))) < len(steps):
-        raise DataError(f"{path}: a (step, class) row appears twice")
-    n_classes = max(classes) + 1
-    out: dict = {}
-    for t, c, v in zip(steps, classes, arr[:, 2].tolist()):
-        vec = out.setdefault(t, np.full(n_classes, np.nan))
-        vec[c] = v
-    for t, vec in out.items():
-        if np.any(np.isnan(vec)):
-            raise DataError(f"step {t} is missing some class logits")
-    return out
+    return w / total

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +319,10 @@ BAD_VALUES = [
     (["analyze", "--input", "{data}", "--steps", "0"], 2, "step count"),
     (["simulate", "--classes", "2", "--dim", "2", "--spectra", "1/1", "--means", "0,0",
       "--n-per-class", "3", "--out", "{tmp}/s.csv"], 2, "--means"),
+    # an fvec1 header whose d does not fit a C int, with one record and with none
+    (["analyze", "--input", "{tmp}/huge_d.fvec1"], 3, "d=1099511627776, got 25"),
+    (["cf", "--input-a", "{tmp}/empty_huge_d.fvec1", "--input-b", "{data}"], 3,
+     "dataset is empty"),
 ]
 
 
@@ -351,6 +360,10 @@ class TestErrorMapping:
         # fvec1 with d = 0: four rows of two classes, each a bare uint32 label
         (tmp_path / "nofeat.fvec1").write_bytes(
             b"FVEC1" + struct.pack("<QQ", 4, 0) + struct.pack("<4I", 0, 0, 1, 1))
+        # fvec1 with d = 2^40: N = 1 with a bare label, and N = 0
+        (tmp_path / "huge_d.fvec1").write_bytes(
+            b"FVEC1" + struct.pack("<QQ", 1, 2**40) + struct.pack("<I", 0))
+        (tmp_path / "empty_huge_d.fvec1").write_bytes(b"FVEC1" + struct.pack("<QQ", 0, 2**40))
         # 520 classes of 3 rows, d = 2; one class of 3 rows; two classes of 2 rows
         rows = np.random.default_rng(0).standard_normal((1560, 2)).tolist()
         (tmp_path / "deep.csv").write_text(
@@ -364,6 +377,32 @@ class TestErrorMapping:
         record = json.loads(err)
         assert set(record) == {"error", "message"}
         assert message in record["message"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--input", "{data}", "--projections", "3000000000"],
+        ["analyze", "--input", "{data}", "--T", "400000000"],
+        ["cf", "--input-a", "{data}", "--input-b", "{data}", "--freqs", "300000000"],
+    ], ids=lambda argv: argv[0])
+    def test_allocation_failure_is_a_data_error(self, argv, small_fixture):
+        # each argv asks for gigabytes; under a 1.5 GB address-space cap numpy
+        # refuses the request at once, so nothing is really allocated
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, hard))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [a.format(data=small_fixture) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "vpmerge.cli", *argv], env=env,
+                              preexec_fn=cap_address_space, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        record = json.loads(proc.stderr)
+        assert record["error"] == "data" and "allocate" in record["message"]
 
 
 @pytest.fixture(scope="module")

@@ -15,8 +15,22 @@ from vpmerge import (
     normalized_M,
     sweep,
 )
-from vpmerge.fluctuation import cross_fluctuation_G, moments_from_rows, top_eigenvalue
+from vpmerge.fluctuation import (cross_fluctuation_G, moments_from_rows, propagated_frobenius,
+                                 top_eigenvalue)
 from vpmerge.schedule import j_values
+
+
+def propagate_moments(m0, schedule, t):
+    """Oracle: step-0 moments pushed through the marginal law to step t.
+
+    The covariance is J^2 S0 + (1 - J^2) I.  That map keeps eigenvectors, so
+    the top eigenvalue is carried over with no eigensolve; the squared norm is
+    summed from the tensor itself.
+    """
+    j2 = float(j_values(schedule, t)) ** 2
+    tensor = j2 * m0.tensor + (1.0 - j2) * np.eye(m0.dim)
+    return ConditionalMoments(tensor=tensor, top_eigenvalue=j2 * m0.top_eigenvalue + (1.0 - j2),
+                              frobenius_sq=float(np.sum(tensor * tensor)))
 
 
 def gaussian_sweep(ddpm, seed, n=100000, d=4, steps=(0,)):
@@ -70,21 +84,28 @@ class TestConditionalFluctuation:
         with_zero = gaussian_sweep(ddpm, 2, n=500, steps=(0, 300))
         without = gaussian_sweep(ddpm, 2, n=500, steps=(300,))
         ev = np.arange(250)
-        for t in (0, 300, 700):
-            a = conditional_fluctuation(with_zero, ev, t)
-            b = conditional_fluctuation(without, ev, t)
-            assert np.array_equal(a.tensor, b.tensor)
-            assert (a.top_eigenvalue, a.frobenius_sq) == (b.top_eigenvalue, b.frobenius_sq)
-        for t in (-1, ddpm.horizon_T + 1):
-            with pytest.raises(DomainError, match="outside"):
-                conditional_fluctuation(without, ev, t)
+        a = conditional_fluctuation(with_zero, ev, 0)
+        b = conditional_fluctuation(without, ev, 0)
+        assert np.array_equal(a.tensor, b.tensor)
+        assert (a.top_eigenvalue, a.frobenius_sq) == (b.top_eigenvalue, b.frobenius_sq)
+        # step 300 follows from them, and agrees with the snapshot there
+        # (250 rows in d = 4: a loose 4 sqrt(d / n) spectral bound)
+        emp = conditional_fluctuation(without, ev, 300, propagate=False)
+        ana = propagate_moments(b, ddpm, 300)
+        assert np.linalg.norm(ana.tensor - emp.tensor, ord=2) < 4 * math.sqrt(4 / 250)
         with pytest.raises(DomainError, match="not in sweep steps"):
             conditional_fluctuation(without, ev, 0, propagate=False)
+
+    def test_propagated_rejects_a_later_step(self, ddpm):
+        sw = gaussian_sweep(ddpm, 2, n=500, steps=(0, 300))
+        for t in (300, -1, ddpm.horizon_T + 1):
+            with pytest.raises(DomainError, match="step-0 moments"):
+                conditional_fluctuation(sw, np.arange(250), t, propagate=True)
 
     def test_propagated_matches_empirical(self, ddpm):
         sw = gaussian_sweep(ddpm, 5, n=50000, d=6, steps=(0, 300))
         ev = np.arange(25000)
-        ana = conditional_fluctuation(sw, ev, 300, n=2, propagate=True)
+        ana = propagate_moments(conditional_fluctuation(sw, ev, 0, n=2), ddpm, 300)
         emp = conditional_fluctuation(sw, ev, 300, n=2, propagate=False)
         assert np.linalg.norm(ana.tensor - emp.tensor, ord=2) < 0.05
         assert ana.top_eigenvalue == pytest.approx(emp.top_eigenvalue, rel=0.05)
@@ -103,10 +124,15 @@ class TestConditionalFluctuation:
         x = rng.standard_normal((2000, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.2])
         ds = LabeledDataset(features=x, labels=np.zeros(2000, dtype=int))
         sw = sweep(ds, ddpm, (0, 300), SeedPolicy(base_seed=7))
-        m = conditional_fluctuation(sw, np.arange(2000), 300, n=2, propagate=True)
+        m0 = conditional_fluctuation(sw, np.arange(2000), 0, n=2, propagate=True)
+        m = propagate_moments(m0, ddpm, 300)
         assert calls == [(5, 5)]  # the step-0 tensor only
         dense = np.linalg.eigvalsh(m.tensor)[-1]
         assert m.top_eigenvalue == pytest.approx(dense, rel=1e-12)
+        # the merger's closed form for the squared norm at step t
+        j2 = float(j_values(ddpm, 300)) ** 2
+        closed = propagated_frobenius(j2, m0.frobenius_sq, np.trace(m0.tensor), m0.dim)
+        assert m.frobenius_sq == pytest.approx(closed, rel=1e-12)
 
     def test_frobenius_matches_tensor_norm(self, ddpm):
         sw = gaussian_sweep(ddpm, 6, n=1000)

@@ -238,6 +238,12 @@ class TestDetectSeries:
         with pytest.raises(DomainError):
             detect_series(sw, part.events[0], part.events[1], epsilon=-1.0)
 
+    def test_order_one_rejected(self, two_class_sweep):
+        # conditional-mean order-1 tensors are identically zero
+        sw, part = two_class_sweep
+        with pytest.raises(DomainError, match="tensor order must be 2"):
+            detect_series(sw, part.events[0], part.events[1], n=1, epsilon=0.06)
+
 
 class TestPairwiseMergeTimes:
     def test_two_classes(self, two_class_sweep):
@@ -267,11 +273,11 @@ class TestPairwiseMergeTimes:
         assert mt[0, 1] == 0
 
     @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
-    @pytest.mark.parametrize("n", [2])  # the merger rejects order 1 (test_order_one_rejected)
+    @pytest.mark.parametrize("n", [2])  # detect_series rejects order 1 (test_order_one_rejected)
     def test_matches_per_pair_series(self, ddpm, metric, n):
         sw = five_class_sweep(ddpm, [0, 500, 1000])
         part = partition_by_label(sw.dataset)
-        mt = pairwise_merge_times(sw, part, n=n, epsilon=0.02, metric=metric)
+        mt = pairwise_merge_times(sw, part, epsilon=0.02, metric=metric)
         for i in range(5):
             for j in range(i + 1, 5):
                 series = detect_series(sw, part.events[i], part.events[j], n=n,
@@ -282,12 +288,6 @@ class TestPairwiseMergeTimes:
         sw, part = two_class_sweep
         with pytest.raises(DomainError, match="metric"):
             pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
-
-    def test_order_one_rejected(self, two_class_sweep):
-        # conditional-mean order-1 tensors are identically zero
-        sw, part = two_class_sweep
-        with pytest.raises(DomainError, match="order"):
-            pairwise_merge_times(sw, part, n=1, epsilon=0.06)
 
 
 class TestPairwiseSeries:

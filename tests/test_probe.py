@@ -14,9 +14,32 @@ from vpmerge import (
     sweep,
     weight_law,
 )
-from vpmerge.probe import (TRUNCATION_FLOOR, load_logits_csv, probe_through_time,
-                           train_linear_probe, weighted_score_aggregate)
+from vpmerge.probe import TRUNCATION_FLOOR, _sigmoid, probe_through_time, train_linear_probe
 from vpmerge.schedule import j_values
+
+
+def masked_sigmoid(z):
+    """The two-branch logistic function, each branch on its own mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 30.0, 800.0]))
+    def test_matches_masked_form_bitwise(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-scale, scale, size=257)
+        z[:4] = [0.0, -0.0, scale, -scale]
+        assert np.array_equal(_sigmoid(z).view(np.uint64), masked_sigmoid(z).view(np.uint64))
+
+    def test_signed_zero_and_saturation(self):
+        z = np.array([0.0, -0.0, 800.0, -800.0])
+        assert _sigmoid(z).tolist() == [0.5, 0.5, 1.0, 0.0]
 
 
 class TestTrainLinearProbe:
@@ -113,30 +136,29 @@ class TestProbeThroughTime:
 class TestWeightLaw:
     def test_uniform(self, ddpm):
         law = weight_law("uniform", ddpm, 2, 4)
-        assert np.allclose(law.weights, 1 / 3)
-        assert law.steps == (2, 3, 4)
+        assert np.allclose(law, 1 / 3) and law.shape == (3,)
 
     def test_inverse_snr_normalization(self):
         # schedule tuned so SNR(1) = 3 and SNR(2) = 1
         sched = NoiseSchedule(beta0=0.22876, betaT=0.46438, horizon_T=2)
         law = weight_law("inverse_snr", sched, 1, 2)
-        assert np.allclose(law.weights, [0.25, 0.75], atol=2e-3)
+        assert np.allclose(law, [0.25, 0.75], atol=2e-3)
 
     def test_inverse_snr_zero_weight_at_origin(self, ddpm):
         law = weight_law("inverse_snr", ddpm, 0, 10)
-        assert law.weights[0] == 0.0
-        assert law.weights[1:].sum() == pytest.approx(1.0)
+        assert law[0] == 0.0
+        assert law[1:].sum() == pytest.approx(1.0)
 
     def test_truncated_floor(self, ddpm):
         law = weight_law("truncated_inverse_snr", ddpm, 0, 100)
-        steps = np.array(law.steps)
-        assert np.all(law.weights[steps < 20] == 0.0)
-        assert law.weights[steps >= 20].sum() == pytest.approx(1.0)
+        steps = np.arange(0, 101)
+        assert np.all(law[steps < 20] == 0.0)
+        assert law[steps >= 20].sum() == pytest.approx(1.0)
 
     def test_weights_proportional_to_inverse_snr(self, ddpm):
         law = weight_law("inverse_snr", ddpm, 5, 9)
-        j2 = j_values(ddpm, np.array(law.steps)) ** 2
-        ratios = law.weights * j2 / (1.0 - j2)
+        j2 = j_values(ddpm, np.arange(5, 10)) ** 2
+        ratios = law * j2 / (1.0 - j2)
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_empty_window(self, ddpm):
@@ -170,97 +192,9 @@ class TestWeightLaw:
         if kind != "uniform" and stop < 21:
             stop = 21  # keep some support above the floor / origin
         law = weight_law(kind, ddpm, start, stop)
-        assert abs(law.weights.sum() - 1.0) < 1e-12
-        assert np.all(law.weights >= 0.0)
+        assert law.shape == (stop - start + 1,)
+        assert abs(law.sum() - 1.0) < 1e-12
+        assert np.all(law >= 0.0)
         if kind == "truncated_inverse_snr":
-            steps = np.array(law.steps)
-            assert np.all(law.weights[steps < TRUNCATION_FLOOR] == 0.0)
-
-
-class TestWeightedAggregate:
-    def test_softmax_symmetry(self, ddpm):
-        law = weight_law("uniform", ddpm, 5, 5)
-        probs = weighted_score_aggregate({5: np.array([0.0, 0.0])}, law)
-        assert np.allclose(probs, [0.5, 0.5])
-
-    def test_identical_steps_are_convex_fixed_point(self, ddpm):
-        law = weight_law("uniform", ddpm, 5, 6)
-        logits = np.array([0.3, -0.1, 1.2])
-        two = weighted_score_aggregate({5: logits, 6: logits}, law)
-        one = weighted_score_aggregate(
-            {5: logits}, weight_law("uniform", ddpm, 5, 5)
-        )
-        assert np.allclose(two, one)
-
-    def test_softmax_arithmetic(self, ddpm):
-        law = weight_law("uniform", ddpm, 7, 7)
-        probs = weighted_score_aggregate({7: np.array([1.0, 0.0])}, law)
-        e = math.e
-        assert probs[0] == pytest.approx(e / (e + 1), rel=1e-12)
-        assert probs[1] == pytest.approx(1 / (e + 1), rel=1e-12)
-        assert probs[0] == pytest.approx(0.7311, abs=1e-4)
-
-    def test_missing_step(self, ddpm):
-        law = weight_law("uniform", ddpm, 5, 6)
-        with pytest.raises(DomainError):
-            weighted_score_aggregate({5: np.array([0.0, 1.0])}, law)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_convex_combination_property(self, seed):
-        ddpm = NoiseSchedule.ddpm_default()
-        rng = np.random.default_rng(seed)
-        law = weight_law("uniform", ddpm, 3, 5)
-        scores = {t: rng.normal(size=4) for t in law.steps}
-        agg = weighted_score_aggregate(scores, law)
-        assert agg.sum() == pytest.approx(1.0, abs=1e-12)
-        per_step = np.array([
-            np.exp(s - s.max()) / np.exp(s - s.max()).sum() for s in scores.values()
-        ])
-        assert np.all(agg <= per_step.max(axis=0) + 1e-12)
-        assert np.all(agg >= per_step.min(axis=0) - 1e-12)
-
-
-class TestLogitsFile:
-    def test_roundtrip_and_aggregate(self, tmp_path, ddpm):
-        path = tmp_path / "logits.csv"
-        path.write_text(
-            "# step,class,logit\n"
-            "5,0,1.0\n5,1,0.0\n6,0,1.0\n6,1,0.0\n"
-        )
-        scores = load_logits_csv(path)
-        assert set(scores) == {5, 6}
-        law = weight_law("uniform", ddpm, 5, 6)
-        probs = weighted_score_aggregate(scores, law)
-        assert probs[0] == pytest.approx(math.e / (math.e + 1), rel=1e-12)
-
-    def test_missing_class_rejected(self, tmp_path):
-        path = tmp_path / "logits.csv"
-        path.write_text("5,0,1.0\n6,0,1.0\n6,1,0.0\n")
-        with pytest.raises(DataError):
-            load_logits_csv(path)
-
-    def test_malformed_row(self, tmp_path):
-        path = tmp_path / "logits.csv"
-        path.write_text("5,0\n")
-        with pytest.raises(DataError):
-            load_logits_csv(path)
-
-    def test_non_integral_class_id(self, tmp_path):
-        path = tmp_path / "logits.csv"
-        path.write_text("5,0,1.0\n5,0.5,0.0\n")
-        with pytest.raises(DataError, match="class ids"):
-            load_logits_csv(path)
-
-    def test_negative_class_id_rejected(self, tmp_path):
-        # -1 would index the last slot and overwrite class 0's logit
-        path = tmp_path / "logits.csv"
-        path.write_text("0,0,1.0\n0,-1,2.0\n")
-        with pytest.raises(DataError, match="class ids must be >= 0"):
-            load_logits_csv(path)
-
-    def test_duplicate_row_rejected(self, tmp_path):
-        path = tmp_path / "logits.csv"
-        path.write_text("5,0,1.0\n5,1,0.0\n5,0,3.0\n")
-        with pytest.raises(DataError, match="appears twice"):
-            load_logits_csv(path)
+            steps = np.arange(start, stop + 1)
+            assert np.all(law[steps < TRUNCATION_FLOOR] == 0.0)

@@ -79,15 +79,15 @@ class TestSnr:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             law = weight_law("inverse_snr", ddpm, 0, 3)
-        assert law.weights[0] == 0.0 and np.all(law.weights[1:] > 0.0)
+        assert law[0] == 0.0 and np.all(law[1:] > 0.0)
 
     def test_strictly_decreasing(self, ddpm):
         # 1/SNR(t) = exp(int_0^t beta) - 1 grows with t
         law = weight_law("inverse_snr", ddpm, 1, 1000)
-        assert np.all(np.diff(law.weights[::50]) > 0.0)
+        assert np.all(np.diff(law[::50]) > 0.0)
         t = np.arange(1, 1001)
         oracle = np.expm1(ddpm.beta0 * t + 0.5 * (ddpm.betaT - ddpm.beta0) * t * t / 1000)
-        assert np.allclose(law.weights, oracle / oracle.sum(), rtol=1e-9)
+        assert np.allclose(law, oracle / oracle.sum(), rtol=1e-9)
 
 
 class TestMixingPrediction:
