@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -229,6 +230,7 @@ def _cmd_tvcheck(args) -> dict:
                                   n=args.order, c0=args.c0))
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vpmerge",

@@ -100,11 +100,10 @@ class EventPartition:
     events: tuple
 
     def __post_init__(self) -> None:
-        total = sum(len(e) for e in self.events)
-        joined = np.concatenate([np.asarray(e) for e in self.events])
-        if len(np.unique(joined)) != total:
+        joined = np.sort(np.concatenate([np.asarray(e) for e in self.events]))
+        if np.any(joined[1:] == joined[:-1]):
             raise DataError("partition events overlap")
-        if not np.array_equal(np.sort(joined), np.arange(total)):
+        if not np.array_equal(joined, np.arange(len(joined))):
             raise DataError("partition events do not cover the index set")
 
     @property

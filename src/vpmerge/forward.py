@@ -24,6 +24,8 @@ from .schedule import NoiseSchedule, j_values
 
 __all__ = ["SeedPolicy", "TrajectorySweep", "sweep"]
 
+_BLOCK_VALUES = 1 << 15  # floats in one block of j * x0 (256 KiB)
+
 
 @dataclass(frozen=True)
 class SeedPolicy:
@@ -59,10 +61,14 @@ class TrajectorySweep:
             return x0.copy()
         j = float(j_values(self.schedule, t))
         sigma = np.sqrt(1.0 - j * j)
-        # built inside the noise buffer: bit-identical to j * x0 + sigma * eps
-        eps = self.seeds.noise(x0.shape[0], x0.shape[1], t)
+        # built inside the noise buffer, j * x0 added a block of rows at a
+        # time: bit-identical to j * x0 + sigma * eps
+        n, d = x0.shape
+        eps = self.seeds.noise(n, d, t)
         eps *= sigma
-        eps += j * x0
+        rows = max(1, _BLOCK_VALUES // d)
+        for lo in range(0, n, rows):
+            eps[lo:lo + rows] += j * x0[lo:lo + rows]
         return eps
 
     @property

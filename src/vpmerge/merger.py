@@ -14,11 +14,14 @@ merger is sticky).  Distances:
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
-whatever step grid the sweep carries; one integer scan finds the first t
-in 0..T at which each pair's distance is <= eps, and one broadcast over
+whatever step grid the sweep carries.  The first t in 0..T at which each
+pair's distance is <= eps comes from a J^2 table over 0..T: for the
+eigenvalue distance J^2 |gap| by one binary search over all pairs on the
+table's running minimum (O(K^2 log T)), for the trace distance, which is
+not monotone in t, by a scan of the table (O(K^2 T)).  One broadcast over
 (pairs x grid steps) gives every pair's series.  mode="empirical", the
-stochastic oracle, walks the grid once: one snapshot per step, from it
-the moments of each class still in an unmerged pair, and every unmerged
+stochastic oracle, walks the grid once: one snapshot per step after 0, from
+it the moments of each class still in an unmerged pair, and every unmerged
 pair compared.  Tensors are covariances (order 2).
 
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
@@ -28,8 +31,9 @@ analytic only).  The default threshold eps = max_k lambda_k_max(0) / 400
 is resolved over all classes in the first two (so they agree), over the
 two events alone in detect_series.
 
-Cascades are single linkage over merge times; ties go to the pair of
-clusters whose smallest class ids (lo, hi) are lexicographically first.
+Cascades are single linkage over merge times, O(K^2) with a cached
+minimum per row; ties go to the pair of clusters whose smallest class ids
+(lo, hi) are lexicographically first.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def _step0(sweep: TrajectorySweep, events, metric: str, mode: str) -> tuple:
     """(step-0 moments of the events, scan); scan(eps) is (first-merge
     matrix, P x len(steps) empirical similarities or None).  Analytic scan: the
     first step in 0..horizon where a pair's distance is <= eps (the horizon if
-    none), one row of pairs at a time over a J^2 table built once."""
+    none), from a J^2 table built once; the eigenvalue distance is searched
+    (_gap_search), the trace distance scanned one row of pairs at a time."""
     events = [np.asarray(ev, dtype=np.int64) for ev in events]
     if len(events) < 2:
         raise DataError("need at least two events")
@@ -99,29 +104,50 @@ def _step0(sweep: TrajectorySweep, events, metric: str, mode: str) -> tuple:
     moments0 = [conditional_fluctuation(sweep, ev, 0, propagate=True) for ev in events]
     if mode == "empirical":
         stat = _metric_stat(metric)
-        return moments0, lambda eps: _empirical_walk(sweep, events, eps, stat)
+        return moments0, lambda eps: _empirical_walk(sweep, events, eps, stat, moments0)
     if mode != "analytic":
         raise DomainError(f"unknown mode {mode!r}")
     horizon, k = sweep.horizon, len(events)
-    j2 = j_values(sweep.schedule, np.arange(0, horizon + 1))[:, None] ** 2
+    j2 = j_values(sweep.schedule, np.arange(0, horizon + 1)) ** 2
     stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
-    if metric == "trace_l1":
-        trace = np.array([np.trace(m.tensor) for m in moments0])
-        stat = propagated_frobenius(j2, stat, trace, moments0[0].dim)
+    if metric == "top_eigen_abs":
+        return moments0, _gap_search(j2, stat)
+    trace = np.array([np.trace(m.tensor) for m in moments0])
+    frob = propagated_frobenius(j2[:, None], stat, trace, moments0[0].dim)
 
     def scan(epsilon):
         out = np.zeros((k, k), dtype=np.int64)
         for i in range(k - 1):
-            if stat.ndim == 1:  # an eigenvalue gap shrinks by J^2
-                dist = j2 * np.abs(stat[i] - stat[i + 1:])
-            else:
-                dist = np.abs(stat[:, i:i + 1] - stat[:, i + 1:])
-            merged = dist <= epsilon
+            merged = np.abs(frob[:, i:i + 1] - frob[:, i + 1:]) <= epsilon
             first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
             out[i, i + 1:] = out[i + 1:, i] = first
         return out, None
 
     return moments0, scan
+
+
+def _gap_search(j2: np.ndarray, tops: np.ndarray):
+    """scan for the eigenvalue distance j2[t] * |lambda_a - lambda_b|: every
+    pair's first t in 0..T with j2[t] * gap <= eps (T if none), by one binary
+    search over all pairs on the running minimum of j2.  The search is exact:
+    rounding is monotone, so floor[t] * gap <= eps holds from some t on, and
+    that t is the first that passes with j2 (floor[t] is a j2[s] with s <= t)."""
+    horizon, k = len(j2) - 1, len(tops)
+    floor = np.minimum.accumulate(j2)
+    ia, ib = np.triu_indices(k, 1)
+    gap = np.abs(tops[ia] - tops[ib])
+
+    def scan(epsilon):
+        first = np.zeros(gap.shape, dtype=np.int64)  # every step before it fails
+        for bit in reversed(range((horizon + 1).bit_length())):
+            t = first + ((1 << bit) - 1)
+            fails = ~(floor[np.minimum(t, horizon)] * gap <= epsilon) & (t <= horizon)
+            first += fails << bit
+        out = np.zeros((k, k), dtype=np.int64)
+        out[ia, ib] = out[ib, ia] = np.minimum(first, horizon)
+        return out, None
+
+    return scan
 
 
 def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
@@ -199,10 +225,12 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
     return merge, values, epsilon
 
 
-def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: str):
+def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: str,
+                    moments0: list):
     """First-merge matrix and P x len(steps) thresholded similarities (pairs
-    i < j row-major) from one snapshot per grid step; a pair is 1 from its
-    first step with a distance <= epsilon (sticky) and from the horizon on."""
+    i < j row-major) from one snapshot per grid step after 0 (step 0 reads
+    moments0, the events' step-0 moments); a pair is 1 from its first step
+    with a distance <= epsilon (sticky) and from the horizon on."""
     k = len(events)
     merge = np.full((k, k), sweep.horizon, dtype=np.int64)
     np.fill_diagonal(merge, 0)
@@ -211,17 +239,21 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
     for s, t in enumerate(sweep.steps):
         if t >= sweep.horizon or not pairs:
             break
-        live = {c for _, pair in pairs for c in pair}
-        xt = sweep.snapshot(t)
-        moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1])
-                   for c in live}
+        if t == 0:  # the same rows through the same code as a snapshot at 0
+            moments = dict(enumerate(moments0))
+        else:
+            live = {c for _, pair in pairs for c in pair}
+            xt = sweep.snapshot(t)
+            moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1])
+                       for c in live}
+            del xt
         for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
                 merge[i, j] = merge[j, i] = t
             else:
                 sims[p, s] = normalized_M(moments[i], moments[j])
         pairs = [(p, (i, j)) for p, (i, j) in pairs if merge[i, j] == sweep.horizon]
-        del xt, moments  # neither is held while the next snapshot is drawn
+        del moments  # neither they nor the snapshot are held while the next is drawn
     return merge, sims
 
 
@@ -231,9 +263,12 @@ def _single_linkage(merge_times: np.ndarray):
     (single linkage is ultrametric-safe).
 
     Row i of the distance matrix stands for the cluster whose smallest
-    member is i; a merge folds row hi into row lo by a minimum.  The first
-    row-major argmin is the smallest (lo, hi), which is the tie-break, so
-    the merges are deterministic.
+    member is i; a merge folds row hi into row lo by a minimum.  Each merge
+    is the first row-major minimum, the smallest (lo, hi), which is the
+    tie-break, so the merges are deterministic.  Every row caches its minimum
+    and the first column holding it, so a merge costs O(K): lo is the first
+    row with the least minimum and hi its column; only row lo is rescanned,
+    and every other row sees one column change.
     """
     mt = np.asarray(merge_times, dtype=np.float64)
     if mt.ndim != 2 or mt.shape[0] != mt.shape[1]:
@@ -243,20 +278,35 @@ def _single_linkage(merge_times: np.ndarray):
     if np.any(mt < 0):
         raise DomainError("merge_times must be non-negative")
     k = mt.shape[0]
+    if k < 2:
+        return
     dist = mt.copy()
     np.fill_diagonal(dist, np.inf)
+    col = dist.argmin(axis=1)
+    low = dist[np.arange(k), col]
     for _ in range(k - 1):
-        lo, hi = divmod(int(np.argmin(dist)), k)
+        lo = int(np.argmin(low))
+        hi = int(col[lo])
         yield lo, hi, int(round(dist[lo, hi]))
-        dist[lo, :] = dist[:, lo] = np.minimum(dist[lo], dist[hi])
-        dist[lo, lo] = np.inf
+        row = np.minimum(dist[lo], dist[hi])
+        row[lo] = row[hi] = np.inf
+        dist[lo, :] = dist[:, lo] = row
         dist[hi, :] = dist[:, hi] = np.inf
+        # column lo of row r now holds row[r], the lesser of two of its
+        # values, and column hi nothing: the row's minimum keeps its value
+        # and moves to lo if lo holds it and comes first (as when it was at hi)
+        col[(row == low) & (lo < col)] = lo
+        col[lo] = np.argmin(row)
+        low[lo] = row[col[lo]]
+        low[hi] = np.inf
 
 
 def build_cascade(merge_times: np.ndarray) -> dict:
     """Single-linkage dendrogram over class events as its JSON tree:
     {"class": c} leaves, {"step": h, "children": [left, right]} nodes with
     the merge step as height; the root is the cluster of class 0."""
+    if np.shape(merge_times) == (0, 0):
+        raise DomainError("merge_times has no classes")
     tree = {}  # smallest member -> subtree, for the clusters merged so far
     for lo, hi, step in _single_linkage(merge_times):
         tree[lo] = {"step": step, "children": [tree.pop(lo, {"class": lo}),

@@ -152,7 +152,7 @@ class TestAnalyze:
                             lambda self, t: taken.append(t) or snapshot(self, t))
         assert run(args + [str(tmp_path / "series.json"),
                            "--series-out", str(tmp_path / "series.csv")]) == 0
-        grid = list(range(0, 1000, 50))
+        grid = list(range(50, 1000, 50))  # step 0 reuses the step-0 moments
         assert taken == grid, taken
         plain, series = (json.loads((tmp_path / f"{name}.json").read_text())
                          for name in ("plain", "series"))
@@ -487,6 +487,42 @@ class TestRandomArgv:
             assert set(json.loads(text, parse_constant=_no_constant)) == {"error", "message"}
         if out.getvalue() and "--help" not in argv:  # help text is not JSON
             json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+class TestOneParser:
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, small_fixture,
+                                                    monkeypatch):
+        # execute builds the parser once per process; every later call must
+        # behave as in a fresh process, after a usage error and --help too
+        monkeypatch.setenv("COLUMNS", "100")  # the help text's width
+        data, outs = str(small_fixture), tmp_path / "out"
+        calls = [
+            (0, ["analyze", "--input", data, "--steps", "11", "--out", f"{outs}/a.json"]),
+            (2, ["analyze", "--steps", "11", "--bogus"]),
+            (0, ["--help"]),
+            (0, ["windows", "--input", data, "--steps", "11", "--projections", "8",
+                 "--out", f"{outs}/w.json"]),
+            (0, ["probe", "--input", data, "--steps", "5", "--out", f"{outs}/p.csv"]),
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def outputs(code, stdout, stderr):
+            files = {f.name: f.read_bytes() for f in outs.iterdir()}
+            for f in outs.iterdir():
+                f.unlink()
+            return code, stdout, stderr, files
+
+        outs.mkdir()
+        for code, argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                here = outputs(run(argv), out.getvalue(), err.getvalue())
+            proc = subprocess.run([sys.executable, "-m", "vpmerge.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert here == outputs(proc.returncode, proc.stdout, proc.stderr), argv
+            assert here[0] == code and (here[1] or here[2] or here[3]), argv
 
 
 class TestReproducibility:

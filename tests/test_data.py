@@ -145,6 +145,13 @@ class TestPartition:
         with pytest.raises(DataError):
             EventPartition(events=(np.array([0]), np.array([2])))
 
+    def test_overlap_reported_before_cover(self):
+        # index 1 twice and index 2 missing: the overlap is what is reported
+        with pytest.raises(DataError, match="partition events overlap"):
+            EventPartition(events=(np.array([0, 1]), np.array([3, 1])))
+        with pytest.raises(DataError, match="do not cover the index set"):
+            EventPartition(events=(np.array([0, 3]), np.array([1])))
+
 
 class TestSynthetic:
     def test_identity_covariance_concentrates(self):

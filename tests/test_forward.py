@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpmerge import DomainError, LabeledDataset, NoiseSchedule, SeedPolicy, sweep
+from vpmerge import DomainError, LabeledDataset, NoiseSchedule, SeedPolicy, forward, sweep
 from vpmerge.schedule import betas, j_values
 
 from conftest import discrete_product_oracle
@@ -60,6 +60,15 @@ class TestNoisedAt:
             j = float(j_values(ddpm, t))
             expected = j * ds.features + np.sqrt(1.0 - j * j) * pol.noise(2000, 8, t)
             assert sweep(ds, ddpm, [t], pol).snapshot(t).tobytes() == expected.tobytes()
+
+    def test_blocks_match_closed_form_bit_exact(self, ddpm, monkeypatch):
+        # j * x0 is added three rows at a time, with a short last block
+        monkeypatch.setattr(forward, "_BLOCK_VALUES", 24)
+        ds = unit_dataset(4, n=2000, d=8)
+        pol = SeedPolicy(base_seed=13)
+        j = float(j_values(ddpm, 250))
+        expected = j * ds.features + np.sqrt(1.0 - j * j) * pol.noise(2000, 8, 250)
+        assert sweep(ds, ddpm, [250], pol).snapshot(250).tobytes() == expected.tobytes()
 
     def test_marginal_law_for_fixed_x0(self, ddpm):
         # N copies of one point: mean J x0, covariance (1 - J^2) I

@@ -1,0 +1,82 @@
+"""Golden digests: the CLI's outputs on small seeded fixtures, byte for byte.
+
+Each case runs one command in-process and hashes its exit code, stdout,
+stderr and every out file, with the fixture directory in the config echo
+replaced by ``<tmp>``.  A change that only makes the program faster must
+leave every digest as it is; a change that means to alter an output
+updates the digest here and says why.
+
+The fixtures are written by this file from a seeded numpy generator (CSV
+of ``repr`` floats), so the digests depend on vpmerge and numpy's
+arithmetic only.  They were recorded with numpy 2.4 on x86-64; another
+BLAS may round the covariances differently and move them.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from vpmerge.cli import execute
+
+# name -> (argv without --input, sha256 of the normalised outputs)
+CASES = {
+    "analyze-top-series": (
+        ["analyze", "--steps", "21", "--out", "{tmp}/a.json", "--series-out", "{tmp}/s.csv"],
+        "a2a6fbf21c7a0d2850a16675e576048c02405e33204cf3e33739914dac781ebd"),
+    "analyze-trace": (
+        ["analyze", "--metric", "trace", "--steps", "21", "--out", "{tmp}/a.json"],
+        "ebf04b78c8324e37334fe4fc15bb386f75e96b6cfb0e8f28f35e6b7e0f2d73fb"),
+    "analyze-empirical": (
+        ["analyze", "--mode", "empirical", "--steps", "11", "--seed", "3",
+         "--out", "{tmp}/a.json"],
+        "7e883114f259ccf6356e78ba01db9554757ac7bf80d933925ed4c058bfb0f794"),
+    "windows": (
+        ["windows", "--steps", "21", "--projections", "16", "--seed", "2",
+         "--out", "{tmp}/w.json"],
+        "846e1a4acfed63ed885aa1f94e36e4f0406ad95c2416cea8027ce810e473a1a5"),
+    "converge": (
+        ["converge", "--steps", "21", "--projections", "16", "--seed", "2",
+         "--out", "{tmp}/c.json"],
+        "45a6473452d6b69c4cf5517e1e53bfd5a607a3e69b5af14203addd69657615b0"),
+    "probe": (
+        ["probe", "--steps", "6", "--merge-step", "auto", "--seed", "4",
+         "--out", "{tmp}/p.csv"],
+        "920f9d380b269e963f7ae2bb50c79e29e64eafae671c65d1edebf9153f9e3206"),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    """Five spiked Gaussian classes in d = 6 with small mean offsets, as CSV."""
+    root = tmp_path_factory.mktemp("golden")
+    rng = np.random.default_rng(20251)
+    lines = []
+    for k, lead in enumerate((9.0, 6.0, 5.5, 2.0, 1.2)):
+        scale = np.sqrt(np.r_[lead, np.ones(5)])
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        rows = (rng.standard_normal((300, 6)) * scale) @ q.T + rng.normal(0.0, 0.5, 6)
+        lines += [f"{k}," + ",".join(map(repr, row)) for row in rows.tolist()]
+    (root / "five.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def _digest(argv, tmp):
+    out, err = io.StringIO(), io.StringIO()
+    argv = [a.format(tmp=tmp) for a in argv]
+    argv[1:1] = ["--input", f"{tmp}/five.csv"]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = execute(argv)
+    h = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    for path in sorted(a for a in argv if a.startswith(f"{tmp}/") and "five.csv" not in a):
+        with open(path) as fh:
+            h.update(fh.read().replace(str(tmp), "<tmp>").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_their_golden_digest(name, fixture_dir):
+    argv, want = CASES[name]
+    assert _digest(argv, fixture_dir) == want

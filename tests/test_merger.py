@@ -71,6 +71,32 @@ def reference_cascade(mt):
     return nodes[active[0]]
 
 
+def scan_oracle(j2, tops, epsilon):
+    """Oracle: the per-row integer scan the binary search replaced; each
+    pair's first step t with j2[t] * |gap| <= eps, the horizon if none."""
+    k, horizon = len(tops), len(j2) - 1
+    out = np.zeros((k, k), dtype=np.int64)
+    for i in range(k - 1):
+        merged = j2[:, None] * np.abs(tops[i] - tops[i + 1:]) <= epsilon
+        first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
+        out[i, i + 1:] = out[i + 1:, i] = first
+    return out
+
+
+def linkage_oracle(merge_times):
+    """Oracle: the O(K^3) loop the row-minimum linkage replaced; each merge
+    is the first row-major argmin of the whole matrix, row hi folded into lo."""
+    dist = np.asarray(merge_times, dtype=np.float64).copy()
+    k = dist.shape[0]
+    np.fill_diagonal(dist, np.inf)
+    for _ in range(k - 1):
+        lo, hi = divmod(int(np.argmin(dist)), k)
+        yield lo, hi, int(round(dist[lo, hi]))
+        dist[lo, :] = dist[:, lo] = np.minimum(dist[lo], dist[hi])
+        dist[lo, lo] = np.inf
+        dist[hi, :] = dist[:, hi] = np.inf
+
+
 def internal_nodes(tree):
     """The {"step", "children"} nodes of a cascade tree, walked without recursion."""
     out, stack = [], [tree]
@@ -147,6 +173,47 @@ def reference_series(sw, a, b, epsilon, metric):
 def tie_heavy_matrices(draw):
     k = draw(st.integers(2, 12))
     upper = draw(st.lists(st.integers(0, 3), min_size=k * (k - 1) // 2,
+                          max_size=k * (k - 1) // 2))
+    m = np.zeros((k, k))
+    m[np.triu_indices(k, 1)] = upper
+    return m + m.T
+
+
+@st.composite
+def gap_search_cases(draw):
+    """(J^2 table over 0..T, top eigenvalues, eps): a third of the spectra
+    tied or identical, J^2 from a DDPM, random, flat (beta = 1e-300) or
+    arbitrary non-monotone table, eps from 1e-8 to 1e3 or on a boundary."""
+    k = draw(st.integers(2, 60))
+    horizon = draw(st.sampled_from([1, 10, 1000, 5000]))
+    kind = draw(st.sampled_from(["ddpm", "random", "flat", "arbitrary"]))
+    ranges = {"ddpm": (1e-4, 0.02), "flat": (1e-300, 1e-300)}
+    if kind == "random":
+        beta0 = draw(st.floats(1e-6, 0.5))
+        ranges["random"] = (beta0, draw(st.floats(beta0, 0.999)))
+    if kind == "arbitrary":
+        j2 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, horizon + 1)
+    else:
+        j2 = j_values(NoiseSchedule(*ranges[kind], horizon), np.arange(horizon + 1)) ** 2
+    value = st.floats(0.0, 20.0)
+    if draw(st.integers(0, 2)) == 0:
+        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)))
+    tops = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    eps = 10.0 ** draw(st.floats(-8.0, 3.0))
+    boundary = j2[draw(st.integers(0, horizon))] * abs(tops[0] - tops[-1])
+    if boundary > 0 and draw(st.booleans()):  # eps on one pair's value at a step, or 1 ulp off
+        eps = float(np.nextafter(boundary, draw(st.sampled_from([0.0, boundary, np.inf]))))
+    return j2, tops, eps
+
+
+@st.composite
+def linkage_matrices(draw):
+    """Symmetric K x K merge times, K in 0..25, off-diagonal heights drawn
+    from 2, 3, 4 or 50 distinct values."""
+    k = draw(st.integers(0, 25))
+    count = draw(st.sampled_from([2, 3, 4, 50]))
+    levels = draw(st.lists(st.integers(0, 1000), min_size=count, max_size=count, unique=True))
+    upper = draw(st.lists(st.sampled_from(levels), min_size=k * (k - 1) // 2,
                           max_size=k * (k - 1) // 2))
     m = np.zeros((k, k))
     m[np.triu_indices(k, 1)] = upper
@@ -288,6 +355,19 @@ class TestPairwiseMergeTimes:
         sw, part = two_class_sweep
         with pytest.raises(DomainError, match="metric"):
             pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
+
+
+class TestGapSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(gap_search_cases())
+    def test_matches_the_scan(self, case):
+        j2, tops, eps = case
+        assert np.array_equal(merger._gap_search(j2, tops)(eps)[0], scan_oracle(j2, tops, eps))
+
+    def test_zero_gap_merges_at_step_zero(self):
+        j2 = np.ones(11)
+        mt = merger._gap_search(j2, np.array([2.0, 2.0, 5.0]))(0.5)[0]
+        assert mt.tolist() == [[0, 0, 10], [0, 0, 10], [10, 10, 0]]
 
 
 class TestPairwiseSeries:
@@ -465,6 +545,19 @@ class TestCascade:
             right.append(leaf["class"])
         assert node == {"class": 0}
         assert right == list(range(k - 1, 0, -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(linkage_matrices())
+    def test_linkage_matches_the_loop(self, m):
+        assert list(merger._single_linkage(m)) == list(linkage_oracle(m))
+
+    def test_at_most_one_class_has_no_merges(self):
+        assert list(merger._single_linkage(np.zeros((0, 0)))) == []
+        assert list(merger._single_linkage(np.zeros((1, 1)))) == []
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(DomainError, match="no classes"):
+            build_cascade(np.zeros((0, 0)))
 
     def test_validation(self):
         with pytest.raises(DomainError):
