@@ -10,6 +10,21 @@ into the same buffer, and its centred power sums give m2, m3 and m4 of
 every view (one-pass moments after Pebay, SAND2008-6212), from which
 K^2 follows.  The N x (d + P) view matrix is never built.
 
+Steps run on a pool of one worker thread per usable core (at most one
+per step): each step draws its own Philox stream and numpy releases the
+GIL in the draw and the ufuncs, so the steps overlap and the report is
+bit-identical for any worker count.  Results are read in step order, so
+the decisions, early stop and errors are those of a serial scan.  Each
+worker reuses one snapshot buffer and two block buffers, allocated by the
+calling thread.  The projection matmul is issued in row slices small
+enough that OpenBLAS runs it on the calling thread: a larger call wakes
+OpenBLAS's own threads, which then compete with the workers for the
+cores.  Slicing can move the moments in the last bits, as OpenBLAS may
+sum a smaller product in another order: with OpenBLAS 0.3.31 the slices
+give the whole block's products bit for bit at d = 64 with P = 64 or 200
+and at d = 6 with P = 16, but not at every shape.  The moments never
+depend on the worker count.
+
 Also here: 1-D total-variation distance on grid densities, the
 moment-based TV bound d_TV <= C_n (M^2 + B) with C_n = c0 (1+n!) (2^n+48),
 and an empirical characteristic-function distance over seeded Gaussian
@@ -20,6 +35,9 @@ is intractable on a dense grid in high dimension).
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +63,10 @@ REJECTION_SLACK = 1.5
 # x86-64, 512 to 4096 rows time within 16 % of each other; one 10000-row block
 # is 1.5x slower
 BLOCK_ROWS = 1024
+# most multiply-adds in one projection matmul, so that OpenBLAS keeps it on the
+# calling thread: OpenBLAS 0.3.31 wakes a second thread, which then competes
+# with the battery's workers, for a (rows x 64) @ (64 x 64) dgemm from 256 rows
+MATMUL_MADDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,27 +147,37 @@ def _k2_from_moments(n: int, m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> 
     return z_skew**2 + z_kurt**2
 
 
-def _view_moments(x: np.ndarray, proj: np.ndarray | None = None) -> tuple:
+def _block_buffers(n: int, width: int) -> tuple:
+    """The two (min(BLOCK_ROWS, n), width) block buffers of _view_moments."""
+    block = np.empty((min(BLOCK_ROWS, n), width))
+    return block, np.empty_like(block)
+
+
+def _view_moments(x: np.ndarray, proj: np.ndarray | None = None,
+                  buffers: tuple | None = None) -> tuple:
     """(m2, m3, m4, r) of the views [x | x @ proj] from one chunked pass over x.
 
     Views are linear, so the projection of a centred block is centred too;
-    both share one reused (BLOCK_ROWS, d + P) buffer.  r is each view's
-    |mean| (taken through |proj|), which bounds its centring rounding error.
+    both share one reused (BLOCK_ROWS, d + P) buffer, taken from buffers
+    (as _block_buffers makes them) when given.  The projection is issued
+    MATMUL_MADDS multiply-adds at a time.  r is each view's |mean| (taken
+    through |proj|), which bounds its centring rounding error.
     """
     n, d = x.shape
     if n < 20:
         raise DataError(f"need at least 20 samples, got {n}")
     width = d + (0 if proj is None else proj.shape[1])
     mean = x.mean(axis=0)
-    block = np.empty((min(BLOCK_ROWS, n), width))
-    sq = np.empty_like(block)
+    block, sq = buffers if buffers is not None else _block_buffers(n, width)
+    span = max(1, MATMUL_MADDS // max(1, d * (width - d)))  # rows per matmul
     s2, s3, s4 = np.zeros(width), np.zeros(width), np.zeros(width)
     for lo in range(0, n, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, n - lo)
         b, q = block[:rows], sq[:rows]
         np.subtract(x[lo:lo + rows], mean, out=b[:, :d])
         if proj is not None:
-            np.matmul(b[:, :d], proj, out=b[:, d:])
+            for at in range(0, rows, span):
+                np.matmul(b[at:at + span, :d], proj, out=b[at:at + span, d:])
         np.multiply(b, b, out=q)  # multiplication chains; float pow is several x slower
         s2 += q.sum(axis=0)
         s3 += np.einsum("ij,ij->j", q, b)
@@ -176,10 +208,20 @@ def _projections(views, d: int) -> np.ndarray | None:
     if views == "coordinates":
         return None
     if isinstance(views, RandomProjections):
+        if views.count < 0:
+            raise DomainError(f"projection count must be >= 0, got {views.count}")
         proj = philox(views.seed, 0xC0DE).standard_normal((d, views.count))
         proj /= np.linalg.norm(proj, axis=0)
         return proj
     raise DomainError(f"unknown views spec {views!r}")
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
@@ -193,34 +235,56 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
     detected step is reported as the horizon.  stop_at_detection skips
     the remaining steps once the decision fires (the detected step is
     unaffected; the per-step series just ends there).
+
+    The steps' snapshots and view moments run on min(usable cores, steps)
+    worker threads, at most that many steps in flight; results are read
+    in step order, and the steps still pending are cancelled on detection
+    (with stop_at_detection) or on an error.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if len(sweep.steps) < 1:
+    steps = sweep.steps
+    if len(steps) < 1:
         raise DomainError("sweep has no steps")
     n, d = sweep.dataset.features.shape
     proj = _projections(views, d)
+    width = d + (0 if proj is None else proj.shape[1])
+    workers = min(_usable_cores(), len(steps))
+    # step i uses slot i % workers: it is submitted only once step i - workers,
+    # the slot's last user, has been read, so no two steps in flight share one
+    snapshots = [np.empty((n, d)) for _ in range(workers)]
+    blocks = [_block_buffers(n, width) for _ in range(workers)]
+
+    def moments(i: int) -> tuple:
+        slot = i % workers
+        return _view_moments(sweep.snapshot(steps[i], out=snapshots[slot]), proj, blocks[slot])
+
     fractions, decisions, degenerate = [], [], []
     detected = None
-    for t in sweep.steps:
-        snapshot = sweep.snapshot(t)
-        m2, m3, m4, r = _view_moments(snapshot, proj)
-        del snapshot  # not held while the next snapshot is drawn
-        # a constant view centres to rounding noise within n ulps of its mean
-        live = m2 > (n * np.finfo(np.float64).eps * r) ** 2
-        n_deg = int(np.sum(~live))
-        if not np.any(live):
-            raise DegenerateError(f"all views degenerate at step {t}")
-        k2 = _k2_from_moments(n, m2[live], m3[live], m4[live])
-        frac = float(np.mean(np.exp(-0.5 * k2) < alpha))
-        ok = frac <= REJECTION_SLACK * alpha
-        fractions.append((int(t), frac))
-        decisions.append(ok)
-        degenerate.append(n_deg)
-        if ok and detected is None:
-            detected = int(t)
-            if stop_at_detection:
-                break
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = deque(pool.submit(moments, i) for i in range(workers))
+        for i, t in enumerate(steps):
+            m2, m3, m4, r = pending.popleft().result()
+            # a constant view centres to rounding noise within n ulps of its mean
+            live = m2 > (n * np.finfo(np.float64).eps * r) ** 2
+            n_deg = int(np.sum(~live))
+            if not np.any(live):
+                raise DegenerateError(f"all views degenerate at step {t}")
+            k2 = _k2_from_moments(n, m2[live], m3[live], m4[live])
+            frac = float(np.mean(np.exp(-0.5 * k2) < alpha))
+            ok = frac <= REJECTION_SLACK * alpha
+            fractions.append((int(t), frac))
+            decisions.append(ok)
+            degenerate.append(n_deg)
+            if ok and detected is None:
+                detected = int(t)
+                if stop_at_detection:
+                    break
+            if i + workers < len(steps):
+                pending.append(pool.submit(moments, i + workers))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return NormalityReport(
         alpha=alpha,
         detected_step=detected if detected is not None else sweep.horizon,

@@ -34,8 +34,10 @@ class SeedPolicy:
 
     base_seed: int
 
-    def noise(self, n: int, d: int, step: int) -> np.ndarray:
-        return philox(self.base_seed, step).standard_normal((n, d))
+    def noise(self, n: int, d: int, step: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, d) standard-normal draw of this step, written into out when
+        given (the same stream bit for bit)."""
+        return philox(self.base_seed, step).standard_normal((n, d), out=out)
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,8 @@ class TrajectorySweep:
 
     Snapshots are regenerated on demand from the counter-based seeds
     rather than held resident, so memory stays bounded at one N x d
-    matrix regardless of len(steps); regeneration is bit-identical.
+    matrix per worker that draws them, regardless of len(steps);
+    regeneration is bit-identical.
     """
 
     dataset: LabeledDataset
@@ -52,19 +55,23 @@ class TrajectorySweep:
     steps: tuple
     seeds: SeedPolicy
 
-    def snapshot(self, t: int) -> np.ndarray:
-        """Closed-form marginal snapshot J(t) x0 + sqrt(1 - J^2) eps at sweep step t."""
+    def snapshot(self, t: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Closed-form marginal snapshot J(t) x0 + sqrt(1 - J^2) eps at sweep
+        step t, written into out (a C-contiguous N x d float64 array) when given."""
         if t not in self.steps:
             raise DomainError(f"step {t} not in sweep steps")
         x0 = self.dataset.features
         if t == 0:
-            return x0.copy()
+            if out is None:
+                return x0.copy()
+            np.copyto(out, x0)
+            return out
         j = float(j_values(self.schedule, t))
         sigma = np.sqrt(1.0 - j * j)
         # built inside the noise buffer, j * x0 added a block of rows at a
         # time: bit-identical to j * x0 + sigma * eps
         n, d = x0.shape
-        eps = self.seeds.noise(n, d, t)
+        eps = self.seeds.noise(n, d, t, out=out)
         eps *= sigma
         rows = max(1, _BLOCK_VALUES // d)
         for lo in range(0, n, rows):

@@ -323,6 +323,9 @@ BAD_VALUES = [
     (["analyze", "--input", "{tmp}/huge_d.fvec1"], 3, "d=1099511627776, got 25"),
     (["cf", "--input-a", "{tmp}/empty_huge_d.fvec1", "--input-b", "{data}"], 3,
      "dataset is empty"),
+    # a negative projection count, named before numpy sees the shape
+    (["converge", "--input", "{data}", "--projections", "-1"], 2, "projection count"),
+    (["windows", "--input", "{data}", "--projections", "-1"], 2, "projection count"),
 ]
 
 

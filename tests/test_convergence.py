@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,11 @@ from vpmerge import (
 )
 from vpmerge import convergence
 from vpmerge.convergence import dagostino_pearson
+from vpmerge.forward import TrajectorySweep
+
+
+class StepFailure(Exception):
+    """Raised by a test's snapshot at a chosen step."""
 
 
 def gaussian_grid(mu, sigma=1.0, lo=-10.0, hi=10.0, points=100_001):
@@ -223,19 +229,113 @@ class TestConvergenceStep:
                                  rng.standard_normal(n), np.full(n, 2.0)])
         ds = LabeledDataset(features=feats, labels=np.zeros(n, dtype=int))
         sw = sweep(ds, ddpm, [0, 50, 200, 400, 700, 1000], SeedPolicy(base_seed=n))
-        k2s = []
-        k2_from_moments = convergence._k2_from_moments
-        monkeypatch.setattr(convergence, "_k2_from_moments",
-                            lambda *a: k2s.append(k2_from_moments(*a)) or k2s[-1])
-        report = convergence_step(sw, alpha=0.05, views=views)
         fractions, decisions, degenerate, pvalues = reference_battery(sw, 0.05, views)
-        assert report.steps == fractions
-        assert report.decisions == decisions
-        assert report.degenerate_views == degenerate
         assert degenerate[0] == 1 and fractions[0][1] > 0.5
-        assert len(k2s) == len(pvalues)
-        for k2, p in zip(k2s, pvalues):
-            assert np.exp(-0.5 * k2) == pytest.approx(p, rel=1e-10, abs=1e-300)
+        # the early stop ends the series at the first passing step
+        stop = decisions.index(True) + 1 if True in decisions else len(decisions)
+        detected = sw.steps[stop - 1] if True in decisions else ddpm.horizon_T
+        k2_from_moments = convergence._k2_from_moments
+        # the report is the same for any number of worker threads, also with
+        # more workers than cores and thread switches every microsecond (two
+        # steps in flight on one buffer would break it)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(convergence, "_usable_cores", lambda: workers)
+                for stop_at_detection in (False, True):
+                    k2s = []
+                    monkeypatch.setattr(convergence, "_k2_from_moments",
+                                        lambda *a: k2s.append(k2_from_moments(*a)) or k2s[-1])
+                    report = convergence_step(sw, alpha=0.05, views=views,
+                                              stop_at_detection=stop_at_detection)
+                    end = stop if stop_at_detection else len(decisions)
+                    assert report.detected_step == detected
+                    assert report.steps == fractions[:end]
+                    assert report.decisions == decisions[:end]
+                    assert report.degenerate_views == degenerate[:end]
+                    assert len(k2s) == end
+                    for k2, p in zip(k2s, pvalues):
+                        assert np.exp(-0.5 * k2) == pytest.approx(p, rel=1e-10, abs=1e-300)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("d,count,rows", [(600, 500, 1), (64, 64, 64), (6, 16, 2730)],
+                             ids=["one-row", "several-rows", "whole-block"])
+    def test_sliced_projection_matches_one_matmul_per_block(self, d, count, rows):
+        # the oracle issues b @ proj once per BLOCK_ROWS rows; _view_moments
+        # issues it `rows` rows at a time
+        assert max(1, convergence.MATMUL_MADDS // (d * count)) == rows
+        n = 2 * convergence.BLOCK_ROWS + 37
+        rng = np.random.default_rng(d)
+        x = rng.exponential(size=(n, d))
+        proj = convergence._projections(RandomProjections(count=count, seed=5), d)
+        mean = x.mean(axis=0)
+        block = np.empty((convergence.BLOCK_ROWS, d + count))
+        sums = np.zeros((3, d + count))
+        for lo in range(0, n, convergence.BLOCK_ROWS):
+            b = block[:min(convergence.BLOCK_ROWS, n - lo)]
+            np.subtract(x[lo:lo + len(b)], mean, out=b[:, :d])
+            b[:, d:] = b[:, :d] @ proj
+            q = b * b
+            sums += [q.sum(axis=0), np.einsum("ij,ij->j", q, b), np.einsum("ij,ij->j", q, q)]
+        m2, m3, m4, _ = convergence._view_moments(x, proj)
+        for got, want in zip((m2, m3, m4), sums / n):
+            if rows > 1:  # at these shapes the sliced dgemm rows are the block's
+                assert np.array_equal(got, want)
+            else:  # numpy issues a one-row product as a matrix-vector call, which
+                # sums in another order than dgemm
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_zero_projections_are_coordinates(self, ddpm):
+        # P = 0 leaves d P = 0 multiply-adds per row; the slice size stays finite
+        rng = np.random.default_rng(30)
+        ds = LabeledDataset(features=rng.exponential(size=(500, 3)),
+                            labels=np.zeros(500, dtype=int))
+        sw = sweep(ds, ddpm, [0, 300], SeedPolicy(base_seed=31))
+        assert (convergence_step(sw, views=RandomProjections(count=0))
+                == convergence_step(sw, views="coordinates"))
+
+    @staticmethod
+    def _failing_sweep(monkeypatch, ddpm, fail_at, gaussian):
+        """A 6-step sweep whose snapshot raises StepFailure at the steps in
+        fail_at, and the list of steps whose snapshot was drawn."""
+        rng = np.random.default_rng(34)
+        feats = (rng.standard_normal((3000, 4)) if gaussian
+                 else rng.exponential(size=(3000, 4)))
+        ds = LabeledDataset(features=feats, labels=np.zeros(3000, dtype=int))
+        sw = sweep(ds, ddpm, [0, 100, 200, 300, 400, 500], SeedPolicy(base_seed=35))
+        drawn = []
+        snapshot = TrajectorySweep.snapshot
+
+        def failing(self, t, out=None):
+            drawn.append(t)
+            if t in fail_at:
+                raise StepFailure(f"step {t}")
+            return snapshot(self, t, out=out)
+
+        monkeypatch.setattr(TrajectorySweep, "snapshot", failing)
+        return sw, drawn
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_earliest_failing_step_raises(self, ddpm, monkeypatch, workers):
+        monkeypatch.setattr(convergence, "_usable_cores", lambda: workers)
+        sw, drawn = self._failing_sweep(monkeypatch, ddpm, {200, 300}, gaussian=False)
+        with pytest.raises(StepFailure, match="^step 200$"):
+            convergence_step(sw)
+        # no step is drawn past the window of the failing one
+        assert max(drawn) <= sw.steps[sw.steps.index(200) + workers - 1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_early_stop_hides_later_failures(self, ddpm, monkeypatch, workers):
+        # Gaussian rows pass at step 0; every later snapshot would raise
+        monkeypatch.setattr(convergence, "_usable_cores", lambda: workers)
+        sw, drawn = self._failing_sweep(monkeypatch, ddpm, set(range(100, 501, 100)),
+                                        gaussian=True)
+        report = convergence_step(sw, views=RandomProjections(count=16, seed=36),
+                                  stop_at_detection=True)
+        assert report.detected_step == 0 and report.decisions == (True,)
+        assert 0 in drawn and len(drawn) <= workers
 
     def test_memory_stays_near_one_snapshot(self, ddpm):
         # the view matrix, its deviations and their powers once held ~10
@@ -253,6 +353,24 @@ class TestConvergenceStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 4 * n * d * 8
+
+    def test_memory_stays_near_one_snapshot_per_worker(self, ddpm, monkeypatch):
+        # two workers hold two snapshots and two pairs of block buffers
+        monkeypatch.setattr(convergence, "_usable_cores", lambda: 2)
+        n, d = 20000, 32
+        rng = np.random.default_rng(20)
+        ds = LabeledDataset(features=rng.exponential(size=(n, d)),
+                            labels=np.zeros(n, dtype=int))
+        sw = sweep(ds, ddpm, [100, 300, 500, 700], SeedPolicy(base_seed=21))
+        views = RandomProjections(count=32, seed=22)
+        tracemalloc.start()
+        try:
+            report = convergence_step(sw, views=views)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.steps) == 4
         assert peak < 4 * n * d * 8
 
     def test_short_sweep_rejected(self, ddpm):
