@@ -124,16 +124,15 @@ def _analysis_inputs(args):
 
 
 def _convergence(args, sw, **kwargs):
-    """convergence_step over the flags' views: --projections seeded
-    projections, or the coordinates when it is 0."""
-    views = (RandomProjections(count=args.projections, seed=args.seed)
-             if args.projections else "coordinates")
+    """convergence_step over the coordinates and --projections seeded
+    projections (the coordinates alone when it is 0)."""
+    views = RandomProjections(count=args.projections, seed=args.seed)
     return convergence_step(sw, alpha=args.alpha, views=views, **kwargs)
 
 
-def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
     """Write the per-pair series CSV (rows i,j,t,repr(v), one join per pair)
-    from pairwise_series' matrix and values; return the matrix."""
+    from pairwise_series' matrix and values."""
     steps = [f"{t}," for t in steps]
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
@@ -141,14 +140,13 @@ def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> np.ndarray:
             head = f"{i},{j},"
             cells = map(str.__add__, steps, map(repr, row.tolist()))
             fh.write(head + ("\n" + head).join(cells) + "\n")
-    return mt
 
 
 def _cmd_analyze(args) -> dict:
     sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
-        mt = _series_csv(args.series_out, sw.steps,
-                         *pairwise_series(sw, part, epsilon=eps, metric=metric, mode=args.mode))
+        mt, values = pairwise_series(sw, part, epsilon=eps, metric=metric, mode=args.mode)
+        _series_csv(args.series_out, sw.steps, mt, values)
     else:
         mt = pairwise_merge_times(sw, part, epsilon=eps, metric=metric, mode=args.mode)
     return {
@@ -336,10 +334,7 @@ def execute(argv) -> int:
     except (DomainError, ValueError, IndexError) as exc:
         _error_record("domain", exc)
         return EXIT_USAGE
-    except (DataError, OSError) as exc:
-        _error_record("data", exc)
-        return EXIT_DATA
-    except MemoryError as exc:  # the size that did not fit comes from the input
+    except (DataError, OSError, MemoryError) as exc:  # an unmet size comes from the input
         _error_record("data", exc)
         return EXIT_DATA
     except VpmergeError as exc:

@@ -1,8 +1,9 @@
 """Convergence-to-Gaussianity detection and distribution-distance checks.
 
 Convergence of the forward process is read off a battery of 1-D
-D'Agostino-Pearson omnibus tests over coordinate and random-projection
-views: the detected step is the first at which the fraction of rejecting
+D'Agostino-Pearson omnibus tests over the d coordinates and P seeded
+random projections (RandomProjections; P = 0 leaves the coordinates
+alone): the detected step is the first at which the fraction of rejecting
 views drops to 1.5 * alpha (the slack absorbs false positives at the
 nominal level).  Per step the battery makes one chunked pass over the
 snapshot: each block of rows is centred by the column mean, projected
@@ -71,7 +72,7 @@ MATMUL_MADDS = 1 << 18
 
 @dataclass(frozen=True)
 class RandomProjections:
-    """View spec: this many seeded unit-vector projections."""
+    """View spec: the coordinates plus this many seeded unit-vector projections."""
 
     count: int
     seed: int = 0
@@ -153,8 +154,7 @@ def _block_buffers(n: int, width: int) -> tuple:
     return block, np.empty_like(block)
 
 
-def _view_moments(x: np.ndarray, proj: np.ndarray | None = None,
-                  buffers: tuple | None = None) -> tuple:
+def _view_moments(x: np.ndarray, proj: np.ndarray, buffers: tuple | None = None) -> tuple:
     """(m2, m3, m4, r) of the views [x | x @ proj] from one chunked pass over x.
 
     Views are linear, so the projection of a centred block is centred too;
@@ -166,7 +166,7 @@ def _view_moments(x: np.ndarray, proj: np.ndarray | None = None,
     n, d = x.shape
     if n < 20:
         raise DataError(f"need at least 20 samples, got {n}")
-    width = d + (0 if proj is None else proj.shape[1])
+    width = d + proj.shape[1]
     mean = x.mean(axis=0)
     block, sq = buffers if buffers is not None else _block_buffers(n, width)
     span = max(1, MATMUL_MADDS // max(1, d * (width - d)))  # rows per matmul
@@ -175,14 +175,13 @@ def _view_moments(x: np.ndarray, proj: np.ndarray | None = None,
         rows = min(BLOCK_ROWS, n - lo)
         b, q = block[:rows], sq[:rows]
         np.subtract(x[lo:lo + rows], mean, out=b[:, :d])
-        if proj is not None:
-            for at in range(0, rows, span):
-                np.matmul(b[at:at + span, :d], proj, out=b[at:at + span, d:])
+        for at in range(0, rows, span):
+            np.matmul(b[at:at + span, :d], proj, out=b[at:at + span, d:])
         np.multiply(b, b, out=q)  # multiplication chains; float pow is several x slower
         s2 += q.sum(axis=0)
         s3 += np.einsum("ij,ij->j", q, b)
         s4 += np.einsum("ij,ij->j", q, q)
-    r = abs(mean) if proj is None else np.concatenate([abs(mean), abs(mean) @ abs(proj)])
+    r = np.concatenate([abs(mean), abs(mean) @ abs(proj)])
     return s2 / n, s3 / n, s4 / n, r
 
 
@@ -195,25 +194,22 @@ def dagostino_pearson(sample):
     one_d = arr.ndim == 1
     if one_d:
         arr = arr[:, None]
-    k2 = _k2_from_moments(arr.shape[0], *_view_moments(arr)[:3])
+    k2 = _k2_from_moments(arr.shape[0], *_view_moments(arr, np.empty((arr.shape[1], 0)))[:3])
     p = np.exp(-0.5 * k2)
     if one_d:
         return float(k2[0]), float(p[0])
     return k2, p
 
 
-def _projections(views, d: int) -> np.ndarray | None:
-    """The (d, P) unit-column projection matrix of a view spec, or None for
-    coordinates alone."""
-    if views == "coordinates":
-        return None
-    if isinstance(views, RandomProjections):
-        if views.count < 0:
-            raise DomainError(f"projection count must be >= 0, got {views.count}")
-        proj = philox(views.seed, 0xC0DE).standard_normal((d, views.count))
-        proj /= np.linalg.norm(proj, axis=0)
-        return proj
-    raise DomainError(f"unknown views spec {views!r}")
+def _projections(views, d: int) -> np.ndarray:
+    """The (d, P) unit-column projection matrix of a view spec."""
+    if not isinstance(views, RandomProjections):
+        raise DomainError(f"unknown views spec {views!r}")
+    if views.count < 0:
+        raise DomainError(f"projection count must be >= 0, got {views.count}")
+    proj = philox(views.seed, 0xC0DE).standard_normal((d, views.count))
+    proj /= np.linalg.norm(proj, axis=0)
+    return proj
 
 
 def _usable_cores() -> int:
@@ -225,16 +221,18 @@ def _usable_cores() -> int:
 
 
 def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
-                     views="coordinates",
+                     views: RandomProjections = RandomProjections(count=0),
                      stop_at_detection: bool = False) -> NormalityReport:
     """First sweep step at which the view battery looks Gaussian.
 
-    Scans steps upward; per step the rejection fraction at level alpha is
-    compared to REJECTION_SLACK * alpha.  Degenerate views are recorded
-    and excluded from the fraction, never fatal.  If no step passes, the
-    detected step is reported as the horizon.  stop_at_detection skips
-    the remaining steps once the decision fires (the detected step is
-    unaffected; the per-step series just ends there).
+    The views are the d coordinates and views.count seeded projections
+    (none by default); a views that is not a RandomProjections raises
+    DomainError.  Scans steps upward; per step the rejection fraction at
+    level alpha is compared to REJECTION_SLACK * alpha.  Degenerate views
+    are recorded and excluded from the fraction, never fatal.  If no step
+    passes, the detected step is reported as the horizon.
+    stop_at_detection skips the remaining steps once the decision fires
+    (the detected step is unaffected; the per-step series just ends there).
 
     The steps' snapshots and view moments run on min(usable cores, steps)
     worker threads, at most that many steps in flight; results are read
@@ -248,7 +246,7 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
         raise DomainError("sweep has no steps")
     n, d = sweep.dataset.features.shape
     proj = _projections(views, d)
-    width = d + (0 if proj is None else proj.shape[1])
+    width = d + proj.shape[1]
     workers = min(_usable_cores(), len(steps))
     # step i uses slot i % workers: it is submitted only once step i - workers,
     # the slot's last user, has been read, so no two steps in flight share one

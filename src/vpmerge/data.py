@@ -267,7 +267,5 @@ def _load_fvec1(path: Path) -> LabeledDataset:
     if n == 0:  # N = 0 passes the size check with a d the record dtype cannot take
         raise DataError("dataset is empty")
     rec = np.frombuffer(raw[21:], dtype=[("label", "<u4"), ("feat", "<f4", (d,))])
-    feats = rec["feat"].astype(np.float64)
-    if feats.size and not np.all(np.isfinite(feats)):
-        raise DataError(f"{path} contains non-finite features")
-    return LabeledDataset(features=feats, labels=rec["label"].astype(np.int64))
+    return LabeledDataset(features=rec["feat"].astype(np.float64),
+                          labels=rec["label"].astype(np.int64))

@@ -13,9 +13,10 @@ Moments come from one of two sources:
 
 * propagate=True: the step-0 moments of the dataset rows (only t = 0).
   Later steps follow from them in closed form: the law of J x0 + sigma eps
-  conditioned on a step-0 event has covariance J^2 S0 + (1 - J^2) I, whose
-  squared norm is propagated_frobenius, the one copy of that law (the
-  merger reads it with J^2 directly).
+  conditioned on a step-0 event has covariance J^2 S0 + (1 - J^2) I; the
+  inner product of two such covariances (a squared norm when both are one)
+  is propagated_inner, the one copy of that law (the merger reads it with
+  J^2 directly).
 * propagate=False (empirical): recompute from the sweep's stochastic
   snapshot at t.
 
@@ -41,7 +42,7 @@ __all__ = [
     "moments_from_rows",
     "cross_fluctuation_G",
     "normalized_M",
-    "propagated_frobenius",
+    "propagated_inner",
     "top_eigenvalue",
 ]
 
@@ -102,9 +103,10 @@ def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
     return ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
 
 
-def propagated_frobenius(j2, frobenius_sq, trace, d):
-    """||J^2 A + (1-J^2) I||_F^2 = J^4 ||A||^2 + 2 J^2 (1-J^2) tr A + d (1-J^2)^2."""
-    return j2**2 * frobenius_sq + 2 * j2 * (1 - j2) * trace + d * (1 - j2) ** 2
+def propagated_inner(j2, inner, trace_a, trace_b, d):
+    """<J^2 A + (1-J^2) I, J^2 B + (1-J^2) I>
+    = J^4 <A, B> + J^2 (1-J^2) (tr A + tr B) + d (1-J^2)^2, added left to right."""
+    return j2**2 * inner + j2 * (1 - j2) * (trace_a + trace_b) + d * (1 - j2) ** 2
 
 
 def cross_fluctuation_G(a: ConditionalMoments, b: ConditionalMoments) -> float:

@@ -15,21 +15,22 @@ In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
 whatever step grid the sweep carries.  The first t in 0..T at which each
-pair's distance is <= eps comes from a J^2 table over 0..T: for the
-eigenvalue distance J^2 |gap| by one binary search over all pairs on the
-table's running minimum (O(K^2 log T)), for the trace distance, which is
-not monotone in t, by a scan of the table (O(K^2 T)).  One broadcast over
-(pairs x grid steps) gives every pair's series.  mode="empirical", the
-stochastic oracle, walks the grid once: one snapshot per step after 0, from
-it the moments of each class still in an unmerged pair, and every unmerged
-pair compared.  Tensors are covariances (order 2).
+pair's distance is <= eps comes from a J^2 table over 0..T (_merge_steps):
+for the eigenvalue distance J^2 |gap| by one binary search over all pairs
+on the table's running minimum (_gap_search, O(K^2 log T)), for the trace
+distance, which is not monotone in t, by a scan of the table (O(K^2 T)).
+One broadcast over (pairs x grid steps) gives every pair's series, its
+squared norms and cross inner products both from propagated_inner.
+mode="empirical", the stochastic oracle, walks the grid once: one snapshot
+per step after 0, from it the moments of each class still in an unmerged
+pair, and every unmerged pair compared.  Tensors are covariances (order 2).
 
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
-and phase_spectrum (for its whole eps grid) share one step-0 pass, one
-conditional_fluctuation per class, in either mode (phase_spectrum is
-analytic only).  The default threshold eps = max_k lambda_k_max(0) / 400
-is resolved over all classes in the first two (so they agree), over the
-two events alone in detect_series.
+and phase_spectrum (for its whole eps grid) share one step-0 pass
+(_moments0, one conditional_fluctuation per class) in either mode
+(phase_spectrum is analytic only).  The default threshold
+eps = max_k lambda_k_max(0) / 400 is resolved over all classes in the
+first two (so they agree), over the two events alone in detect_series.
 
 Cascades are single linkage over merge times, O(K^2) with a cached
 minimum per row; ties go to the pair of clusters whose smallest class ids
@@ -47,7 +48,7 @@ import numpy as np
 from .data import EventPartition
 from .errors import DataError, DegenerateError, DomainError
 from .fluctuation import (ConditionalMoments, _check_order, conditional_fluctuation,
-                          moments_from_rows, normalized_M, propagated_frobenius)
+                          moments_from_rows, normalized_M, propagated_inner)
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, betas, j_values
 
@@ -91,63 +92,51 @@ def _metric_stat(metric: str) -> str:
     return stats[metric]
 
 
-def _step0(sweep: TrajectorySweep, events, metric: str, mode: str) -> tuple:
-    """(step-0 moments of the events, scan); scan(eps) is (first-merge
-    matrix, P x len(steps) empirical similarities or None).  Analytic scan: the
-    first step in 0..horizon where a pair's distance is <= eps (the horizon if
-    none), from a J^2 table built once; the eigenvalue distance is searched
-    (_gap_search), the trace distance scanned one row of pairs at a time."""
-    events = [np.asarray(ev, dtype=np.int64) for ev in events]
+def _moments0(sweep: TrajectorySweep, events) -> list:
+    """Step-0 moments of the events, one conditional_fluctuation each."""
     if len(events) < 2:
         raise DataError("need at least two events")
     # empty events raise here
-    moments0 = [conditional_fluctuation(sweep, ev, 0, propagate=True) for ev in events]
-    if mode == "empirical":
-        stat = _metric_stat(metric)
-        return moments0, lambda eps: _empirical_walk(sweep, events, eps, stat, moments0)
-    if mode != "analytic":
-        raise DomainError(f"unknown mode {mode!r}")
-    horizon, k = sweep.horizon, len(events)
-    j2 = j_values(sweep.schedule, np.arange(0, horizon + 1)) ** 2
+    return [conditional_fluctuation(sweep, ev, 0, propagate=True) for ev in events]
+
+
+def _merge_steps(schedule: NoiseSchedule, moments0: list, epsilon: float,
+                 metric: str) -> np.ndarray:
+    """K x K first-merge matrix under the marginal law: each pair's first step
+    in 0..T whose distance is <= epsilon (T if none), from one J^2 table over
+    0..T; the eigenvalue distance is searched (_gap_search), the trace
+    distance, which is not monotone in t, scanned one row of pairs at a time."""
+    horizon, k = schedule.horizon_T, len(moments0)
+    j2 = j_values(schedule, np.arange(0, horizon + 1)) ** 2
     stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
+    out = np.zeros((k, k), dtype=np.int64)
     if metric == "top_eigen_abs":
-        return moments0, _gap_search(j2, stat)
+        ia, ib = np.triu_indices(k, 1)
+        out[ia, ib] = out[ib, ia] = _gap_search(j2, np.abs(stat[ia] - stat[ib]), epsilon)
+        return out
     trace = np.array([np.trace(m.tensor) for m in moments0])
-    frob = propagated_frobenius(j2[:, None], stat, trace, moments0[0].dim)
-
-    def scan(epsilon):
-        out = np.zeros((k, k), dtype=np.int64)
-        for i in range(k - 1):
-            merged = np.abs(frob[:, i:i + 1] - frob[:, i + 1:]) <= epsilon
-            first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
-            out[i, i + 1:] = out[i + 1:, i] = first
-        return out, None
-
-    return moments0, scan
+    frob = propagated_inner(j2[:, None], stat, trace, trace, moments0[0].dim)
+    for i in range(k - 1):
+        merged = np.abs(frob[:, i:i + 1] - frob[:, i + 1:]) <= epsilon
+        first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
+        out[i, i + 1:] = out[i + 1:, i] = first
+    return out
 
 
-def _gap_search(j2: np.ndarray, tops: np.ndarray):
-    """scan for the eigenvalue distance j2[t] * |lambda_a - lambda_b|: every
-    pair's first t in 0..T with j2[t] * gap <= eps (T if none), by one binary
-    search over all pairs on the running minimum of j2.  The search is exact:
-    rounding is monotone, so floor[t] * gap <= eps holds from some t on, and
-    that t is the first that passes with j2 (floor[t] is a j2[s] with s <= t)."""
-    horizon, k = len(j2) - 1, len(tops)
+def _gap_search(j2: np.ndarray, gap: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each pair's first t in 0..T with j2[t] * gap <= epsilon (T if none), by
+    one binary search over all pairs on the running minimum of j2.  The search
+    is exact: rounding is monotone, so floor[t] * gap <= epsilon holds from some
+    t on, and that t is the first that passes with j2 (floor[t] is a j2[s] with
+    s <= t)."""
+    horizon = len(j2) - 1
     floor = np.minimum.accumulate(j2)
-    ia, ib = np.triu_indices(k, 1)
-    gap = np.abs(tops[ia] - tops[ib])
-
-    def scan(epsilon):
-        first = np.zeros(gap.shape, dtype=np.int64)  # every step before it fails
-        for bit in reversed(range((horizon + 1).bit_length())):
-            t = first + ((1 << bit) - 1)
-            fails = ~(floor[np.minimum(t, horizon)] * gap <= epsilon) & (t <= horizon)
-            first += fails << bit
-        out = np.zeros((k, k), dtype=np.int64)
-        out[ia, ib] = out[ib, ia] = np.minimum(first, horizon)
-        return out, None
-
-    return scan
+    first = np.zeros(gap.shape, dtype=np.int64)  # every step before it fails
+    for bit in reversed(range((horizon + 1).bit_length())):
+        t = first + ((1 << bit) - 1)
+        fails = ~(floor[np.minimum(t, horizon)] * gap <= epsilon) & (t <= horizon)
+        first += fails << bit
+    return np.minimum(first, horizon)
 
 
 def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
@@ -158,17 +147,14 @@ def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
     j2 = j_values(schedule, grid)[None, :] ** 2
     d = moments0[0].dim
     trace = np.array([[np.trace(m.tensor)] for m in moments0])
-    g0 = np.array([[np.sum(moments0[a].tensor * moments0[b].tensor)] for a, b in zip(ia, ib)])
-    f = propagated_frobenius(j2, np.array([[m.frobenius_sq] for m in moments0]), trace, d)
+    f = propagated_inner(j2, np.array([[m.frobenius_sq] for m in moments0]), trace, trace, d)
     before = grid < merge[ia, ib][:, None]
     bad = np.argwhere(before & ((f[ia] <= 0) | (f[ib] <= 0)))
     if bad.size:
         raise DegenerateError(f"zero-norm tensor at step {grid[bad[0, 1]]}")
     den = f[ia] * f[ib]
-    # g = J^4 g0 + J^2 (1-J^2) (tr_a + tr_b) + d (1-J^2)^2, in place, added left to right
-    g = j2**2 * g0
-    g += j2 * (1 - j2) * (trace[ia] + trace[ib])
-    g += d * (1 - j2) ** 2
+    g0 = np.array([[np.sum(moments0[a].tensor * moments0[b].tensor)] for a, b in zip(ia, ib)])
+    g = propagated_inner(j2, g0, trace[ia], trace[ib], d)
     values = np.divide(np.abs(g, out=g), np.sqrt(den, out=den), out=den, where=before)
     values[~before] = 1.0
     return np.minimum(values, 1.0, out=values)
@@ -214,14 +200,20 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
     """(K x K first-merge matrix, P x len(steps) similarities of the pairs
     i < j row-major or None, epsilon) from one step-0 pass and one epsilon
     over the events; the analytic similarities are computed only for series."""
-    moments0, scan = _step0(sweep, events, metric, mode)
+    events = [np.asarray(ev, dtype=np.int64) for ev in events]  # row indices of a snapshot
+    moments0 = _moments0(sweep, events)
     if epsilon is None:
         epsilon = default_epsilon(moments0)
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
-    merge, values = scan(epsilon)
-    if series and values is None:
-        values = _analytic_series(sweep.schedule, np.asarray(sweep.steps), moments0, merge)
+    if mode == "empirical":
+        merge, values = _empirical_walk(sweep, events, epsilon, _metric_stat(metric), moments0)
+    elif mode == "analytic":
+        merge = _merge_steps(sweep.schedule, moments0, epsilon, metric)
+        values = (_analytic_series(sweep.schedule, np.asarray(sweep.steps), moments0, merge)
+                  if series else None)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
     return merge, values, epsilon
 
 
@@ -386,5 +378,6 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_gr
         b <= a for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise DomainError("epsilon grid must be positive and increasing")
-    scan = _step0(sweep, partition.events, metric, "analytic")[1]
-    return [sum(step > 0 for _, _, step in _single_linkage(scan(eps)[0])) for eps in eps_grid]
+    moments0 = _moments0(sweep, partition.events)
+    return [sum(step > 0 for _, _, step in _single_linkage(
+        _merge_steps(sweep.schedule, moments0, eps, metric))) for eps in eps_grid]

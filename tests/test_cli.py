@@ -342,6 +342,18 @@ class TestErrorMapping:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "data"
 
+    def test_non_finite_fvec1_is_a_data_error(self, tmp_path, capsys):
+        # two classes of 20 rows, d = 2, one feature NaN
+        feats = np.random.default_rng(0).standard_normal((40, 2)).astype(np.float32)
+        feats[7, 1] = np.nan
+        rec = np.empty(40, dtype=[("label", "<u4"), ("feat", "<f4", (2,))])
+        rec["label"], rec["feat"] = np.repeat([0, 1], 20), feats
+        path = tmp_path / "nan.fvec1"
+        path.write_bytes(b"FVEC1" + struct.pack("<QQ", 40, 2) + rec.tobytes())
+        assert run(["analyze", "--input", str(path)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "data" and "non-finite" in record["message"]
+
     def test_negative_seed_is_taken_mod_2_64(self, tmp_path, small_fixture):
         # as SeedPolicy and simulate do; Philox keys are unsigned
         out = tmp_path / "cf.json"

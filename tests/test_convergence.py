@@ -78,16 +78,14 @@ def reference_battery(sw, alpha, views):
     step the N x (d + P) matrix [x | x @ P] is built with hstack, degenerate
     views are the zero-variance columns, and K^2 is taken over a copy of the
     live columns.  Returns (fractions, decisions, degenerate, p-values)."""
-    proj = None
-    if isinstance(views, RandomProjections):
-        key = np.array([views.seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        proj = rng.standard_normal((sw.dataset.features.shape[1], views.count))
-        proj /= np.linalg.norm(proj, axis=0)
+    key = np.array([views.seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    proj = rng.standard_normal((sw.dataset.features.shape[1], views.count))
+    proj /= np.linalg.norm(proj, axis=0)
     fractions, decisions, degenerate, pvalues = [], [], [], []
     for t in sw.steps:
         snap = sw.snapshot(t)
-        mat = snap if proj is None else np.hstack([snap, snap @ proj])
+        mat = np.hstack([snap, snap @ proj])
         live = mat.var(axis=0) > 0.0
         p = np.exp(-0.5 * _reference_dp_statistics(mat[:, live]))
         frac = float(np.mean(p < alpha))
@@ -191,11 +189,12 @@ class TestConvergenceStep:
         feats = np.column_stack([rng.standard_normal(5000), np.full(5000, 2.0)])
         ds = LabeledDataset(features=feats, labels=np.zeros(5000, dtype=int))
         sw = sweep(ds, ddpm, [0], SeedPolicy(base_seed=11))
-        report = convergence_step(sw, views="coordinates")
+        report = convergence_step(sw, views=RandomProjections(count=0))
         assert report.degenerate_views[0] == 1
 
     @pytest.mark.parametrize("value", [0.7, 2.0])
-    @pytest.mark.parametrize("views", ["coordinates", RandomProjections(count=12, seed=3)])
+    @pytest.mark.parametrize("views", [pytest.param(RandomProjections(count=0), id="coordinates"),
+                                       RandomProjections(count=12, seed=3)])
     def test_constant_column_is_degenerate(self, ddpm, value, views):
         # at N=5000 the mean of a column of 0.7 is 0.7 + 1.1e-16, so the column
         # centres to rounding noise, not to zero; it is still no live view
@@ -206,7 +205,7 @@ class TestConvergenceStep:
         sw = sweep(ds, ddpm, [0], SeedPolicy(base_seed=11))
         report = convergence_step(sw, views=views)
         assert report.degenerate_views == (1,)
-        if views == "coordinates":  # oracle: scipy over the two live columns
+        if views.count == 0:  # oracle: scipy over the two live columns
             assert report.steps[0][1] == np.mean(stats.normaltest(live).pvalue < 0.05)
 
     def test_alpha_validated(self, ddpm):
@@ -220,7 +219,8 @@ class TestConvergenceStep:
 
     @pytest.mark.parametrize("n", [convergence.BLOCK_ROWS - 1, convergence.BLOCK_ROWS,
                                    convergence.BLOCK_ROWS + 1, 5000])
-    @pytest.mark.parametrize("views", ["coordinates", RandomProjections(count=12, seed=3)])
+    @pytest.mark.parametrize("views", [pytest.param(RandomProjections(count=0), id="coordinates"),
+                                       RandomProjections(count=12, seed=3)])
     def test_matches_view_matrix_reference(self, ddpm, monkeypatch, n, views):
         # non-Gaussian columns plus a constant one (degenerate at step 0 only)
         rng = np.random.default_rng(n)
@@ -287,14 +287,15 @@ class TestConvergenceStep:
                 # sums in another order than dgemm
                 np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_zero_projections_are_coordinates(self, ddpm):
-        # P = 0 leaves d P = 0 multiply-adds per row; the slice size stays finite
+    def test_views_must_be_random_projections(self, ddpm):
+        # the coordinates alone are spelled RandomProjections(count=0), never a string
         rng = np.random.default_rng(30)
         ds = LabeledDataset(features=rng.exponential(size=(500, 3)),
                             labels=np.zeros(500, dtype=int))
         sw = sweep(ds, ddpm, [0, 300], SeedPolicy(base_seed=31))
-        assert (convergence_step(sw, views=RandomProjections(count=0))
-                == convergence_step(sw, views="coordinates"))
+        for views in ("coordinates", 64, None):
+            with pytest.raises(DomainError, match="views"):
+                convergence_step(sw, views=views)
 
     @staticmethod
     def _failing_sweep(monkeypatch, ddpm, fail_at, gaussian):

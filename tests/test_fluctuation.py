@@ -15,7 +15,7 @@ from vpmerge import (
     normalized_M,
     sweep,
 )
-from vpmerge.fluctuation import (cross_fluctuation_G, moments_from_rows, propagated_frobenius,
+from vpmerge.fluctuation import (cross_fluctuation_G, moments_from_rows, propagated_inner,
                                  top_eigenvalue)
 from vpmerge.schedule import j_values
 
@@ -131,7 +131,8 @@ class TestConditionalFluctuation:
         assert m.top_eigenvalue == pytest.approx(dense, rel=1e-12)
         # the merger's closed form for the squared norm at step t
         j2 = float(j_values(ddpm, 300)) ** 2
-        closed = propagated_frobenius(j2, m0.frobenius_sq, np.trace(m0.tensor), m0.dim)
+        tr = np.trace(m0.tensor)
+        closed = propagated_inner(j2, m0.frobenius_sq, tr, tr, m0.dim)
         assert m.frobenius_sq == pytest.approx(closed, rel=1e-12)
 
     def test_frobenius_matches_tensor_norm(self, ddpm):
@@ -143,6 +144,17 @@ class TestConditionalFluctuation:
 class TestCrossFluctuation:
     def test_identity_pair(self):
         assert cross_fluctuation_G(from_matrix(np.eye(2)), from_matrix(np.eye(2))) == 2.0
+
+    def test_propagated_inner_of_two_tensors(self):
+        # <J^2 A + (1-J^2) I, J^2 B + (1-J^2) I> summed over the propagated matrices
+        rng = np.random.default_rng(8)
+        d = 5
+        a, b = (w @ w.T for w in rng.standard_normal((2, d, d)))
+        eye = np.eye(d)
+        for j2 in (0.0, 0.37, 1.0):
+            want = np.sum((j2 * a + (1 - j2) * eye) * (j2 * b + (1 - j2) * eye))
+            got = propagated_inner(j2, np.sum(a * b), np.trace(a), np.trace(b), d)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_orthogonal_structures(self):
         a, b = from_matrix(np.diag([1.0, 0.0])), from_matrix(np.diag([0.0, 1.0]))

@@ -362,12 +362,14 @@ class TestGapSearch:
     @given(gap_search_cases())
     def test_matches_the_scan(self, case):
         j2, tops, eps = case
-        assert np.array_equal(merger._gap_search(j2, tops)(eps)[0], scan_oracle(j2, tops, eps))
+        ia, ib = np.triu_indices(len(tops), 1)
+        first = merger._gap_search(j2, np.abs(tops[ia] - tops[ib]), eps)
+        assert np.array_equal(first, scan_oracle(j2, tops, eps)[ia, ib])
 
     def test_zero_gap_merges_at_step_zero(self):
-        j2 = np.ones(11)
-        mt = merger._gap_search(j2, np.array([2.0, 2.0, 5.0]))(0.5)[0]
-        assert mt.tolist() == [[0, 0, 10], [0, 0, 10], [10, 10, 0]]
+        # the pairs (0, 1), (0, 2), (1, 2) of top eigenvalues 2, 2, 5
+        first = merger._gap_search(np.ones(11), np.array([0.0, 3.0, 3.0]), 0.5)
+        assert first.tolist() == [0, 10, 10]
 
 
 class TestPairwiseSeries:
