@@ -84,16 +84,21 @@ def _steps_list(spec: str, horizon: int) -> list:
     return sorted({int(round(i * horizon / (count - 1))) for i in range(count)})
 
 
-def _emit_json(payload: dict, args) -> None:
+def _json_text(payload: dict, args) -> str:
+    """The JSON document of a payload: the config echo, version and seed, then
+    the payload; DataError for a cascade too deep to encode."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {"config": config, "version": __version__,
            "seed": getattr(args, "seed", None)}
     doc.update(payload)
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     except RecursionError:  # only a cascade nests this deep: a chain of K - 1 merges
         raise DataError(f"the cascade of {payload['classes']} classes nests too deeply "
                         "to write as JSON") from None
+
+
+def _emit(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -142,19 +147,22 @@ def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
             fh.write(head + ("\n" + head).join(cells) + "\n")
 
 
-def _cmd_analyze(args) -> dict:
+def _cmd_analyze(args) -> None:
     sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
         mt, values = pairwise_series(sw, part, epsilon=eps, metric=metric, mode=args.mode)
-        _series_csv(args.series_out, sw.steps, mt, values)
     else:
         mt = pairwise_merge_times(sw, part, epsilon=eps, metric=metric, mode=args.mode)
-    return {
+    # encoded before either file is written, so a refused document leaves neither
+    text = _json_text({
         "schedule": sw.schedule.to_dict(),
         "classes": part.n_events,
         "merge_times": mt.tolist(),
         "cascade": build_cascade(mt),
-    }
+    }, args)
+    if args.series_out:
+        _series_csv(args.series_out, sw.steps, mt, values)
+    _emit(text, args)
 
 
 def _cmd_windows(args) -> dict:
@@ -324,9 +332,9 @@ def execute(argv) -> int:
     except SystemExit:  # --help, printed to stdout
         return EXIT_OK
     try:
-        payload = args.func(args)  # None for the commands that write only --out
+        payload = args.func(args)  # None for the commands that write their own outputs
         if payload is not None:
-            _emit_json(payload, args)
+            _emit(_json_text(payload, args), args)
         return EXIT_OK
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         _error_record("numeric", exc)

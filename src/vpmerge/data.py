@@ -249,8 +249,8 @@ def _integer_column(values: np.ndarray, what: str) -> np.ndarray:
 
 def _load_csv(path: Path) -> LabeledDataset:
     arr = read_csv(path)
-    return LabeledDataset(features=np.ascontiguousarray(arr[:, 1:]),
-                          labels=_integer_column(arr[:, 0], "labels"))
+    # the features are a view of the parsed array, never a second copy of it
+    return LabeledDataset(features=arr[:, 1:], labels=_integer_column(arr[:, 0], "labels"))
 
 
 def _load_fvec1(path: Path) -> LabeledDataset:

@@ -43,24 +43,32 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
     """Held-out accuracy of a logistic probe separating the two samples."""
     feats_a = np.asarray(feats_a, dtype=np.float64)
     feats_b = np.asarray(feats_b, dtype=np.float64)
+    if feats_a.ndim != 2 or feats_b.shape[1:] != feats_a.shape[1:]:
+        raise DataError("the two samples must be 2-D with the same number of columns")
     if feats_a.shape[0] < 10 or feats_b.shape[0] < 10:
         raise DataError("each class needs at least 10 samples")
     if not 0.0 < split < 1.0:
         raise DomainError(f"split fraction must lie in (0, 1), got {split}")
 
-    x = np.vstack([feats_a, feats_b])
-    y = np.concatenate([np.zeros(len(feats_a)), np.ones(len(feats_b))])
-    order = philox(seed, 0xB0BE).permutation(len(x))
-    n_train = int(round(split * len(x)))
-    if n_train < 1 or n_train >= len(x):
+    n_a, n = len(feats_a), len(feats_a) + len(feats_b)
+    y = np.concatenate([np.zeros(n_a), np.ones(len(feats_b))])
+    order = philox(seed, 0xB0BE).permutation(n)
+    n_train = int(round(split * n))
+    if n_train < 1 or n_train >= n:
         raise DomainError("split leaves an empty train or test set")
     tr, te = order[:n_train], order[n_train:]
 
+    # one bias-augmented design matrix, standardized in place: the same
+    # values, bit for bit, as stacking, standardizing and appending ones
+    xa = np.empty((n, feats_a.shape[1] + 1))
+    x = xa[:, :-1]
+    x[:n_a], x[n_a:] = feats_a, feats_b
     mu = x[tr].mean(axis=0)
     sd = x[tr].std(axis=0)
     sd[sd == 0.0] = 1.0
-    xs = (x - mu) / sd
-    xa = np.hstack([xs, np.ones((len(xs), 1))])
+    x -= mu
+    x /= sd
+    xa[:, -1] = 1.0
 
     x_tr, y_tr = xa[tr], y[tr]
     w = np.zeros(xa.shape[1])
@@ -69,6 +77,13 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
         w -= GD_STEP * (x_tr.T @ (p - y_tr)) / len(tr)
     pred = (xa[te] @ w) > 0.0
     return float(np.mean(pred == y[te]))
+
+
+def _class_rows(sweep: TrajectorySweep, t: int, a, b) -> tuple:
+    """The two classes' rows of the step-t snapshot; the snapshot itself is
+    freed on return, so a fit never holds it."""
+    snap = sweep.snapshot(t)
+    return snap[a], snap[b]
 
 
 def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
@@ -83,8 +98,8 @@ def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
     accs = []
     for t in sweep.steps:
         if t < merge_step:
-            snap = sweep.snapshot(t)
-            accs.append(train_linear_probe(snap[a], snap[b], split=split, seed=seed))
+            accs.append(train_linear_probe(*_class_rows(sweep, t, a, b),
+                                           split=split, seed=seed))
         else:
             accs.append(float("nan"))
     return accs

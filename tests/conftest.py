@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def discrete_product_oracle(sched, t):
         frac = (i - 1) / (sched.horizon_T - 1)
         out *= math.sqrt(1.0 - (sched.beta0 + (sched.betaT - sched.beta0) * frac))
     return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def two_class_dataset(seed, n_per_class=20000, d=16, lam_a=10.0, lam_b=4.0):

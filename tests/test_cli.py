@@ -33,6 +33,13 @@ def run(args):
     return execute(args)
 
 
+def write_deep_csv(path):
+    """520 classes of 3 rows, d = 2: at a large epsilon every class merges at
+    step 0, and the cascade is a 519-deep chain, too deep for json."""
+    rows = np.random.default_rng(0).standard_normal((1560, 2)).tolist()
+    path.write_text("".join(f"{i // 3},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
+
+
 @pytest.fixture()
 def small_fixture(tmp_path):
     """Two-class dataset file small enough for CLI round trips."""
@@ -354,6 +361,15 @@ class TestErrorMapping:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "data" and "non-finite" in record["message"]
 
+    def test_refused_analyze_writes_no_file(self, tmp_path, capsys):
+        # the document is encoded before the series CSV is written
+        write_deep_csv(tmp_path / "deep.csv")
+        out, series = tmp_path / "out.json", tmp_path / "series.csv"
+        assert run(["analyze", "--input", str(tmp_path / "deep.csv"), "--steps", "2",
+                    "--epsilon", "1e6", "--out", str(out), "--series-out", str(series)]) == 3
+        assert "nests too deeply" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists() and not series.exists()
+
     def test_negative_seed_is_taken_mod_2_64(self, tmp_path, small_fixture):
         # as SeedPolicy and simulate do; Philox keys are unsigned
         out = tmp_path / "cf.json"
@@ -380,9 +396,7 @@ class TestErrorMapping:
             b"FVEC1" + struct.pack("<QQ", 1, 2**40) + struct.pack("<I", 0))
         (tmp_path / "empty_huge_d.fvec1").write_bytes(b"FVEC1" + struct.pack("<QQ", 0, 2**40))
         # 520 classes of 3 rows, d = 2; one class of 3 rows; two classes of 2 rows
-        rows = np.random.default_rng(0).standard_normal((1560, 2)).tolist()
-        (tmp_path / "deep.csv").write_text(
-            "".join(f"{i // 3},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
+        write_deep_csv(tmp_path / "deep.csv")
         (tmp_path / "one.csv").write_text("0,1.0,2.0\n0,2.0,0.5\n0,-1.0,0.3\n")
         (tmp_path / "four.csv").write_text("0,1.0,2.0\n0,2.0,0.5\n1,-1.0,0.3\n1,0.4,-0.7\n")
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from vpmerge import (
 from vpmerge import convergence
 from vpmerge.convergence import dagostino_pearson
 from vpmerge.forward import TrajectorySweep
+
+from conftest import traced_peak
 
 
 class StepFailure(Exception):
@@ -348,12 +349,7 @@ class TestConvergenceStep:
                             labels=np.zeros(n, dtype=int))
         sw = sweep(ds, ddpm, [300], SeedPolicy(base_seed=21))
         views = RandomProjections(count=32, seed=22)
-        tracemalloc.start()
-        try:
-            convergence_step(sw, views=views)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(convergence_step, sw, views=views)
         assert peak < 4 * n * d * 8
 
     def test_memory_stays_near_one_snapshot_per_worker(self, ddpm, monkeypatch):
@@ -365,12 +361,7 @@ class TestConvergenceStep:
                             labels=np.zeros(n, dtype=int))
         sw = sweep(ds, ddpm, [100, 300, 500, 700], SeedPolicy(base_seed=21))
         views = RandomProjections(count=32, seed=22)
-        tracemalloc.start()
-        try:
-            report = convergence_step(sw, views=views)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(convergence_step, sw, views=views)
         assert len(report.steps) == 4
         assert peak < 4 * n * d * 8
 

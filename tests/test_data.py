@@ -17,6 +17,8 @@ from vpmerge.data import EventPartition, save_dataset
 from vpmerge.forward import SeedPolicy
 from vpmerge.probe import train_linear_probe
 
+from conftest import traced_peak
+
 
 class TestCsv:
     def test_direct_parse(self, tmp_path):
@@ -70,6 +72,21 @@ class TestCsv:
         p.write_text("0,nan,2.0\n")
         with pytest.raises(DataError):
             load_dataset(p)
+
+    def test_features_view_the_parsed_array(self, tmp_path):
+        # the features are a read-only view of the parsed N x (d + 1) array; a
+        # copy of them once made the peak 2.1 arrays. loadtxt's own growth
+        # slack stays near 1.15 arrays at this shape
+        n, d = 900, 300
+        rng = np.random.default_rng(43)
+        ds = LabeledDataset(features=rng.standard_normal((n, d)), labels=np.arange(n) % 3)
+        p = tmp_path / "wide.csv"
+        save_dataset(ds, p)
+        load_dataset(p)  # the first parse in a process imports what loadtxt needs
+        loaded, peak = traced_peak(load_dataset, p)
+        assert np.array_equal(loaded.features, ds.features)
+        assert not loaded.features.flags.writeable
+        assert peak < 1.3 * n * (d + 1) * 8
 
 
 class TestFvec1:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,8 +15,13 @@ from vpmerge import (
     sweep,
     weight_law,
 )
-from vpmerge.probe import TRUNCATION_FLOOR, _sigmoid, probe_through_time, train_linear_probe
+from vpmerge import probe
+from vpmerge.data import philox
+from vpmerge.probe import (GD_ITERATIONS, GD_STEP, TRUNCATION_FLOOR, _sigmoid,
+                           probe_through_time, train_linear_probe)
 from vpmerge.schedule import j_values
+
+from conftest import traced_peak
 
 
 def masked_sigmoid(z):
@@ -26,6 +32,42 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def stacked_fit_oracle(feats_a, feats_b, split=0.8, seed=0):
+    """The probe fit on stacked copies: vstack, (x - mu) / sd, then hstack a
+    ones column. Its descent calls probe._sigmoid, so a test can watch it."""
+    x = np.vstack([feats_a, feats_b])
+    y = np.concatenate([np.zeros(len(feats_a)), np.ones(len(feats_b))])
+    order = philox(seed, 0xB0BE).permutation(len(x))
+    n_train = int(round(split * len(x)))
+    tr, te = order[:n_train], order[n_train:]
+    mu = x[tr].mean(axis=0)
+    sd = x[tr].std(axis=0)
+    sd[sd == 0.0] = 1.0
+    xs = (x - mu) / sd
+    xa = np.hstack([xs, np.ones((len(xs), 1))])
+    x_tr, y_tr = xa[tr], y[tr]
+    w = np.zeros(xa.shape[1])
+    for _ in range(GD_ITERATIONS):
+        p = probe._sigmoid(x_tr @ w)
+        w -= GD_STEP * (x_tr.T @ (p - y_tr)) / len(tr)
+    pred = (xa[te] @ w) > 0.0
+    return float(np.mean(pred == y[te]))
+
+
+def watched_fit(fit, feats_a, feats_b, split, seed):
+    """fit's accuracy and a digest of every logit vector its descent made."""
+    digest = hashlib.sha256()
+
+    def sigmoid(z):
+        digest.update(z.tobytes())
+        return _sigmoid(z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probe, "_sigmoid", sigmoid)
+        acc = fit(feats_a, feats_b, split=split, seed=seed)
+    return acc, digest.hexdigest()
 
 
 class TestSigmoid:
@@ -75,6 +117,32 @@ class TestTrainLinearProbe:
         a, b = rng.standard_normal((500, 3)), rng.standard_normal((500, 3)) + 0.5
         assert train_linear_probe(a, b, seed=8) == train_linear_probe(a, b, seed=8)
 
+    def test_mismatched_widths_rejected(self):
+        # a one-column sample would otherwise broadcast into the design matrix
+        with pytest.raises(DataError, match="same number of columns"):
+            train_linear_probe(np.zeros((50, 3)), np.ones((50, 1)))
+        with pytest.raises(DataError, match="2-D"):
+            train_linear_probe(np.zeros(50), np.ones(50))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_stacked_fit_bitwise(self, data):
+        n_a, n_b = data.draw(st.integers(10, 120)), data.draw(st.integers(10, 120))
+        d = data.draw(st.integers(1, 40))
+        n = n_a + n_b
+        n_train = data.draw(st.integers(1, n - 1))  # hypothesis tries the ends first
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 10.0, size=d)
+        a = rng.standard_normal((n_a, d)) * scale
+        b = rng.standard_normal((n_b, d)) * scale + rng.uniform(-1.0, 1.0, size=d)
+        if data.draw(st.booleans()):  # a constant column: sd == 0 is taken as 1
+            col = data.draw(st.integers(0, d - 1))
+            a[:, col] = b[:, col] = rng.standard_normal()
+        split = n_train / n
+        ours = watched_fit(train_linear_probe, a, b, split, seed)
+        assert ours == watched_fit(stacked_fit_oracle, a, b, split, seed)
+
 
 class TestProbeThroughTime:
     def make_sweep(self, ddpm, seed=9, n=3000, sep=4.0):
@@ -117,6 +185,24 @@ class TestProbeThroughTime:
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
         accs = probe_through_time(sw, a, b, merge_step=1000, seed=14)
         assert all(acc >= 0.45 for acc in accs)
+
+    def test_fit_holds_no_snapshot(self, ddpm):
+        # three classes, so a snapshot outweighs the two probed ones. The fit
+        # once held a snapshot beside stacked, standardized and augmented
+        # copies, about 6.5 design matrices here; now it holds the two
+        # classes' rows, one design matrix, its training rows and the
+        # temporary of std, about 3.6
+        n, d = 9000, 24
+        rng = np.random.default_rng(40)
+        labels = np.arange(n) % 3
+        ds = LabeledDataset(features=rng.standard_normal((n, d)) + 0.3 * labels[:, None],
+                            labels=labels)
+        sw = sweep(ds, ddpm, [0, 100], SeedPolicy(base_seed=41))
+        a, b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+        probe_through_time(sw, a, b, merge_step=0)  # the first call imports numpy's set routines
+        accs, peak = traced_peak(probe_through_time, sw, a, b, merge_step=1000, seed=42)
+        assert len(accs) == 2 and not any(math.isnan(v) for v in accs)
+        assert peak < 4 * (len(a) + len(b)) * (d + 1) * 8
 
     def test_merge_step_beyond_horizon(self, ddpm):
         sw, ds = self.make_sweep(ddpm)
