@@ -136,15 +136,13 @@ def _convergence(args, sw, **kwargs):
 
 
 def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
-    """Write the per-pair series CSV (rows i,j,t,repr(v), one join per pair)
-    from pairwise_series' matrix and values."""
-    steps = [f"{t}," for t in steps]
+    """Write the per-pair series CSV (rows i,j,t,repr(v)) from pairwise_series'
+    matrix and values, one pair at a time."""
+    template = "".join(f"\0{t},%r\n" for t in steps)  # \0 stands for the pair
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
         for (i, j), row in zip(combinations(range(len(mt)), 2), values):
-            head = f"{i},{j},"
-            cells = map(str.__add__, steps, map(repr, row.tolist()))
-            fh.write(head + ("\n" + head).join(cells) + "\n")
+            fh.write(template.replace("\0", f"{i},{j},") % tuple(row.tolist()))
 
 
 def _cmd_analyze(args) -> None:

@@ -11,16 +11,15 @@ into the same buffer, and its centred power sums give m2, m3 and m4 of
 every view (one-pass moments after Pebay, SAND2008-6212), from which
 K^2 follows.  The N x (d + P) view matrix is never built.
 
-Steps run on a pool of one worker thread per usable core (at most one
-per step): each step draws its own Philox stream and numpy releases the
-GIL in the draw and the ufuncs, so the steps overlap and the report is
-bit-identical for any worker count.  Results are read in step order, so
-the decisions, early stop and errors are those of a serial scan.  Each
-worker reuses one snapshot buffer and two block buffers, allocated by the
-calling thread.  The projection matmul is issued in row slices small
-enough that OpenBLAS runs it on the calling thread: a larger call wakes
-OpenBLAS's own threads, which then compete with the workers for the
-cores.  Slicing can move the moments in the last bits, as OpenBLAS may
+Steps run on forward.step_results' pool of one worker thread per usable
+core (at most one per step): each step draws its own Philox stream, so
+the report is bit-identical for any worker count, and results are read
+in step order, so the decisions, early stop and errors are those of a
+serial scan.  Each worker reuses one snapshot buffer and two block
+buffers, allocated by the calling thread.  The projection matmul is
+issued in row slices small enough that OpenBLAS runs it on the calling
+thread: a larger call wakes OpenBLAS's own threads, which then compete
+with the workers for the cores.  Slicing can move the moments in the last bits, as OpenBLAS may
 sum a smaller product in another order: with OpenBLAS 0.3.31 the slices
 give the whole block's products bit for bit at d = 64 with P = 64 or 200
 and at d = 6 with P = 16, but not at every shape.  The moments never
@@ -36,16 +35,14 @@ is intractable on a dense grid in high dimension).
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import philox
 from .errors import DataError, DegenerateError, DomainError
-from .forward import TrajectorySweep
+from .forward import TrajectorySweep, step_results
 
 __all__ = [
     "NormalityReport",
@@ -212,14 +209,6 @@ def _projections(views, d: int) -> np.ndarray:
     return proj
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
                      views: RandomProjections = RandomProjections(count=0),
                      stop_at_detection: bool = False) -> NormalityReport:
@@ -247,23 +236,18 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
     n, d = sweep.dataset.features.shape
     proj = _projections(views, d)
     width = d + proj.shape[1]
-    workers = min(_usable_cores(), len(steps))
-    # step i uses slot i % workers: it is submitted only once step i - workers,
-    # the slot's last user, has been read, so no two steps in flight share one
-    snapshots = [np.empty((n, d)) for _ in range(workers)]
-    blocks = [_block_buffers(n, width) for _ in range(workers)]
 
-    def moments(i: int) -> tuple:
-        slot = i % workers
-        return _view_moments(sweep.snapshot(steps[i], out=snapshots[slot]), proj, blocks[slot])
+    def slot() -> tuple:
+        return np.empty((n, d)), _block_buffers(n, width)
+
+    def moments(i: int, slot: tuple) -> tuple:
+        snapshot, blocks = slot
+        return _view_moments(sweep.snapshot(steps[i], out=snapshot), proj, blocks)
 
     fractions, decisions, degenerate = [], [], []
     detected = None
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        pending = deque(pool.submit(moments, i) for i in range(workers))
-        for i, t in enumerate(steps):
-            m2, m3, m4, r = pending.popleft().result()
+    with closing(step_results(len(steps), slot, moments)) as results:
+        for t, (m2, m3, m4, r) in zip(steps, results):
             # a constant view centres to rounding noise within n ulps of its mean
             live = m2 > (n * np.finfo(np.float64).eps * r) ** 2
             n_deg = int(np.sum(~live))
@@ -279,10 +263,6 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
                 detected = int(t)
                 if stop_at_detection:
                     break
-            if i + workers < len(steps):
-                pending.append(pool.submit(moments, i + workers))
-    finally:
-        pool.shutdown(cancel_futures=True)
     return NormalityReport(
         alpha=alpha,
         detected_step=detected if detected is not None else sweep.horizon,

@@ -4,7 +4,12 @@ A probe is a bias-augmented linear logistic classifier trained by
 full-batch gradient descent (fixed 500 iterations, step 0.1) on inputs
 standardized with train-split statistics.  Probing stops at the pair's
 merge step: beyond it the two events are statistically
-indistinguishable and accuracy is undefined.
+indistinguishable and accuracy is undefined.  The steps below it are
+fitted on forward.step_results' worker threads.  Each worker owns one
+design matrix, allocated by the calling thread: the two classes' rows
+are drawn into it (TrajectorySweep.snapshot_rows, so no N x d snapshot
+is drawn) and the fit permutes and standardizes them in place.
+Accuracies do not depend on the number of workers.
 
 Weight laws distribute unit mass over a step window: uniform,
 proportional to 1/SNR(t) = (1 - J(t)^2) / J(t)^2 (zero weight at t = 0,
@@ -18,7 +23,7 @@ import numpy as np
 
 from .data import philox
 from .errors import DataError, DomainError
-from .forward import TrajectorySweep
+from .forward import TrajectorySweep, step_results
 from .schedule import NoiseSchedule, j_values
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
 GD_ITERATIONS = 500
 GD_STEP = 0.1
 TRUNCATION_FLOOR = 20
+_BLOCK_VALUES = 1 << 13  # floats in one block of squared deviations (64 KiB)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -39,51 +45,96 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
-                       split: float = 0.8, seed: int = 0) -> float:
-    """Held-out accuracy of a logistic probe separating the two samples."""
+                       split: float = 0.8, seed: int = 0, *,
+                       out: np.ndarray | None = None) -> float:
+    """Held-out accuracy of a logistic probe separating the two samples.
+
+    The design matrix is built in out, a float64 (n_a + n_b) x (d + 1)
+    array, when given.  The samples may be out's own first d columns,
+    stacked a over b (out[:n_a, :-1] and out[n_a:, :-1]); the fit then
+    allocates nothing larger than a few values per sample.
+    """
     feats_a = np.asarray(feats_a, dtype=np.float64)
     feats_b = np.asarray(feats_b, dtype=np.float64)
     if feats_a.ndim != 2 or feats_b.shape[1:] != feats_a.shape[1:]:
         raise DataError("the two samples must be 2-D with the same number of columns")
     if feats_a.shape[0] < 10 or feats_b.shape[0] < 10:
         raise DataError("each class needs at least 10 samples")
-    if not 0.0 < split < 1.0:
-        raise DomainError(f"split fraction must lie in (0, 1), got {split}")
+    _check_split(split)
 
     n_a, n = len(feats_a), len(feats_a) + len(feats_b)
-    y = np.concatenate([np.zeros(n_a), np.ones(len(feats_b))])
     order = philox(seed, 0xB0BE).permutation(n)
     n_train = int(round(split * n))
     if n_train < 1 or n_train >= n:
         raise DomainError("split leaves an empty train or test set")
-    tr, te = order[:n_train], order[n_train:]
 
-    # one bias-augmented design matrix, standardized in place: the same
-    # values, bit for bit, as stacking, standardizing and appending ones
-    xa = np.empty((n, feats_a.shape[1] + 1))
+    # the bias-augmented design matrix holds the stacked samples in the
+    # split's order, so the training rows are its first n_train; the values
+    # are, bit for bit, those of stacking, standardizing with the training
+    # rows' mean and std and appending ones
+    xa = np.empty((n, feats_a.shape[1] + 1)) if out is None else out
     x = xa[:, :-1]
-    x[:n_a], x[n_a:] = feats_a, feats_b
-    mu = x[tr].mean(axis=0)
-    sd = x[tr].std(axis=0)
+    x[:n_a] = feats_a  # no copy when the samples already sit there
+    x[n_a:] = feats_b
+    _permute_rows(x, order)
+    mu = x[:n_train].mean(axis=0)
+    sd = np.sqrt(_squared_deviations(x[:n_train], mu) / n_train)
     sd[sd == 0.0] = 1.0
     x -= mu
     x /= sd
     xa[:, -1] = 1.0
 
-    x_tr, y_tr = xa[tr], y[tr]
+    y = (order >= n_a).astype(np.float64)
+    x_tr, y_tr = xa[:n_train], y[:n_train]
     w = np.zeros(xa.shape[1])
     for _ in range(GD_ITERATIONS):
         p = _sigmoid(x_tr @ w)
-        w -= GD_STEP * (x_tr.T @ (p - y_tr)) / len(tr)
-    pred = (xa[te] @ w) > 0.0
-    return float(np.mean(pred == y[te]))
+        w -= GD_STEP * (x_tr.T @ (p - y_tr)) / n_train
+    pred = (xa[n_train:] @ w) > 0.0
+    return float(np.mean(pred == y[n_train:]))
 
 
-def _class_rows(sweep: TrajectorySweep, t: int, a, b) -> tuple:
-    """The two classes' rows of the step-t snapshot; the snapshot itself is
-    freed on return, so a fit never holds it."""
-    snap = sweep.snapshot(t)
-    return snap[a], snap[b]
+def _permute_rows(x: np.ndarray, order: np.ndarray) -> None:
+    """x[:] = x[order] in place, one cycle of the permutation at a time."""
+    order = order.tolist()
+    done = bytearray(len(order))
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        first = x[start].copy()
+        k = start
+        while order[k] != start:
+            done[k] = 1
+            x[k] = x[order[k]]
+            k = order[k]
+        done[k] = 1
+        x[k] = first
+
+
+def _squared_deviations(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Column sums of (x - mu) ** 2, as np.var computes them, with the
+    squares taken a block of columns at a time.
+
+    A block of two or more columns is summed down each column in the same
+    order as the whole matrix; a single column is summed pairwise, so a
+    block has one column only when x has.
+    """
+    m, d = x.shape
+    blocks = max(1, min(d // 2, -(-m * d // _BLOCK_VALUES)))
+    bounds = [d * k // blocks for k in range(blocks + 1)]
+    buf = np.empty(m * -(-d // blocks))
+    sums = np.empty(d)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        dev = buf[:m * (hi - lo)].reshape(m, hi - lo)
+        np.subtract(x[:, lo:hi], mu[lo:hi], out=dev)
+        dev *= dev
+        sums[lo:hi] = np.add.reduce(dev, axis=0)
+    return sums
+
+
+def _check_split(split: float) -> None:
+    if not 0.0 < split < 1.0:
+        raise DomainError(f"split fraction must lie in (0, 1), got {split}")
 
 
 def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
@@ -91,18 +142,25 @@ def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
     """Held-out probe accuracy at each sweep step, NaN from the merge step on."""
     if not 0 <= merge_step <= sweep.horizon:
         raise DomainError(f"merge_step {merge_step} outside [0, {sweep.horizon}]")
+    _check_split(split)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
-    accs = []
-    for t in sweep.steps:
-        if t < merge_step:
-            accs.append(train_linear_probe(*_class_rows(sweep, t, a, b),
-                                           split=split, seed=seed))
-        else:
-            accs.append(float("nan"))
-    return accs
+    rows = np.concatenate([a, b])
+    d = sweep.dataset.features.shape[1]
+    fitted = [t for t in sweep.steps if t < merge_step]
+
+    def slot() -> np.ndarray:  # the design matrix, its first d columns the two classes' rows
+        return np.empty((len(rows), d + 1))
+
+    def fit(i: int, design: np.ndarray) -> float:
+        feats = sweep.snapshot_rows(fitted[i], rows, out=design[:, :-1])
+        return train_linear_probe(feats[:len(a)], feats[len(a):], split=split, seed=seed,
+                                  out=design)
+
+    accs = list(step_results(len(fitted), slot, fit))
+    return accs + [float("nan")] * (len(sweep.steps) - len(fitted))
 
 
 def weight_law(kind: str, schedule: NoiseSchedule, t_start: int, t_stop: int) -> np.ndarray:

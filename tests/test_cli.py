@@ -333,6 +333,13 @@ BAD_VALUES = [
     # a negative projection count, named before numpy sees the shape
     (["converge", "--input", "{data}", "--projections", "-1"], 2, "projection count"),
     (["windows", "--input", "{data}", "--projections", "-1"], 2, "projection count"),
+    # --split is checked although no step below the merge step is fitted
+    (["probe", "--input", "{data}", "--merge-step", "0", "--split", "1.5",
+      "--out", "{tmp}/p.csv"], 2, "split"),
+    (["probe", "--input", "{data}", "--merge-step", "0", "--split", "-1",
+      "--out", "{tmp}/p.csv"], 2, "split"),
+    (["probe", "--input", "{data}", "--merge-step", "0", "--split", "nan",
+      "--out", "{tmp}/p.csv"], 2, "split"),
 ]
 
 
@@ -406,6 +413,8 @@ class TestErrorMapping:
         record = json.loads(err)
         assert set(record) == {"error", "message"}
         assert message in record["message"]
+        if "--out" in argv:
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="RLIMIT_AS caps the address space on Linux")

@@ -19,7 +19,7 @@ from vpmerge import (
     sweep,
     tv_distance_1d,
 )
-from vpmerge import convergence
+from vpmerge import convergence, forward
 from vpmerge.convergence import dagostino_pearson
 from vpmerge.forward import TrajectorySweep
 
@@ -243,7 +243,7 @@ class TestConvergenceStep:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(convergence, "_usable_cores", lambda: workers)
+                monkeypatch.setattr(forward, "_usable_cores", lambda: workers)
                 for stop_at_detection in (False, True):
                     k2s = []
                     monkeypatch.setattr(convergence, "_k2_from_moments",
@@ -321,7 +321,7 @@ class TestConvergenceStep:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_earliest_failing_step_raises(self, ddpm, monkeypatch, workers):
-        monkeypatch.setattr(convergence, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(forward, "_usable_cores", lambda: workers)
         sw, drawn = self._failing_sweep(monkeypatch, ddpm, {200, 300}, gaussian=False)
         with pytest.raises(StepFailure, match="^step 200$"):
             convergence_step(sw)
@@ -331,7 +331,7 @@ class TestConvergenceStep:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_early_stop_hides_later_failures(self, ddpm, monkeypatch, workers):
         # Gaussian rows pass at step 0; every later snapshot would raise
-        monkeypatch.setattr(convergence, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(forward, "_usable_cores", lambda: workers)
         sw, drawn = self._failing_sweep(monkeypatch, ddpm, set(range(100, 501, 100)),
                                         gaussian=True)
         report = convergence_step(sw, views=RandomProjections(count=16, seed=36),
@@ -354,7 +354,7 @@ class TestConvergenceStep:
 
     def test_memory_stays_near_one_snapshot_per_worker(self, ddpm, monkeypatch):
         # two workers hold two snapshots and two pairs of block buffers
-        monkeypatch.setattr(convergence, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forward, "_usable_cores", lambda: 2)
         n, d = 20000, 32
         rng = np.random.default_rng(20)
         ds = LabeledDataset(features=rng.exponential(size=(n, d)),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmerge import DomainError, LabeledDataset, NoiseSchedule, SeedPolicy, forward, sweep
 from vpmerge.schedule import betas, j_values
@@ -137,6 +139,34 @@ class TestSweep:
         late_first = sw.snapshot(500).copy()
         sw.snapshot(100)
         assert np.array_equal(sw.snapshot(500), late_first)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_snapshot_rows_match_snapshot_bitwise(self, data):
+        # block sizes that leave a partial last block of rows, and the real one
+        block_values = data.draw(st.sampled_from([forward._BLOCK_VALUES, 1, 7, 40]))
+        n, d = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 12))
+        t = data.draw(st.sampled_from([0, 1, 250, 1000]))
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # any order, repeats
+        rng = np.random.default_rng(n * d)
+        ds = LabeledDataset(features=rng.standard_normal((n, d)), labels=np.zeros(n, dtype=int))
+        sw = sweep(ds, NoiseSchedule.ddpm_default(), [0, 1, 250, 1000], SeedPolicy(base_seed=d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forward, "_BLOCK_VALUES", block_values)
+            got = sw.snapshot_rows(t, rows)
+            out = np.full((len(rows), d), np.nan)
+            assert sw.snapshot_rows(t, np.array(rows, dtype=np.int64), out=out) is out
+        want = sw.snapshot(t)[np.array(rows, dtype=np.intp)]
+        assert got.shape == out.shape == want.shape
+        assert got.tobytes() == want.tobytes() and out.tobytes() == want.tobytes()
+
+    def test_snapshot_rows_rejects_bad_rows_and_steps(self, ddpm):
+        sw = sweep(unit_dataset(9, n=30), ddpm, [0, 5], SeedPolicy(base_seed=0))
+        for rows in ([30], [-1], [[0, 1]]):
+            with pytest.raises(DomainError, match="rows"):
+                sw.snapshot_rows(5, rows)
+        with pytest.raises(DomainError, match="not in sweep steps"):
+            sw.snapshot_rows(3, [0])
 
     def test_conditional_mean_scales_with_j(self, ddpm):
         rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from vpmerge import (
     sweep,
     weight_law,
 )
-from vpmerge import probe
+from vpmerge import forward, probe
 from vpmerge.data import philox
+from vpmerge.forward import TrajectorySweep
 from vpmerge.probe import (GD_ITERATIONS, GD_STEP, TRUNCATION_FLOOR, _sigmoid,
                            probe_through_time, train_linear_probe)
 from vpmerge.schedule import j_values
@@ -68,6 +71,10 @@ def watched_fit(fit, feats_a, feats_b, split, seed):
         mp.setattr(probe, "_sigmoid", sigmoid)
         acc = fit(feats_a, feats_b, split=split, seed=seed)
     return acc, digest.hexdigest()
+
+
+class StepFailure(Exception):
+    """Raised by a sweep made to fail at chosen steps."""
 
 
 class TestSigmoid:
@@ -143,6 +150,30 @@ class TestTrainLinearProbe:
         ours = watched_fit(train_linear_probe, a, b, split, seed)
         assert ours == watched_fit(stacked_fit_oracle, a, b, split, seed)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_fit_in_place_matches_stacked_fit_bitwise(self, data):
+        # the probe's path: the samples are the design buffer's own first
+        # columns, and the squared deviations are summed a few columns at a time
+        n_a, n_b = data.draw(st.integers(10, 300)), data.draw(st.integers(10, 300))
+        d = data.draw(st.integers(1, 12))
+        block_values = data.draw(st.sampled_from([probe._BLOCK_VALUES, 1, 50]))
+        split = data.draw(st.floats(0.05, 0.95))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n_a, d)) * rng.uniform(0.1, 10.0, size=d)
+        b = rng.standard_normal((n_b, d)) + rng.uniform(-1.0, 1.0, size=d)
+        out = np.full((n_a + n_b, d + 1), np.nan)
+        out[:n_a, :-1], out[n_a:, :-1] = a, b
+
+        def fit_in_out(feats_a, feats_b, split, seed):
+            return train_linear_probe(feats_a, feats_b, split=split, seed=seed, out=out)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probe, "_BLOCK_VALUES", block_values)
+            ours = watched_fit(fit_in_out, out[:n_a, :-1], out[n_a:, :-1], split, seed)
+        assert ours == watched_fit(stacked_fit_oracle, a, b, split, seed)
+
 
 class TestProbeThroughTime:
     def make_sweep(self, ddpm, seed=9, n=3000, sep=4.0):
@@ -186,23 +217,107 @@ class TestProbeThroughTime:
         accs = probe_through_time(sw, a, b, merge_step=1000, seed=14)
         assert all(acc >= 0.45 for acc in accs)
 
-    def test_fit_holds_no_snapshot(self, ddpm):
-        # three classes, so a snapshot outweighs the two probed ones. The fit
-        # once held a snapshot beside stacked, standardized and augmented
-        # copies, about 6.5 design matrices here; now it holds the two
-        # classes' rows, one design matrix, its training rows and the
-        # temporary of std, about 3.6
+    @staticmethod
+    def three_class_sweep(ddpm):
+        """Three classes of 3000 x 24, so a snapshot outweighs the two probed."""
         n, d = 9000, 24
         rng = np.random.default_rng(40)
         labels = np.arange(n) % 3
         ds = LabeledDataset(features=rng.standard_normal((n, d)) + 0.3 * labels[:, None],
                             labels=labels)
-        sw = sweep(ds, ddpm, [0, 100], SeedPolicy(base_seed=41))
-        a, b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+        sw = sweep(ds, ddpm, [0, 100, 200, 300], SeedPolicy(base_seed=41))
+        return sw, np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+
+    def test_fit_holds_no_snapshot(self, ddpm, monkeypatch):
+        # the fit once held a snapshot beside stacked, standardized and
+        # augmented copies, about 6.5 design matrices here; one worker now
+        # holds one design matrix and a few blocks of rows, about 1.8
+        monkeypatch.setattr(forward, "_usable_cores", lambda: 1)
+        sw, a, b = self.three_class_sweep(ddpm)
         probe_through_time(sw, a, b, merge_step=0)  # the first call imports numpy's set routines
         accs, peak = traced_peak(probe_through_time, sw, a, b, merge_step=1000, seed=42)
-        assert len(accs) == 2 and not any(math.isnan(v) for v in accs)
-        assert peak < 4 * (len(a) + len(b)) * (d + 1) * 8
+        assert len(accs) == 4 and not any(math.isnan(v) for v in accs)
+        assert peak < 4 * (len(a) + len(b)) * (sw.dataset.features.shape[1] + 1) * 8
+
+    def test_fit_holds_no_snapshot_per_worker(self, ddpm, monkeypatch):
+        # two workers hold two design matrices and their blocks, about 3.1
+        monkeypatch.setattr(forward, "_usable_cores", lambda: 2)
+        sw, a, b = self.three_class_sweep(ddpm)
+        probe_through_time(sw, a, b, merge_step=0)
+        accs, peak = traced_peak(probe_through_time, sw, a, b, merge_step=1000, seed=42)
+        assert len(accs) == 4 and not any(math.isnan(v) for v in accs)
+        assert peak < 8 * (len(a) + len(b)) * (sw.dataset.features.shape[1] + 1) * 8
+
+    def test_same_accuracies_for_any_worker_count(self, ddpm, monkeypatch):
+        # 300 + 300 rows of d = 24: the training design matrix has
+        # 480 x 25 >= 9216 entries, the size from which OpenBLAS may split
+        # the descent's products over its own threads. Thread switches every
+        # microsecond and more workers than cores: two fits in flight on one
+        # design matrix would change an accuracy
+        feats = np.random.default_rng(15).standard_normal((600, 24))
+        feats[300:, 0] += 1.0
+        labels = np.repeat([0, 1], 300)
+        sw = sweep(LabeledDataset(features=feats, labels=labels), ddpm, [0, 100, 200, 300],
+                   SeedPolicy(base_seed=9))
+        a, b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+        serial = [train_linear_probe(sw.snapshot(t)[a], sw.snapshot(t)[b], seed=16)
+                  for t in sw.steps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for merge_step in (0, 150, 1000):  # before, inside and after the grid
+                defined = [t < merge_step for t in sw.steps]
+                want = [acc if ok else None for acc, ok in zip(serial, defined)]
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(forward, "_usable_cores", lambda: workers)
+                    accs = probe_through_time(sw, a, b, merge_step=merge_step, seed=16)
+                    assert [None if math.isnan(v) else v for v in accs] == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_earliest_failing_step_raises_and_pool_stops(self, ddpm, monkeypatch, workers):
+        monkeypatch.setattr(forward, "_usable_cores", lambda: workers)
+        sw, ds = self.make_sweep(ddpm, n=200)
+        sw = sweep(ds, ddpm, [0, 100, 200, 300, 400, 500], sw.seeds)
+        a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
+        drawn = []
+        snapshot_rows = TrajectorySweep.snapshot_rows
+
+        def failing(self, t, rows, out=None):
+            drawn.append(t)
+            if t in (100, 200):  # the second and third fitted steps
+                raise StepFailure(f"step {t}")
+            return snapshot_rows(self, t, rows, out=out)
+
+        monkeypatch.setattr(TrajectorySweep, "snapshot_rows", failing)
+        with pytest.raises(StepFailure, match="^step 100$"):
+            probe_through_time(sw, a, b, merge_step=1000)
+        # no step is drawn past the failing one's window, and no worker is left
+        assert max(drawn) <= sw.steps[workers]
+        assert not [th for th in threading.enumerate() if th.name.startswith("ThreadPool")]
+
+    def test_one_fit_per_fitted_step(self, ddpm, monkeypatch):
+        # each fitted step calls train_linear_probe through the module, where
+        # a tracer can count it
+        monkeypatch.setattr(forward, "_usable_cores", lambda: 2)
+        sw, ds = self.make_sweep(ddpm, n=200)
+        a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
+        calls = []
+        fit = probe.train_linear_probe
+        monkeypatch.setattr(probe, "train_linear_probe",
+                            lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs))
+        for merge_step, fits in ((0, 0), (1, 1), (300, 2), (1000, 3)):
+            calls.clear()
+            probe_through_time(sw, a, b, merge_step=merge_step)
+            assert len(calls) == fits
+
+    @pytest.mark.parametrize("split", [1.5, -1.0, float("nan"), 1.0])
+    def test_split_checked_with_no_step_fitted(self, ddpm, split):
+        sw, ds = self.make_sweep(ddpm, n=200)
+        a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
+        with pytest.raises(DomainError, match="split"):
+            probe_through_time(sw, a, b, merge_step=0, split=split)
 
     def test_merge_step_beyond_horizon(self, ddpm):
         sw, ds = self.make_sweep(ddpm)
