@@ -14,11 +14,34 @@ merger is sticky).  Distances:
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
 analogue), which makes the first-merge step exact at integer resolution
-whatever step grid the sweep carries.  The first t in 0..T at which each
-pair's distance is <= eps comes from a J^2 table over 0..T (_merge_steps):
-for the eigenvalue distance J^2 |gap| by one binary search over all pairs
-on the table's running minimum (_gap_search, O(K^2 log T)), for the trace
-distance, which is not monotone in t, by a scan of the table (O(K^2 T)).
+whatever step grid the sweep carries: a pair merges at the first t in 0..T
+(T if none) at which the float distance of an integer scan, J(t)^2 |gap|
+or the difference of two propagated_inner norms, is <= eps.
+_first_steps finds it for both metrics with no table over 0..T, in O(K^2)
+time and memory.  With u = J^2 the exact distance is |A u^2 + B u|: A = 0
+and B = |gap|, or A = dF - 2 dtr and B = 2 dtr from the step-0
+differences.  Step 0 (u = 1 exactly) is tested first.  The roots of
+A u^2 + B u = +-(eps + E), with E a bound on the scan's rounding, cut
+(0, 1] into pieces wholly inside or outside |A u^2 + B u| <= eps + E,
+told apart at their midpoints.  At u = 1 and at each root, in
+x = -ln u = int_0^t beta, a window opens on the steps within
+slack(x) = 2^-20 + 2^-40 x of it (within slack / beta0 of its real step,
+from the stable inverse of int_0^t beta) and runs on through the next
+piece when that piece is inside; each window is tested with the scan's
+own expression up to its first pass, and the least pass is the merge
+step.  It is exact: the float J^2 of a step and a computed root lie
+within about 2^-25 of their exact x (a double root errs by the square
+root of the roundoff), far inside slack(x), so a step outside every
+window has a float distance within E of a value above eps + E and fails.
+Where rounding loses the two roots that meet at the vertex -B / 2A, the
+distance is within rounding of eps + E there, and E (2^-44 times the
+magnitudes the trace adds) is tens of times that rounding, so those steps
+fail too.  Between adjacent steps u falls by a factor of e^-beta0 or
+more, far above rounding, so a window passes within a few steps unless
+eps is within the rounding of the distance, where only the scan can
+tell.  Below u = exp(-700), where J^2 may be subnormal, the last window
+runs to T.
+
 One broadcast over (pairs x grid steps) gives every pair's series, its
 squared norms and cross inner products both from propagated_inner.
 mode="empirical", the stochastic oracle, walks the grid once: one snapshot
@@ -41,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, exp
 
 import numpy as np
 
@@ -50,7 +73,7 @@ from .errors import DataError, DegenerateError, DomainError
 from .fluctuation import (ConditionalMoments, _check_order, conditional_fluctuation,
                           moments_from_rows, normalized_M, propagated_inner)
 from .forward import TrajectorySweep
-from .schedule import NoiseSchedule, betas, j_values
+from .schedule import NoiseSchedule, _beta_integral, _beta_integral_inverse, betas, j_values
 
 __all__ = [
     "MergerSeries",
@@ -74,6 +97,10 @@ class MergerSeries:
     values: np.ndarray
     first_merge_step: int
     epsilon: float
+
+
+_PAIR_BLOCK = 2**14  # pairs per _first_steps call: bounds its working arrays
+_SCAN_BLOCK = 2**16  # a window's steps per round double while a round tests fewer
 
 
 def default_epsilon(moments0) -> float:
@@ -103,40 +130,74 @@ def _moments0(sweep: TrajectorySweep, events) -> list:
 def _merge_steps(schedule: NoiseSchedule, moments0: list, epsilon: float,
                  metric: str) -> np.ndarray:
     """K x K first-merge matrix under the marginal law: each pair's first step
-    in 0..T whose distance is <= epsilon (T if none), from one J^2 table over
-    0..T; the eigenvalue distance is searched (_gap_search), the trace
-    distance, which is not monotone in t, scanned one row of pairs at a time."""
-    horizon, k = schedule.horizon_T, len(moments0)
-    j2 = j_values(schedule, np.arange(0, horizon + 1)) ** 2
+    in 0..T whose distance is <= epsilon (T if none), from _first_steps over
+    blocks of _PAIR_BLOCK pairs i < j."""
+    k, d = len(moments0), moments0[0].dim
     stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
+    if metric == "trace_l1":
+        trace = np.array([np.trace(m.tensor) for m in moments0])
     out = np.zeros((k, k), dtype=np.int64)
-    if metric == "top_eigen_abs":
-        ia, ib = np.triu_indices(k, 1)
-        out[ia, ib] = out[ib, ia] = _gap_search(j2, np.abs(stat[ia] - stat[ib]), epsilon)
-        return out
-    trace = np.array([np.trace(m.tensor) for m in moments0])
-    frob = propagated_inner(j2[:, None], stat, trace, trace, moments0[0].dim)
-    for i in range(k - 1):
-        merged = np.abs(frob[:, i:i + 1] - frob[:, i + 1:]) <= epsilon
-        first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
-        out[i, i + 1:] = out[i + 1:, i] = first
+    ia, ib = np.triu_indices(k, 1)
+    for lo in range(0, len(ia), _PAIR_BLOCK):
+        a, b = ia[lo:lo + _PAIR_BLOCK], ib[lo:lo + _PAIR_BLOCK]
+        if metric == "top_eigen_abs":
+            gap = np.abs(stat[a] - stat[b])
+            first = _first_steps(schedule, 0.0, gap, 0.0, lambda j2, p: j2 * gap[p], epsilon)
+        else:  # |F_a - F_b| = |u^2 (dF - 2 dtr) + 2 u dtr| at u = J^2
+            fa, fb, ta, tb = stat[a], stat[b], trace[a], trace[b]
+            err = 2.0**-44 * (np.abs(fa) + np.abs(fb) + 4.0 * (np.abs(ta) + np.abs(tb)) + 2 * d)
+            first = _first_steps(
+                schedule, (fa - fb) - 2.0 * (ta - tb), 2.0 * (ta - tb), err,
+                lambda j2, p: np.abs(propagated_inner(j2, fa[p], ta[p], ta[p], d)
+                                     - propagated_inner(j2, fb[p], tb[p], tb[p], d)), epsilon)
+        out[a, b] = out[b, a] = first
     return out
 
 
-def _gap_search(j2: np.ndarray, gap: np.ndarray, epsilon: float) -> np.ndarray:
-    """Each pair's first t in 0..T with j2[t] * gap <= epsilon (T if none), by
-    one binary search over all pairs on the running minimum of j2.  The search
-    is exact: rounding is monotone, so floor[t] * gap <= epsilon holds from some
-    t on, and that t is the first that passes with j2 (floor[t] is a j2[s] with
-    s <= t)."""
-    horizon = len(j2) - 1
-    floor = np.minimum.accumulate(j2)
-    first = np.zeros(gap.shape, dtype=np.int64)  # every step before it fails
-    for bit in reversed(range((horizon + 1).bit_length())):
-        t = first + ((1 << bit) - 1)
-        fails = ~(floor[np.minimum(t, horizon)] * gap <= epsilon) & (t <= horizon)
-        first += fails << bit
-    return np.minimum(first, horizon)
+def _first_steps(schedule: NoiseSchedule, quad, lin: np.ndarray, err, distance,
+                 epsilon: float) -> np.ndarray:
+    """Each pair's first step t in 0..T with distance(J(t)^2, pairs) <= epsilon
+    (T if none), where |quad u^2 + lin u| is that distance at u = J^2 to within
+    err: step 0, then the windows of the module docstring, each tested up to
+    its first pass.  Arrays run along the pairs in their last axis."""
+    horizon, n = schedule.horizon_T, len(lin)
+    first = np.where(distance(np.ones(n), np.arange(n)) <= epsilon, 0, horizon)  # J(0)^2 = 1
+    low = exp(-min(float(_beta_integral(schedule, horizon)) + 1.0, 700.0))
+    cut = (epsilon + 2.0**-1070) + err  # 2^-1070: the rounding of a subnormal product
+    with np.errstate(all="ignore"):  # absent roots come out inf or nan
+        if np.any(quad):  # the stable pairs of roots of quad u^2 + lin u = +-cut
+            roots = []
+            for level in (cut, -cut):
+                half = -0.5 * (lin + np.copysign(np.sqrt(lin * lin + 4.0 * quad * level), lin))
+                roots += [half / quad, -level / half]
+        else:  # the root of |lin| u = cut
+            roots = [cut / np.abs(lin)]
+    roots = [np.where((r > low) & (r < 1.0), r, low) for r in roots]
+    u = np.stack([np.ones(n)] + [r for r in roots if (r > low).any()] + [np.full(n, low)])
+    if len(u) > 3:
+        u[1:-1] = -np.sort(-u[1:-1], axis=0)
+    mid = 0.5 * (u[:-1] + u[1:])
+    inside = np.abs(mid * (quad * mid + lin)) <= (cut + err) * (1.0 + 2.0**-40)
+    opens, closes = np.empty(u.shape), np.empty(u.shape)
+    for row, x in ((0, 0.0), (slice(1, -1), -np.log(u[1:-1])), (-1, -np.log(low))):
+        t, reach = _beta_integral_inverse(schedule, x), (2.0**-20 + 2.0**-40 * x) / schedule.beta0
+        opens[row], closes[row] = np.maximum(np.ceil(t - reach), 1.0), np.floor(t + reach)
+    closes[:-1] = np.where(inside, closes[1:], closes[:-1])  # on through an inside piece
+    closes[-1] = horizon - 1  # and on from u = low, below which J^2 may be subnormal
+    closes = np.minimum(closes, horizon - 1)
+    job = np.flatnonzero((opens <= closes) & (first > 0))  # one per breakpoint and pair
+    lo, hi, pair = opens.ravel()[job].astype(np.int64), closes.ravel()[job].astype(np.int64), job % n
+    best, width = np.full(u.shape, horizon), 1
+    while job.size:  # each round tests the next `width` steps of every open window
+        t = lo + np.arange(width)[:, None]
+        hit = (t <= hi) & (distance(j_values(schedule, t) ** 2, pair) <= epsilon)
+        best.ravel()[job] = step = np.where(hit, t, horizon).min(axis=0)
+        first = np.minimum(first, best.min(axis=0))
+        lo = lo + width
+        go = (step == horizon) & (lo <= hi) & (lo < first[pair])
+        job, lo, hi, pair = job[go], lo[go], hi[go], pair[go]
+        width = max(1, min(2 * width, _SCAN_BLOCK // max(job.size, 1)))
+    return first
 
 
 def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,

@@ -78,6 +78,15 @@ def _beta_integral(schedule: NoiseSchedule, t) -> np.ndarray:
     return schedule.beta0 * t + 0.5 * dbeta * t * t / schedule.horizon_T
 
 
+def _beta_integral_inverse(schedule: NoiseSchedule, x) -> np.ndarray:
+    """The t >= 0 with int_0^t beta = x for x >= 0, vectorized: the stable
+    positive root x / (b + sqrt(b^2 + 2 a x)) of a t^2 + b t = x / 2, with
+    a = (betaT - beta0) / (4 T) and b = beta0 / 2 (linear in t when a = 0)."""
+    a = (schedule.betaT - schedule.beta0) / (4.0 * schedule.horizon_T)
+    b = 0.5 * schedule.beta0
+    return x / (b + np.sqrt(b * b + 2.0 * a * x))
+
+
 def j_values(schedule: NoiseSchedule, t) -> np.ndarray:
     """Attenuation J(t) = exp(-1/2 int_0^t beta), vectorized over t; exact
     for the linear schedule."""
@@ -95,11 +104,7 @@ def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> MixingPrediction:
     rhs = 0.25 * math.log(dim / 2.0)
     a = (schedule.betaT - schedule.beta0) / (4.0 * schedule.horizon_T)
     b = 0.5 * schedule.beta0
-    if a == 0.0:
-        t = rhs / b
-    else:
-        # stable positive root of a t^2 + b t - rhs = 0
-        t = 2.0 * rhs / (b + math.sqrt(b * b + 4.0 * a * rhs))
+    t = float(_beta_integral_inverse(schedule, 2.0 * rhs))  # int_0^t beta = 2 rhs
     for _ in range(3):  # Newton polish to push the residual below 1e-9
         f = a * t * t + b * t - rhs
         t -= f / (2.0 * a * t + b)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from vpmerge import (
     NoiseSchedule,
     SeedPolicy,
+    conditional_fluctuation,
     detect_series,
     load_dataset,
     partition_by_label,
@@ -25,8 +26,10 @@ from vpmerge import (
 from vpmerge.cli import execute
 from vpmerge.data import save_dataset
 from vpmerge.forward import TrajectorySweep
+from vpmerge.schedule import j_values
 
 from conftest import five_class_sweep
+from test_merger import scan_oracle
 
 
 def run(args):
@@ -420,27 +423,49 @@ class TestErrorMapping:
                         reason="RLIMIT_AS caps the address space on Linux")
     @pytest.mark.parametrize("argv", [
         ["converge", "--input", "{data}", "--projections", "3000000000"],
-        ["analyze", "--input", "{data}", "--T", "400000000"],
+        ["windows", "--input", "{data}", "--T", "400000000"],
         ["cf", "--input-a", "{data}", "--input-b", "{data}", "--freqs", "300000000"],
     ], ids=lambda argv: argv[0])
     def test_allocation_failure_is_a_data_error(self, argv, small_fixture):
-        # each argv asks for gigabytes; under a 1.5 GB address-space cap numpy
-        # refuses the request at once, so nothing is really allocated
-        def cap_address_space():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, hard))
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [a.format(data=small_fixture) for a in argv]
-        proc = subprocess.run([sys.executable, "-m", "vpmerge.cli", *argv], env=env,
-                              preexec_fn=cap_address_space, capture_output=True, text=True,
-                              timeout=60)
+        # each argv asks for gigabytes (windows: the eta schedule over 1..T);
+        # under a 1.5 GB address-space cap numpy refuses the request at once,
+        # so nothing is really allocated
+        proc = run_capped([a.format(data=small_fixture) for a in argv])
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1
         record = json.loads(proc.stderr)
         assert record["error"] == "data" and "allocate" in record["message"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_huge_horizon_analyze_needs_no_table(self, small_fixture, tmp_path):
+        # the merge steps hold no array over 0..T: T = 4e8 runs under the cap
+        out = tmp_path / "an.json"
+        proc = run_capped(["analyze", "--input", str(small_fixture), "--T", "400000000",
+                           "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        merge = np.array(json.loads(out.read_text())["merge_times"])
+        schedule = NoiseSchedule(1e-4, 0.02, 400_000_000)
+        ds = load_dataset(str(small_fixture))
+        sw = sweep(ds, schedule, [0], SeedPolicy(base_seed=0))
+        tops = np.array([conditional_fluctuation(sw, ev, 0).top_eigenvalue
+                         for ev in partition_by_label(ds).events])
+        j2 = j_values(schedule, np.arange(merge.max() + 2)) ** 2
+        assert np.array_equal(merge, scan_oracle(j2, tops, tops.max() / 400.0))
+
+
+def run_capped(argv):
+    """`python -m vpmerge.cli argv` under a 1.5 GB address-space cap."""
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, hard))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "vpmerge.cli", *argv], env=env,
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=60)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from vpmerge import (
 )
 from vpmerge import merger
 from vpmerge.data import EventPartition
+from vpmerge.fluctuation import propagated_inner
 from vpmerge.forward import TrajectorySweep
 from vpmerge.merger import (build_cascade, default_epsilon, guidance_windows,
                             interpolation_schedule, pairwise_series)
@@ -80,6 +81,47 @@ def scan_oracle(j2, tops, epsilon):
         merged = j2[:, None] * np.abs(tops[i] - tops[i + 1:]) <= epsilon
         first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
         out[i, i + 1:] = out[i + 1:, i] = first
+    return out
+
+
+def gap_search_oracle(j2, gap, epsilon):
+    """Oracle: the binary search the closed form replaced; each pair's first t
+    in 0..T with j2[t] * gap <= epsilon (T if none), searched on the running
+    minimum of the J^2 table (rounding is monotone, so that minimum passes
+    from the first step at which j2 itself passes)."""
+    horizon = len(j2) - 1
+    floor = np.minimum.accumulate(j2)
+    first = np.zeros(gap.shape, dtype=np.int64)  # every step before it fails
+    for bit in reversed(range((horizon + 1).bit_length())):
+        t = first + ((1 << bit) - 1)
+        fails = ~(floor[np.minimum(t, horizon)] * gap <= epsilon) & (t <= horizon)
+        first += fails << bit
+    return np.minimum(first, horizon)
+
+
+def trace_scan_oracle(j2, frob, trace, d, epsilon):
+    """Oracle: the per-row scan of the J^2 table the closed form replaced for
+    the trace distance; each pair's first step t with
+    |F_i(t) - F_j(t)| <= eps, the horizon if none."""
+    k, horizon = len(frob), len(j2) - 1
+    f = propagated_inner(j2[:, None], frob, trace, trace, d)
+    out = np.zeros((k, k), dtype=np.int64)
+    for i in range(k - 1):
+        merged = np.abs(f[:, i:i + 1] - f[:, i + 1:]) <= epsilon
+        first = np.where(merged.any(axis=0), merged.argmax(axis=0), horizon)
+        out[i, i + 1:] = out[i + 1:, i] = first
+    return out
+
+
+def step0_stats(tops, frob, trace, d):
+    """ConditionalMoments carrying given step-0 statistics; the trace sits in
+    the first diagonal entry of a d x d tensor, so np.trace returns it exactly."""
+    out = []
+    for top, f, tr in zip(tops, frob, trace):
+        tensor = np.zeros((d, d))
+        tensor[0, 0] = tr
+        out.append(ConditionalMoments(tensor=tensor, top_eigenvalue=float(top),
+                                      frobenius_sq=float(f)))
     return out
 
 
@@ -180,30 +222,50 @@ def tie_heavy_matrices(draw):
 
 
 @st.composite
-def gap_search_cases(draw):
-    """(J^2 table over 0..T, top eigenvalues, eps): a third of the spectra
-    tied or identical, J^2 from a DDPM, random, flat (beta = 1e-300) or
-    arbitrary non-monotone table, eps from 1e-8 to 1e3 or on a boundary."""
-    k = draw(st.integers(2, 60))
-    horizon = draw(st.sampled_from([1, 10, 1000, 5000]))
-    kind = draw(st.sampled_from(["ddpm", "random", "flat", "arbitrary"]))
-    ranges = {"ddpm": (1e-4, 0.02), "flat": (1e-300, 1e-300)}
-    if kind == "random":
-        beta0 = draw(st.floats(1e-6, 0.5))
-        ranges["random"] = (beta0, draw(st.floats(beta0, 0.999)))
-    if kind == "arbitrary":
-        j2 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, horizon + 1)
-    else:
-        j2 = j_values(NoiseSchedule(*ranges[kind], horizon), np.arange(horizon + 1)) ** 2
-    value = st.floats(0.0, 20.0)
-    if draw(st.integers(0, 2)) == 0:
-        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)))
-    tops = np.array(draw(st.lists(value, min_size=k, max_size=k)))
-    eps = 10.0 ** draw(st.floats(-8.0, 3.0))
-    boundary = j2[draw(st.integers(0, horizon))] * abs(tops[0] - tops[-1])
-    if boundary > 0 and draw(st.booleans()):  # eps on one pair's value at a step, or 1 ulp off
-        eps = float(np.nextafter(boundary, draw(st.sampled_from([0.0, boundary, np.inf]))))
-    return j2, tops, eps
+def merge_step_cases(draw):
+    """(schedule, J^2 over 0..T, step-0 statistics, eps) for _merge_steps: T
+    from 1 to 10^4, beta0 from 1e-5 to 1e-2 with betaT / beta0 up to 1000 or
+    1, K from 2 to 24, d from 1 to 39, a third of the classes drawn from a pool
+    of three (so duplicates and zero gaps), in half the cases class 1 a copy
+    of class 0 off by 1e-16 to 1e-6 relative, eps from 1e-320 to 1e3 or inf,
+    or placed on the float distance of one pair at one step (or 1 ulp off),
+    or within 4 ulps of the vertex of |Delta f(u)| =
+    |u^2 (Delta F - 2 Delta tr) + 2 u Delta tr| for a pair built from Delta F
+    and Delta tr."""
+    horizon = draw(st.one_of(st.integers(1, 30), st.integers(1, 10_000)))
+    beta0 = 10.0 ** draw(st.floats(-5.0, -2.0))
+    ratio = draw(st.one_of(st.just(1.0), st.floats(1.0, 1000.0)))
+    schedule = NoiseSchedule(beta0, min(beta0 * ratio, 0.999), horizon)
+    k, d = draw(st.integers(2, 24)), draw(st.integers(1, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trace = rng.uniform(0.1, 5.0, k) * d
+    frob = trace**2 / d * rng.uniform(1.0, 3.0, k)
+    tops = rng.uniform(0.5, 20.0, k)
+    dup = rng.random(k) < 1 / 3
+    pool = rng.integers(0, min(3, k), k)[dup]
+    trace[dup], frob[dup], tops[dup] = trace[pool], frob[pool], tops[pool]
+    if draw(st.booleans()):  # class 1 a near copy of class 0
+        for stat in (trace, frob, tops):
+            stat[1] = stat[0] * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -6))
+    eps = draw(st.one_of(st.floats(-12.0, 3.0), st.floats(-320.0, -12.0)).map(lambda e: 10.0**e)
+               | st.just(np.inf))
+    kind = draw(st.sampled_from(["free", "step", "vertex"]))
+    if kind == "vertex" and np.isfinite(eps):
+        u_v, sign = draw(st.floats(0.01, 0.99)), draw(st.sampled_from([-1.0, 1.0]))
+        quad = -sign * eps / u_v**2  # |quad u^2 + lin u| peaks at eps at u_v
+        dtr = -quad * u_v  # lin = 2 dtr = -2 quad u_v
+        trace[1], frob[1] = trace[0] - dtr, frob[0] - (quad + 2.0 * dtr)
+        a, b = np.array([frob[0], frob[1]]), np.array([trace[0], trace[1]])
+        eps = abs(float(np.diff(propagated_inner(u_v, a, b, b, d))[0]))  # as rounded
+        eps *= 1.0 + draw(st.integers(-4, 4)) * 2.0**-52
+    j2 = j_values(schedule, np.arange(horizon + 1)) ** 2
+    if kind == "step":  # eps on pair (0, K-1)'s float distance at one step
+        s = rng.integers(0, horizon + 1)
+        f = propagated_inner(j2[s], frob, trace, trace, d)
+        value = draw(st.sampled_from([abs(tops[0] - tops[-1]) * j2[s], abs(f[0] - f[-1])]))
+        if value > 0:
+            eps = float(np.nextafter(value, draw(st.sampled_from([0.0, value, np.inf]))))
+    return schedule, j2, step0_stats(tops, frob, trace, d), eps
 
 
 @st.composite
@@ -357,19 +419,62 @@ class TestPairwiseMergeTimes:
             pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
 
 
-class TestGapSearch:
-    @settings(max_examples=150, deadline=None)
-    @given(gap_search_cases())
-    def test_matches_the_scan(self, case):
-        j2, tops, eps = case
+class TestMergeSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_step_cases())
+    def test_top_eigen_matches_the_scan(self, case):
+        schedule, j2, moments0, eps = case
+        tops = np.array([m.top_eigenvalue for m in moments0])
+        got = merger._merge_steps(schedule, moments0, eps, "top_eigen_abs")
+        assert np.array_equal(got, scan_oracle(j2, tops, eps))
         ia, ib = np.triu_indices(len(tops), 1)
-        first = merger._gap_search(j2, np.abs(tops[ia] - tops[ib]), eps)
-        assert np.array_equal(first, scan_oracle(j2, tops, eps)[ia, ib])
+        assert np.array_equal(got[ia, ib], gap_search_oracle(j2, np.abs(tops[ia] - tops[ib]), eps))
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_step_cases())
+    def test_trace_matches_the_scan(self, case):
+        schedule, j2, moments0, eps = case
+        frob = np.array([m.frobenius_sq for m in moments0])
+        trace = np.array([np.trace(m.tensor) for m in moments0])
+        want = trace_scan_oracle(j2, frob, trace, moments0[0].dim, eps)
+        assert np.array_equal(merger._merge_steps(schedule, moments0, eps, "trace_l1"), want)
+
+    @pytest.mark.parametrize("schedule", [NoiseSchedule(1e-17, 0.5, 3000),
+                                          NoiseSchedule(1e-300, 1e-300, 50)])
+    def test_steps_below_rounding_match_the_scan(self, schedule):
+        # beta0 so small that J^2 moves by less than its rounding from one
+        # step to the next (or never moves): the windows span many steps
+        rng = np.random.default_rng(5)
+        tops, trace = rng.uniform(0.5, 20.0, 8), rng.uniform(1.0, 5.0, 8)
+        moments0 = step0_stats(tops, trace**2 * rng.uniform(0.2, 1.0, 8), trace, 3)
+        frob = np.array([m.frobenius_sq for m in moments0])
+        j2 = j_values(schedule, np.arange(schedule.horizon_T + 1)) ** 2
+        for eps in (1e-9, 0.3, 4.0):
+            assert np.array_equal(merger._merge_steps(schedule, moments0, eps, "top_eigen_abs"),
+                                  scan_oracle(j2, tops, eps))
+            assert np.array_equal(merger._merge_steps(schedule, moments0, eps, "trace_l1"),
+                                  trace_scan_oracle(j2, frob, trace, 3, eps))
 
     def test_zero_gap_merges_at_step_zero(self):
-        # the pairs (0, 1), (0, 2), (1, 2) of top eigenvalues 2, 2, 5
-        first = merger._gap_search(np.ones(11), np.array([0.0, 3.0, 3.0]), 0.5)
-        assert first.tolist() == [0, 10, 10]
+        # beta = 1e-300 keeps J^2 at exactly 1: the pairs (0, 1), (0, 2), (1, 2)
+        # of top eigenvalues 2, 2, 5 merge at step 0 or never
+        moments0 = step0_stats([2.0, 2.0, 5.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2)
+        got = merger._merge_steps(NoiseSchedule(1e-300, 1e-300, 10), moments0, 0.5,
+                                  "top_eigen_abs")
+        assert got[np.triu_indices(3, 1)].tolist() == [0, 10, 10]
+
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    def test_no_table_over_the_horizon(self, metric):
+        # T = 4e8 would need a 3.2 GB J^2 table; the merge step is found with
+        # no T-sized array, and the scan of 0..step + 1 agrees with it
+        schedule = NoiseSchedule(1e-4, 0.02, 400_000_000)
+        moments0 = step0_stats([8.0, 1.0], [80.0, 20.0], [13.0, 6.0], 6)
+        got = merger._merge_steps(schedule, moments0, 0.02, metric)
+        assert 0 < got[0, 1] < schedule.horizon_T
+        j2 = j_values(schedule, np.arange(got[0, 1] + 2)) ** 2
+        want = (scan_oracle(j2, np.array([8.0, 1.0]), 0.02) if metric == "top_eigen_abs"
+                else trace_scan_oracle(j2, np.array([80.0, 20.0]), np.array([13.0, 6.0]), 6, 0.02))
+        assert np.array_equal(got, want)
 
 
 class TestPairwiseSeries:
