@@ -329,12 +329,13 @@ def execute(argv) -> int:
         return EXIT_USAGE
     except SystemExit:  # --help, printed to stdout
         return EXIT_OK
-    try:
-        payload = args.func(args)  # None for the commands that write their own outputs
-        if payload is not None:
-            _emit(_json_text(payload, args), args)
+    try:  # an overflow, invalid operation or division by zero raises FloatingPointError
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            payload = args.func(args)  # None for the commands that write their own outputs
+            if payload is not None:
+                _emit(_json_text(payload, args), args)
         return EXIT_OK
-    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:  # a ValueError, so caught first
         _error_record("numeric", exc)
         return EXIT_NUMERIC
     except (DomainError, ValueError, IndexError) as exc:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all vpmerge modules.
 
 The CLI maps these onto exit codes: DomainError -> 2 (usage),
-DataError and subclasses -> 3 (data); numpy's LinAlgError -> 4 (numeric).
+DataError and subclasses -> 3 (data); numpy's LinAlgError, and the
+FloatingPointError it raises on overflow, invalid operations and
+division by zero (never a warning or a NaN), -> 4 (numeric).
 """
 
 

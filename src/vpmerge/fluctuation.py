@@ -97,7 +97,7 @@ def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
     it; empirical ones read the snapshot, so t must be a sweep step."""
     event = np.asarray(event, dtype=np.int64)
     if not propagate:
-        return ConditionalMoments.from_tensor(moments_from_rows(sweep.snapshot(t)[event], n)[1])
+        return ConditionalMoments.from_tensor(moments_from_rows(sweep.snapshot(t, event), n)[1])
     if t != 0:
         raise DomainError(f"propagated moments are step-0 moments, got step {t}")
     return ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])

@@ -5,7 +5,9 @@ A snapshot at step t is the closed-form marginal
 which is exact and O(1) per (sample, step).  Noise is counter-based:
 every step draws from the Philox stream ``data.philox(base_seed, step)``,
 so a sweep regenerates bit-identically from (dataset, schedule, steps,
-seed) and is independent of how work is scheduled across steps.
+seed) and is independent of how work is scheduled across steps.  Every
+draw is TrajectorySweep.snapshot's, a block of rows at a time: whole
+snapshots for the battery and the empirical walk, some rows for the probe.
 
 One-sweep property: all snapshots of a TrajectorySweep come from the same
 x_0 rows, so event membership fixed at step 0 indexes the same
@@ -14,11 +16,13 @@ trajectories at every step.
 Per-step work that draws its own stream can therefore run on a pool of
 threads (step_results): numpy releases the GIL in the draw, the ufuncs
 and BLAS, so the steps overlap, and reading their results in step order
-keeps the output, early stops and errors those of a serial loop.
+keeps the output, early stops and errors those of a serial loop.  Each
+step runs in a copy of the caller's context, numpy's error state included.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +36,7 @@ from .schedule import NoiseSchedule, j_values
 
 __all__ = ["SeedPolicy", "TrajectorySweep", "step_results", "sweep"]
 
-_BLOCK_VALUES = 1 << 15  # floats in one block of j * x0 (256 KiB)
+_BLOCK_VALUES = 1 << 15  # floats in one block of a step's noise draw (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -43,13 +47,8 @@ class SeedPolicy:
     base_seed: int
 
     def stream(self, step: int) -> np.random.Generator:
-        """The Philox generator of this step; noise() is its first draw."""
+        """The Philox generator of this step's forward noise."""
         return philox(self.base_seed, step)
-
-    def noise(self, n: int, d: int, step: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The (n, d) standard-normal draw of this step, written into out when
-        given (the same stream bit for bit)."""
-        return self.stream(step).standard_normal((n, d), out=out)
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ class TrajectorySweep:
 
     Snapshots are regenerated on demand from the counter-based seeds
     rather than held resident, so memory stays bounded at one N x d
-    matrix per worker that draws them (snapshot_rows needs only the rows
-    it keeps), regardless of len(steps); regeneration is bit-identical.
+    matrix per worker that draws whole snapshots, regardless of
+    len(steps); regeneration is bit-identical.
     """
 
     dataset: LabeledDataset
@@ -67,65 +66,55 @@ class TrajectorySweep:
     steps: tuple
     seeds: SeedPolicy
 
-    def snapshot(self, t: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Closed-form marginal snapshot J(t) x0 + sqrt(1 - J^2) eps at sweep
-        step t, written into out (a C-contiguous N x d float64 array) when given."""
-        if t not in self.steps:
-            raise DomainError(f"step {t} not in sweep steps")
-        x0 = self.dataset.features
-        if t == 0:
-            if out is None:
-                return x0.copy()
-            np.copyto(out, x0)
-            return out
-        j = float(j_values(self.schedule, t))
-        sigma = np.sqrt(1.0 - j * j)
-        # built inside the noise buffer, j * x0 added a block of rows at a
-        # time: bit-identical to j * x0 + sigma * eps
-        n, d = x0.shape
-        eps = self.seeds.noise(n, d, t, out=out)
-        eps *= sigma
-        rows = max(1, _BLOCK_VALUES // d)
-        for lo in range(0, n, rows):
-            eps[lo:lo + rows] += j * x0[lo:lo + rows]
-        return eps
+    def snapshot(self, t: int, rows=None, out: np.ndarray | None = None) -> np.ndarray:
+        """The marginal J(t) x0 + sqrt(1 - J^2) eps at sweep step t, or its
+        rows (a 1-D index array, any order, repeats allowed), written into
+        out when given: float64, C-contiguous N x d or any len(rows) x d.
 
-    def snapshot_rows(self, t: int, rows, out: np.ndarray | None = None) -> np.ndarray:
-        """snapshot(t)[rows] bit for bit, written into out (a len(rows) x d
-        float64 array, contiguous or not) when given.
-
-        The step's noise is drawn a block of rows at a time, the same stream
-        as one N x d draw, and only the block's requested rows are kept, so
-        nothing larger than a block or one index per row is allocated.
-        """
+        The step's stream is drawn a block of rows at a time, the values of
+        one N x d draw.  A whole snapshot is scaled and shifted in out block
+        by block; a draw of rows keeps each block's requested rows and stops
+        after the block of the largest.  Both are j * x0 + sigma * eps bit
+        for bit."""
         if t not in self.steps:
             raise DomainError(f"step {t} not in sweep steps")
         x0 = self.dataset.features
         n, d = x0.shape
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1 or (rows.size and not (0 <= rows.min() and rows.max() < n)):
-            raise DomainError(f"rows must be a 1-D index array into [0, {n})")
-        if out is None:
-            out = np.empty((len(rows), d))
         block = max(1, _BLOCK_VALUES // d)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.ndim != 1 or (rows.size and not (0 <= rows.min() and rows.max() < n)):
+                raise DomainError(f"rows must be a 1-D index array into [0, {n})")
+        if out is None:
+            out = np.empty((n if rows is None else len(rows), d))
         if t == 0:
-            for lo in range(0, len(rows), block):
-                out[lo:lo + block] = x0[rows[lo:lo + block]]
+            if rows is None:
+                np.copyto(out, x0)
+            else:  # a block of rows at a time, so no len(rows) x d copy is made
+                for lo in range(0, len(rows), block):
+                    out[lo:lo + block] = x0[rows[lo:lo + block]]
             return out
         j = float(j_values(self.schedule, t))
         sigma = np.sqrt(1.0 - j * j)
         stream = self.seeds.stream(t)
-        eps = np.empty((min(block, n), d))
+        if rows is None:
+            for lo in range(0, n, block):
+                eps = out[lo:lo + block]
+                stream.standard_normal(eps.shape, out=eps)
+                eps *= sigma
+                eps += j * x0[lo:lo + block]
+            return out
         order = np.argsort(rows, kind="stable")  # out positions, by row
         ordered = rows[order]
         cuts = np.searchsorted(ordered, np.arange(0, n + block, block))
-        for k, lo in enumerate(range(0, n, block)):
-            e = eps[:min(block, n - lo)]
-            stream.standard_normal(e.shape, out=e)
-            first, stop = cuts[k], cuts[k + 1]
-            if first < stop:  # snapshot's arithmetic on the kept rows only
+        buf = np.empty((min(block, n), d))
+        for lo in range(0, ordered[-1] + 1 if rows.size else 0, block):
+            eps = buf[:min(block, n - lo)]
+            stream.standard_normal(eps.shape, out=eps)
+            first, stop = cuts[lo // block], cuts[lo // block + 1]
+            if first < stop:  # the same arithmetic on the kept rows only
                 kept = ordered[first:stop]
-                picked = e[kept - lo]
+                picked = eps[kept - lo]
                 picked *= sigma
                 picked += j * x0[kept]
                 out[order[first:stop]] = picked
@@ -161,11 +150,14 @@ def step_results(count: int, make_slot, work):
     slots = [make_slot() for _ in range(workers)]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        pending = deque(pool.submit(work, i, slots[i]) for i in range(workers))
+        def submit(i: int):  # in its own copy of the caller's context
+            return pool.submit(contextvars.copy_context().run, work, i, slots[i % workers])
+
+        pending = deque(submit(i) for i in range(workers))
         for i in range(count):
             yield pending.popleft().result()
             if i + workers < count:
-                pending.append(pool.submit(work, i + workers, slots[i % workers]))
+                pending.append(submit(i + workers))
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -45,8 +45,8 @@ runs to T.
 One broadcast over (pairs x grid steps) gives every pair's series, its
 squared norms and cross inner products both from propagated_inner.
 mode="empirical", the stochastic oracle, walks the grid once: one snapshot
-per step after 0, from it the moments of each class still in an unmerged
-pair, and every unmerged pair compared.  Tensors are covariances (order 2).
+per step after 0, all into one buffer, then the moments of each class in
+an unmerged pair and every unmerged pair compared (covariances, order 2).
 
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
 and phase_spectrum (for its whole eps grid) share one step-0 pass
@@ -179,9 +179,11 @@ def _first_steps(schedule: NoiseSchedule, quad, lin: np.ndarray, err, distance,
     mid = 0.5 * (u[:-1] + u[1:])
     inside = np.abs(mid * (quad * mid + lin)) <= (cut + err) * (1.0 + 2.0**-40)
     opens, closes = np.empty(u.shape), np.empty(u.shape)
-    for row, x in ((0, 0.0), (slice(1, -1), -np.log(u[1:-1])), (-1, -np.log(low))):
-        t, reach = _beta_integral_inverse(schedule, x), (2.0**-20 + 2.0**-40 * x) / schedule.beta0
-        opens[row], closes[row] = np.maximum(np.ceil(t - reach), 1.0), np.floor(t + reach)
+    with np.errstate(all="ignore"):  # a subnormal beta0: reach inf (all steps) or t nan (none)
+        for row, x in ((0, 0.0), (slice(1, -1), -np.log(u[1:-1])), (-1, -np.log(low))):
+            t = _beta_integral_inverse(schedule, x)
+            reach = (2.0**-20 + 2.0**-40 * x) / schedule.beta0
+            opens[row], closes[row] = np.maximum(np.ceil(t - reach), 1.0), np.floor(t + reach)
     closes[:-1] = np.where(inside, closes[1:], closes[:-1])  # on through an inside piece
     closes[-1] = horizon - 1  # and on from u = low, below which J^2 may be subnormal
     closes = np.minimum(closes, horizon - 1)
@@ -289,6 +291,7 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
     np.fill_diagonal(merge, 0)
     pairs = list(enumerate(combinations(range(k), 2)))
     sims = np.ones((len(pairs), len(sweep.steps)))
+    xt = np.empty(sweep.dataset.features.shape)  # every step's snapshot, drawn in place
     for s, t in enumerate(sweep.steps):
         if t >= sweep.horizon or not pairs:
             break
@@ -296,17 +299,16 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
             moments = dict(enumerate(moments0))
         else:
             live = {c for _, pair in pairs for c in pair}
-            xt = sweep.snapshot(t)
+            sweep.snapshot(t, out=xt)
             moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1])
                        for c in live}
-            del xt
         for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
                 merge[i, j] = merge[j, i] = t
             else:
                 sims[p, s] = normalized_M(moments[i], moments[j])
         pairs = [(p, (i, j)) for p, (i, j) in pairs if merge[i, j] == sweep.horizon]
-        del moments  # neither they nor the snapshot are held while the next is drawn
+        del moments  # not held while the next snapshot is drawn
     return merge, sims
 
 

@@ -7,8 +7,9 @@ merge step: beyond it the two events are statistically
 indistinguishable and accuracy is undefined.  The steps below it are
 fitted on forward.step_results' worker threads.  Each worker owns one
 design matrix, allocated by the calling thread: the two classes' rows
-are drawn into it (TrajectorySweep.snapshot_rows, so no N x d snapshot
-is drawn) and the fit permutes and standardizes them in place.
+are drawn into it (TrajectorySweep.snapshot of those rows only, which
+stops at the block of the last) and the fit permutes and standardizes
+them in place.
 Accuracies do not depend on the number of workers.
 
 Weight laws distribute unit mass over a step window: uniform,
@@ -155,7 +156,7 @@ def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
         return np.empty((len(rows), d + 1))
 
     def fit(i: int, design: np.ndarray) -> float:
-        feats = sweep.snapshot_rows(fitted[i], rows, out=design[:, :-1])
+        feats = sweep.snapshot(fitted[i], rows, out=design[:, :-1])
         return train_linear_probe(feats[:len(a)], feats[len(a):], split=split, seed=seed,
                                   out=design)
 

@@ -159,7 +159,8 @@ class TestAnalyze:
         taken = []
         snapshot = TrajectorySweep.snapshot
         monkeypatch.setattr(TrajectorySweep, "snapshot",
-                            lambda self, t: taken.append(t) or snapshot(self, t))
+                            lambda self, t, *args, **kwargs:
+                            taken.append(t) or snapshot(self, t, *args, **kwargs))
         assert run(args + [str(tmp_path / "series.json"),
                            "--series-out", str(tmp_path / "series.csv")]) == 0
         grid = list(range(50, 1000, 50))  # step 0 reuses the step-0 moments
@@ -418,6 +419,39 @@ class TestErrorMapping:
         assert message in record["message"]
         if "--out" in argv:
             assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("argv,message", [
+        # a frequency scale of 1e308 overflows the CF probes (once a NaN delta)
+        (["cf", "--input-a", "{data}", "--input-b", "{data}", "--scale", "1e308",
+          "--freqs", "3"], "overflow"),
+        # features near 1e200 overflow their squares (once warnings and exit 4 or 3)
+        (["analyze", "--input", "{tmp}/big.csv"], "overflow"),
+        (["converge", "--input", "{tmp}/big.csv"], "overflow"),
+        # beta0 / 2 underflows to 0 (once a NaN mixing step)
+        (["mixing", "--dim", "64", "--beta0", "5e-324", "--betaT", "5e-324"], "divide by zero"),
+    ], ids=["cf", "analyze", "converge", "mixing"])
+    def test_float_error_is_one_numeric_record(self, argv, message, small_fixture, tmp_path):
+        rows = np.random.default_rng(0).standard_normal((60, 3)) * 1e200
+        (tmp_path / "big.csv").write_text("".join(
+            f"{i // 30},{a!r},{b!r},{c!r}\n" for i, (a, b, c) in enumerate(rows.tolist())))
+        proc = run_capped([a.format(data=small_fixture, tmp=tmp_path) for a in argv])
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+        record = json.loads(proc.stderr)
+        assert record["error"] == "numeric" and message in record["message"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("beta0,beta_t", [("5e-324", "5e-324"), ("1e-320", "1e-300")])
+    def test_subnormal_beta0_is_no_numeric_error(self, beta0, beta_t, small_fixture):
+        # a merge window's reach overflows or its step is 0 / 0 there, which
+        # the merge-step routine handles: J stays 1 and no pair ever merges
+        proc = run_capped(["analyze", "--input", str(small_fixture), "--beta0", beta0,
+                           "--betaT", beta_t, "--steps", "11"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["merge_times"] == [[0, 1000], [1000, 0]]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="RLIMIT_AS caps the address space on Linux")

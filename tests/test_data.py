@@ -232,7 +232,7 @@ def test_every_random_stream_keeps_its_key(seed):
     (tag (1 << 32) | (k << 8) | k), convergence projections (0xC0DE), CF
     frequency probes (0xF0F0) and the probe's split (0xB0BE)."""
     n, d = 50, 3
-    assert np.array_equal(SeedPolicy(seed).noise(n, d, 370),
+    assert np.array_equal(SeedPolicy(seed).stream(370).standard_normal((n, d)),
                           stream(seed, 370).standard_normal((n, d)))
 
     spec = SyntheticSpec(means=np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]]),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,7 +62,8 @@ class TestNoisedAt:
         pol = SeedPolicy(base_seed=12)
         for t in (1, 370, 1000):
             j = float(j_values(ddpm, t))
-            expected = j * ds.features + np.sqrt(1.0 - j * j) * pol.noise(2000, 8, t)
+            eps = pol.stream(t).standard_normal((2000, 8))
+            expected = j * ds.features + np.sqrt(1.0 - j * j) * eps
             assert sweep(ds, ddpm, [t], pol).snapshot(t).tobytes() == expected.tobytes()
 
     def test_blocks_match_closed_form_bit_exact(self, ddpm, monkeypatch):
@@ -69,7 +72,8 @@ class TestNoisedAt:
         ds = unit_dataset(4, n=2000, d=8)
         pol = SeedPolicy(base_seed=13)
         j = float(j_values(ddpm, 250))
-        expected = j * ds.features + np.sqrt(1.0 - j * j) * pol.noise(2000, 8, 250)
+        eps = pol.stream(250).standard_normal((2000, 8))
+        expected = j * ds.features + np.sqrt(1.0 - j * j) * eps
         assert sweep(ds, ddpm, [250], pol).snapshot(250).tobytes() == expected.tobytes()
 
     def test_marginal_law_for_fixed_x0(self, ddpm):
@@ -153,9 +157,9 @@ class TestSweep:
         sw = sweep(ds, NoiseSchedule.ddpm_default(), [0, 1, 250, 1000], SeedPolicy(base_seed=d))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forward, "_BLOCK_VALUES", block_values)
-            got = sw.snapshot_rows(t, rows)
+            got = sw.snapshot(t, rows)
             out = np.full((len(rows), d), np.nan)
-            assert sw.snapshot_rows(t, np.array(rows, dtype=np.int64), out=out) is out
+            assert sw.snapshot(t, np.array(rows, dtype=np.int64), out=out) is out
         want = sw.snapshot(t)[np.array(rows, dtype=np.intp)]
         assert got.shape == out.shape == want.shape
         assert got.tobytes() == want.tobytes() and out.tobytes() == want.tobytes()
@@ -164,9 +168,50 @@ class TestSweep:
         sw = sweep(unit_dataset(9, n=30), ddpm, [0, 5], SeedPolicy(base_seed=0))
         for rows in ([30], [-1], [[0, 1]]):
             with pytest.raises(DomainError, match="rows"):
-                sw.snapshot_rows(5, rows)
+                sw.snapshot(5, rows)
         with pytest.raises(DomainError, match="not in sweep steps"):
-            sw.snapshot_rows(3, [0])
+            sw.snapshot(3, [0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_values=st.sampled_from([1, 7, 40, 1 << 15]), n=st.integers(1, 300),
+           d=st.integers(1, 12), t=st.sampled_from([1, 250, 1000]), into=st.booleans())
+    def test_snapshot_matches_one_shot_draw_bitwise(self, block_values, n, d, t, into):
+        # drawn block by block, with a short last block, into out or a new array
+        sched = NoiseSchedule.ddpm_default()
+        ds = unit_dataset(n * d, n=n, d=d)
+        pol = SeedPolicy(base_seed=n + d)
+        j = float(j_values(sched, t))
+        want = j * ds.features + np.sqrt(1.0 - j * j) * pol.stream(t).standard_normal((n, d))
+        out = np.full((n, d), np.nan) if into else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forward, "_BLOCK_VALUES", block_values)
+            got = sweep(ds, sched, [t], pol).snapshot(t, out=out)
+        assert got is out or not into
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_values", [1, 7, 40, 1 << 15])
+    def test_rows_draw_stops_at_the_block_of_the_last_row(self, ddpm, monkeypatch, block_values):
+        monkeypatch.setattr(forward, "_BLOCK_VALUES", block_values)
+        n, d = 500, 4
+        block = max(1, block_values // d)
+        sw = sweep(unit_dataset(10, n=n, d=d), ddpm, [0, 300], SeedPolicy(base_seed=3))
+        drawn = []
+        stream = SeedPolicy.stream
+
+        def counted(self, step):  # the step's stream, counting the values drawn from it
+            draw = stream(self, step).standard_normal
+            return SimpleNamespace(standard_normal=lambda size, out=None:
+                                   drawn.append(int(np.prod(size))) or draw(size, out=out))
+
+        monkeypatch.setattr(SeedPolicy, "stream", counted)
+        for rows in ([3, 0], [17, 2, 17], [n - 1], list(range(0, 200, 9)), []):
+            drawn.clear()
+            sw.snapshot(300, rows)
+            want = min(n, (max(rows) // block + 1) * block) if rows else 0
+            assert sum(drawn) == want * d, rows
+        drawn.clear()
+        sw.snapshot(300)
+        assert sum(drawn) == n * d
 
     def test_conditional_mean_scales_with_j(self, ddpm):
         rng = np.random.default_rng(7)

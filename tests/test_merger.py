@@ -583,7 +583,8 @@ class TestEmpiricalWalk:
         taken = []
         snapshot = TrajectorySweep.snapshot
         monkeypatch.setattr(TrajectorySweep, "snapshot",
-                            lambda self, t: taken.append(t) or snapshot(self, t))
+                            lambda self, t, *args, **kwargs:
+                            taken.append(t) or snapshot(self, t, *args, **kwargs))
         pairwise_merge_times(sw, partition_by_label(sw.dataset), epsilon=0.02,
                              mode="empirical")
         assert taken and len(taken) == len(set(taken)) <= len(sw.steps)

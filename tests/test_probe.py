@@ -282,15 +282,15 @@ class TestProbeThroughTime:
         sw = sweep(ds, ddpm, [0, 100, 200, 300, 400, 500], sw.seeds)
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
         drawn = []
-        snapshot_rows = TrajectorySweep.snapshot_rows
+        snapshot = TrajectorySweep.snapshot
 
-        def failing(self, t, rows, out=None):
+        def failing(self, t, rows=None, out=None):
             drawn.append(t)
             if t in (100, 200):  # the second and third fitted steps
                 raise StepFailure(f"step {t}")
-            return snapshot_rows(self, t, rows, out=out)
+            return snapshot(self, t, rows, out=out)
 
-        monkeypatch.setattr(TrajectorySweep, "snapshot_rows", failing)
+        monkeypatch.setattr(TrajectorySweep, "snapshot", failing)
         with pytest.raises(StepFailure, match="^step 100$"):
             probe_through_time(sw, a, b, merge_step=1000)
         # no step is drawn past the failing one's window, and no worker is left
