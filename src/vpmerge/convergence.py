@@ -158,7 +158,11 @@ def _view_moments(x: np.ndarray, proj: np.ndarray, buffers: tuple | None = None)
     both share one reused (BLOCK_ROWS, d + P) buffer, taken from buffers
     (as _block_buffers makes them) when given.  The projection is issued
     MATMUL_MADDS multiply-adds at a time.  r is each view's |mean| (taken
-    through |proj|), which bounds its centring rounding error.
+    through |proj|), which bounds its centring rounding error.  Data whose
+    first centred block is below 2^-200 in magnitude, where m4 or the
+    degenerate-view cut would underflow, has every centred block and r
+    scaled up by the power of two that brings it near 1: exact, and K^2 and
+    the cut are scale-free.
     """
     n, d = x.shape
     if n < 20:
@@ -172,13 +176,18 @@ def _view_moments(x: np.ndarray, proj: np.ndarray, buffers: tuple | None = None)
         rows = min(BLOCK_ROWS, n - lo)
         b, q = block[:rows], sq[:rows]
         np.subtract(x[lo:lo + rows], mean, out=b[:, :d])
+        if lo == 0:  # the data's magnitude, from its first centred block
+            top = np.abs(b[:, :d], out=q[:, :d]).max(initial=0.0)
+            scale = 2.0 ** min(-math.frexp(top)[1], 1000) if 0.0 < top < 2.0**-200 else 1.0
+        if scale != 1.0:
+            b[:, :d] *= scale
         for at in range(0, rows, span):
             np.matmul(b[at:at + span, :d], proj, out=b[at:at + span, d:])
         np.multiply(b, b, out=q)  # multiplication chains; float pow is several x slower
         s2 += q.sum(axis=0)
         s3 += np.einsum("ij,ij->j", q, b)
         s4 += np.einsum("ij,ij->j", q, q)
-    r = np.concatenate([abs(mean), abs(mean) @ abs(proj)])
+    r = np.concatenate([abs(mean), abs(mean) @ abs(proj)]) * scale
     return s2 / n, s3 / n, s4 / n, r
 
 

@@ -28,6 +28,7 @@ DomainError otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,25 +50,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionalMoments:
-    """Order-2 centered moment tensor (a d x d covariance) of one event at one step."""
+    """Order-2 centered moment tensor (a d x d covariance) of one event at one
+    step.  Its statistics are computed on first read, so a run that never reads
+    ||S||_F^2 cannot overflow on it."""
 
     tensor: np.ndarray
-    top_eigenvalue: float
-    frobenius_sq: float
 
     @property
     def dim(self) -> int:
         return self.tensor.shape[0]
 
+    @cached_property
+    def top_eigenvalue(self) -> float:
+        """lambda_max, from one top_eigenvalue solve."""
+        return top_eigenvalue(self.tensor)
+
+    @cached_property
+    def frobenius_sq(self) -> float:
+        """||S||_F^2, the squared Hilbert norm F."""
+        return float(np.sum(self.tensor * self.tensor))
+
     @classmethod
     def from_tensor(cls, tensor, order: int = 2):
-        """Moments of a covariance matrix; one top-eigenvalue solve."""
+        """Moments of a covariance matrix."""
         _check_order(order)
         tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.ndim != 2:
             raise DomainError("order-2 tensor must be a matrix")
-        return cls(tensor=tensor, top_eigenvalue=top_eigenvalue(tensor),
-                   frobenius_sq=float(np.sum(tensor * tensor)))
+        return cls(tensor=tensor)
 
 
 def _check_order(n: int) -> None:

@@ -51,7 +51,11 @@ an unmerged pair and every unmerged pair compared (covariances, order 2).
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
 and phase_spectrum (for its whole eps grid) share one step-0 pass
 (_moments0, one conditional_fluctuation per class) in either mode
-(phase_spectrum is analytic only).  The default threshold
+(phase_spectrum is analytic only).  As J(0) = 1 exactly, a pair merges at
+step 0 if and only if its step-0 gap is <= eps, so the phase spectrum's
+count of positive-step cascade merges is the number of gaps between
+consecutive sorted step-0 statistics that exceed eps: it needs no merge
+step and no cascade, and does not read the schedule.  The default threshold
 eps = max_k lambda_k_max(0) / 400 is resolved over all classes in the
 first two (so they agree), over the two events alone in detect_series.
 
@@ -112,7 +116,7 @@ def default_epsilon(moments0) -> float:
 
 
 def _metric_stat(metric: str) -> str:
-    """Name of the ConditionalMoments field a metric compares."""
+    """Name of the ConditionalMoments statistic a metric compares."""
     stats = {"top_eigen_abs": "top_eigenvalue", "trace_l1": "frobenius_sq"}
     if metric not in stats:
         raise DomainError(f"unknown metric {metric!r}")
@@ -433,7 +437,20 @@ def lattice_jump(series, tau: int = 1, order: int = 1,
 
 def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_grid,
                    metric: str = "top_eigen_abs") -> list:
-    """Count of positive-step merger events in the cascade, per epsilon."""
+    """Count of positive-step merger events in the cascade, per epsilon: the
+    number of gaps between consecutive sorted step-0 statistics (lambda_max
+    or ||S||_F^2) above epsilon.
+
+    This is exact.  _first_steps tests step 0 first with the scan's own
+    expression at J^2 = 1, which is |s_a - s_b| for both metrics
+    (propagated_inner adds exact zeros there), so a pair's merge step is 0
+    if and only if |s_a - s_b| <= eps.  If C0 is the number of connected
+    components of the graph of those pairs, single linkage makes K - C0
+    merges at step 0 and every other merge at a positive step: C0 - 1 of
+    them.  On one axis the components are the runs of sorted s whose
+    consecutive gaps are <= eps, since float subtraction is monotone: no
+    consecutive gap inside [s_a, s_b] exceeds fl(s_b - s_a).
+    """
     eps_grid = [float(e) for e in epsilon_grid]
     if not eps_grid:
         raise DomainError("epsilon grid is empty")
@@ -441,6 +458,6 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_gr
         b <= a for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise DomainError("epsilon grid must be positive and increasing")
-    moments0 = _moments0(sweep, partition.events)
-    return [sum(step > 0 for _, _, step in _single_linkage(
-        _merge_steps(sweep.schedule, moments0, eps, metric))) for eps in eps_grid]
+    stat = _metric_stat(metric)
+    gaps = np.diff(np.sort([getattr(m, stat) for m in _moments0(sweep, partition.events)]))
+    return [int(np.count_nonzero(gaps > eps)) for eps in eps_grid]

@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import os
 import resource
+import shlex
 import struct
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from vpmerge import (
     partition_by_label,
     sweep,
 )
-from vpmerge.cli import execute
+from vpmerge.cli import build_parser, execute
 from vpmerge.data import save_dataset
 from vpmerge.forward import TrajectorySweep
 from vpmerge.schedule import j_values
@@ -488,6 +490,58 @@ class TestErrorMapping:
         assert np.array_equal(merge, scan_oracle(j2, tops, tops.max() / 400.0))
 
 
+def write_rows(path, rows, per_class=30):
+    """A CSV dataset of the rows, per_class rows to a class, labels 0, 1, ..."""
+    path.write_text("".join(f"{i // per_class}," + ",".join(map(repr, row)) + "\n"
+                            for i, row in enumerate(rows.tolist())))
+    return str(path)
+
+
+class TestExtremeMagnitudes:
+    @pytest.fixture()
+    def spiked(self):
+        """Three classes of 30 rows, d = 3, with leading variances 9, 4 and 1."""
+        rows = np.random.default_rng(0).standard_normal((90, 3))
+        return rows * np.repeat([[3.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]], 30, axis=0)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
+    def test_top_eigen_merge_steps_never_read_the_squared_norm(self, scale, spiked, tmp_path):
+        # ||S||_F^2 overflows from about 1e77 on, but top-eigen merge steps
+        # never read it, and lambda_max and eps scale alike
+        docs = []
+        for name, rows in (("unit", spiked), ("big", spiked * scale)):
+            out = tmp_path / f"{name}.json"
+            assert run(["analyze", "--input", write_rows(tmp_path / f"{name}.csv", rows),
+                        "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[1]["merge_times"] == docs[0]["merge_times"]
+
+    @pytest.mark.parametrize("extra", [["--metric", "trace"], ["--series-out", "{tmp}/s.csv"],
+                                       ["--mode", "empirical"]], ids=lambda e: e[0])
+    def test_squared_norm_readers_still_overflow(self, extra, spiked, tmp_path, capsys):
+        data = write_rows(tmp_path / "big.csv", spiked * 1e80)
+        assert run(["analyze", "--input", data, *[a.format(tmp=tmp_path) for a in extra]]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "numeric",
+                                                 "message": "overflow encountered in multiply"}
+
+    @pytest.mark.parametrize("command", ["converge", "windows"])
+    def test_tiny_magnitudes_scale_up_exactly(self, command, tmp_path, capsys):
+        # near 1e-160 the view moments and the degenerate-view cut underflow
+        # unless the battery scales the data up by a power of two first
+        tiny = np.random.default_rng(1).standard_normal((60, 3)) * 1e-160
+        power = 2.0 ** -np.frexp(np.abs(tiny - tiny.mean(axis=0)).max())[1]
+        docs = []
+        for name, rows in (("tiny", tiny), ("unit", tiny * power)):
+            assert run([command, "--input", write_rows(tmp_path / f"{name}.csv", rows),
+                        "--steps", "3"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            docs.append(json.loads(out))
+        if command == "converge":
+            assert docs[0]["steps"][0] == docs[1]["steps"][0]
+
+
 def run_capped(argv):
     """`python -m vpmerge.cli argv` under a 1.5 GB address-space cap."""
     def cap_address_space():
@@ -632,3 +686,20 @@ class TestReproducibility:
         first = out.read_bytes()
         assert run(args) == 0
         assert out.read_bytes() == first
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        # the README's CLI block, one example per subcommand, `\` lines joined
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        parser = build_parser()
+        seen = set()
+        for line in filter(None, map(str.strip, lines)):
+            argv = shlex.split(line)
+            assert argv[0] == "vpmerge", line
+            seen.add(parser.parse_args(argv[1:]).command)
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        assert seen == set(subcommands)

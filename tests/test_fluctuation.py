@@ -29,8 +29,10 @@ def propagate_moments(m0, schedule, t):
     """
     j2 = float(j_values(schedule, t)) ** 2
     tensor = j2 * m0.tensor + (1.0 - j2) * np.eye(m0.dim)
-    return ConditionalMoments(tensor=tensor, top_eigenvalue=j2 * m0.top_eigenvalue + (1.0 - j2),
-                              frobenius_sq=float(np.sum(tensor * tensor)))
+    m = ConditionalMoments(tensor=tensor)
+    vars(m).update(top_eigenvalue=j2 * m0.top_eigenvalue + (1.0 - j2),  # seeds the cache
+                   frobenius_sq=float(np.sum(tensor * tensor)))
+    return m
 
 
 def gaussian_sweep(ddpm, seed, n=100000, d=4, steps=(0,)):

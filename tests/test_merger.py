@@ -120,8 +120,9 @@ def step0_stats(tops, frob, trace, d):
     for top, f, tr in zip(tops, frob, trace):
         tensor = np.zeros((d, d))
         tensor[0, 0] = tr
-        out.append(ConditionalMoments(tensor=tensor, top_eigenvalue=float(top),
-                                      frobenius_sq=float(f)))
+        m = ConditionalMoments(tensor=tensor)
+        vars(m).update(top_eigenvalue=float(top), frobenius_sq=float(f))  # seeds the cache
+        out.append(m)
     return out
 
 
@@ -792,7 +793,48 @@ class TestLatticeJump:
         assert series.first_merge_step in steps
 
 
+@st.composite
+def phase_cases(draw):
+    """A sweep of K classes with patched step-0 statistics, drawn from a pool of
+    three classes with exact copies and near ones (relatively one ulp or 1e-12
+    apart), a horizon T, a metric and an increasing eps grid on and beside the
+    gaps between the sorted statistics."""
+    k = draw(st.integers(2, 16))
+    horizon = draw(st.sampled_from([1, 2, 50, 1000, 100_000]))
+    metric = draw(st.sampled_from(["top_eigen_abs", "trace_l1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top, trace, frob = rng.uniform(0.5, 20.0, (3, 3))[:, rng.integers(0, 3, k)]
+    near = rng.choice([1.0, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-12], (2, k))
+    tops, frob = top * near[0], frob * near[1]
+    moments0 = step0_stats(tops, frob, trace, 3)
+    gaps = np.diff(np.sort(tops if metric == "top_eigen_abs" else frob))
+    grid = np.concatenate([gaps, np.nextafter(gaps, 0.0), np.nextafter(gaps, np.inf),
+                           rng.uniform(0.0, 20.0, 3)])
+    grid = np.unique(grid[grid > 0.0])
+    ds = LabeledDataset(features=np.zeros((k, 1)), labels=np.arange(k))
+    sw = sweep(ds, NoiseSchedule(1e-4, 0.02, horizon), [0], SeedPolicy(base_seed=0))
+    return sw, partition_by_label(ds), moments0, metric, grid
+
+
 class TestPhaseSpectrum:
+    @settings(max_examples=120, deadline=None)
+    @given(phase_cases())
+    def test_counts_the_gaps_between_sorted_statistics(self, case):
+        # the oracle: a merge-step search and a cascade per epsilon, whose
+        # positive-step merges are counted; phase_spectrum runs neither
+        sw, part, moments0, metric, grid = case
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("phase_spectrum searched merge steps or built a cascade")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(merger, "_moments0", lambda sweep, events: moments0)
+            want = [sum(node["step"] > 0 for node in internal_nodes(build_cascade(
+                pairwise_merge_times(sw, part, epsilon=eps, metric=metric)))) for eps in grid]
+            mp.setattr(merger, "_merge_steps", forbidden)
+            mp.setattr(merger, "_single_linkage", forbidden)
+            assert phase_spectrum(sw, part, grid, metric=metric) == want
+
     def test_duplicates_have_no_positive_mergers(self, ddpm):
         sw = halves_sweep(ddpm)
         part = partition_by_label(sw.dataset)
