@@ -47,6 +47,7 @@ squared norms and cross inner products both from propagated_inner.
 mode="empirical", the stochastic oracle, walks the grid once: one snapshot
 per step after 0, all into one buffer, then the moments of each class in
 an unmerged pair and every unmerged pair compared (covariances, order 2).
+Either mode reads ||S||_F^2 and <S_a, S_b> only for a series.
 
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
 and phase_spectrum (for its whole eps grid) share one step-0 pass
@@ -266,7 +267,7 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
                metric: str, mode: str, series: bool) -> tuple:
     """(K x K first-merge matrix, P x len(steps) similarities of the pairs
     i < j row-major or None, epsilon) from one step-0 pass and one epsilon
-    over the events; the analytic similarities are computed only for series."""
+    over the events; the similarities are computed only for series."""
     events = [np.asarray(ev, dtype=np.int64) for ev in events]  # row indices of a snapshot
     moments0 = _moments0(sweep, events)
     if epsilon is None:
@@ -274,7 +275,8 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
     if mode == "empirical":
-        merge, values = _empirical_walk(sweep, events, epsilon, _metric_stat(metric), moments0)
+        merge, values = _empirical_walk(sweep, events, epsilon, _metric_stat(metric), moments0,
+                                        series)
     elif mode == "analytic":
         merge = _merge_steps(sweep.schedule, moments0, epsilon, metric)
         values = (_analytic_series(sweep.schedule, np.asarray(sweep.steps), moments0, merge)
@@ -285,16 +287,17 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
 
 
 def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: str,
-                    moments0: list):
-    """First-merge matrix and P x len(steps) thresholded similarities (pairs
-    i < j row-major) from one snapshot per grid step after 0 (step 0 reads
-    moments0, the events' step-0 moments); a pair is 1 from its first step
-    with a distance <= epsilon (sticky) and from the horizon on."""
+                    moments0: list, series: bool):
+    """First-merge matrix and, for series, P x len(steps) thresholded
+    similarities (pairs i < j row-major; else None) from one snapshot per grid
+    step after 0 (step 0 reads moments0, the events' step-0 moments); a pair
+    is 1 from its first step with a distance <= epsilon (sticky) and from the
+    horizon on."""
     k = len(events)
     merge = np.full((k, k), sweep.horizon, dtype=np.int64)
     np.fill_diagonal(merge, 0)
     pairs = list(enumerate(combinations(range(k), 2)))
-    sims = np.ones((len(pairs), len(sweep.steps)))
+    sims = np.ones((len(pairs), len(sweep.steps))) if series else None
     xt = np.empty(sweep.dataset.features.shape)  # every step's snapshot, drawn in place
     for s, t in enumerate(sweep.steps):
         if t >= sweep.horizon or not pairs:
@@ -309,7 +312,7 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
         for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
                 merge[i, j] = merge[j, i] = t
-            else:
+            elif series:
                 sims[p, s] = normalized_M(moments[i], moments[j])
         pairs = [(p, (i, j)) for p, (i, j) in pairs if merge[i, j] == sweep.horizon]
         del moments  # not held while the next snapshot is drawn
@@ -426,13 +429,11 @@ def lattice_jump(series, tau: int = 1, order: int = 1,
             f"sequence of length {L} too short for order {order}, tau {tau}"
         )
     coeff = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)])
-    out = []
-    for t in range(order * tau, L - order * tau):
-        left = sum(coeff[j] * phi[t - j * tau] for j in range(order + 1))
-        right = sum(coeff[j] * phi[t + (order - j) * tau] for j in range(order + 1))
-        if abs(left - right) / tau**order >= eps_disc:
-            out.append(t)
-    return out
+    lo, hi = order * tau, L - order * tau  # t runs over lo..hi-1, each sum in j order
+    left = sum(coeff[j] * phi[lo - j * tau:hi - j * tau] for j in range(order + 1))
+    right = sum(coeff[j] * phi[lo + (order - j) * tau:hi + (order - j) * tau]
+                for j in range(order + 1))
+    return (np.flatnonzero(np.abs(left - right) / tau**order >= eps_disc) + lo).tolist()
 
 
 def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_grid,

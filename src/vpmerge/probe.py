@@ -36,7 +36,6 @@ __all__ = [
 GD_ITERATIONS = 500
 GD_STEP = 0.1
 TRUNCATION_FLOOR = 20
-_BLOCK_VALUES = 1 << 13  # floats in one block of squared deviations (64 KiB)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -78,10 +77,16 @@ def train_linear_probe(feats_a: np.ndarray, feats_b: np.ndarray,
     x[:n_a] = feats_a  # no copy when the samples already sit there
     x[n_a:] = feats_b
     _permute_rows(x, order)
-    mu = x[:n_train].mean(axis=0)
-    sd = np.sqrt(_squared_deviations(x[:n_train], mu) / n_train)
+    x -= x[:n_train].mean(axis=0)
+    # np.var's column sums of squares of the centred training rows: einsum adds
+    # down each column as np.var does, but np.var adds one column pairwise and
+    # einsum reports no overflow, so np.var's own ufuncs take those cases
+    tr = x[:n_train]
+    sq = np.einsum("ij,ij->j", tr, tr)
+    if x.shape[1] == 1 or np.isinf(sq).any():
+        sq = np.add.reduce(tr * tr, axis=0)
+    sd = np.sqrt(sq / n_train)
     sd[sd == 0.0] = 1.0
-    x -= mu
     x /= sd
     xa[:, -1] = 1.0
 
@@ -110,27 +115,6 @@ def _permute_rows(x: np.ndarray, order: np.ndarray) -> None:
             k = order[k]
         done[k] = 1
         x[k] = first
-
-
-def _squared_deviations(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Column sums of (x - mu) ** 2, as np.var computes them, with the
-    squares taken a block of columns at a time.
-
-    A block of two or more columns is summed down each column in the same
-    order as the whole matrix; a single column is summed pairwise, so a
-    block has one column only when x has.
-    """
-    m, d = x.shape
-    blocks = max(1, min(d // 2, -(-m * d // _BLOCK_VALUES)))
-    bounds = [d * k // blocks for k in range(blocks + 1)]
-    buf = np.empty(m * -(-d // blocks))
-    sums = np.empty(d)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        dev = buf[:m * (hi - lo)].reshape(m, hi - lo)
-        np.subtract(x[:, lo:hi], mu[lo:hi], out=dev)
-        dev *= dev
-        sums[lo:hi] = np.add.reduce(dev, axis=0)
-    return sums
 
 
 def _check_split(split: float) -> None:

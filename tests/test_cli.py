@@ -517,13 +517,35 @@ class TestExtremeMagnitudes:
         assert docs[1]["merge_times"] == docs[0]["merge_times"]
 
     @pytest.mark.parametrize("extra", [["--metric", "trace"], ["--series-out", "{tmp}/s.csv"],
-                                       ["--mode", "empirical"]], ids=lambda e: e[0])
+                                       ["--mode", "empirical", "--series-out", "{tmp}/s.csv"]],
+                             ids=lambda e: e[0])
     def test_squared_norm_readers_still_overflow(self, extra, spiked, tmp_path, capsys):
         data = write_rows(tmp_path / "big.csv", spiked * 1e80)
         assert run(["analyze", "--input", data, *[a.format(tmp=tmp_path) for a in extra]]) == 4
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err) == {"error": "numeric",
                                                  "message": "overflow encountered in multiply"}
+
+    def test_probe_fit_overflow_is_a_numeric_error(self, spiked, tmp_path, capsys):
+        # the fit's squared deviations overflow near 1e200; the merge step is
+        # given, so no merger statistic overflows first
+        data = write_rows(tmp_path / "big.csv", spiked * 1e200)
+        assert run(["probe", "--input", data, "--steps", "3", "--merge-step", "500",
+                    "--out", str(tmp_path / "p.csv")]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "numeric",
+                                                 "message": "overflow encountered in multiply"}
+
+    def test_empirical_top_eigen_merge_steps_never_read_the_squared_norm(self, spiked,
+                                                                          tmp_path, capsys):
+        data = write_rows(tmp_path / "big.csv", spiked * 1e80)
+        texts = []
+        for _ in range(2):
+            assert run(["analyze", "--input", data, "--mode", "empirical", "--steps", "11"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            texts.append(out)
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("command", ["converge", "windows"])
     def test_tiny_magnitudes_scale_up_exactly(self, command, tmp_path, capsys):

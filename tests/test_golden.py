@@ -45,12 +45,17 @@ CASES = {
         ["probe", "--steps", "6", "--merge-step", "auto", "--seed", "4",
          "--out", "{tmp}/p.csv"],
         "920f9d380b269e963f7ae2bb50c79e29e64eafae671c65d1edebf9153f9e3206"),
+    "probe-one-feature": (  # the fit scales a single column by np.var's pairwise sum
+        ["probe", "--input", "{tmp}/one.csv", "--steps", "6", "--merge-step", "auto",
+         "--seed", "5", "--out", "{tmp}/p.csv"],
+        "81ef9b3786a0c81937d01addb44c70b588a8e4f214187888ecdf724e79f1bfc2"),
 }
 
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
-    """Five spiked Gaussian classes in d = 6 with small mean offsets, as CSV."""
+    """Five spiked Gaussian classes in d = 6 with small mean offsets, and two
+    one-feature classes with variances 9 and 1, as CSV."""
     root = tmp_path_factory.mktemp("golden")
     rng = np.random.default_rng(20251)
     lines = []
@@ -60,17 +65,22 @@ def fixture_dir(tmp_path_factory):
         rows = (rng.standard_normal((300, 6)) * scale) @ q.T + rng.normal(0.0, 0.5, 6)
         lines += [f"{k}," + ",".join(map(repr, row)) for row in rows.tolist()]
     (root / "five.csv").write_text("\n".join(lines) + "\n")
+    rows = rng.standard_normal(240) * np.repeat([3.0, 1.0], 120) + np.repeat([0.0, 1.5], 120)
+    lines = [f"{i // 120},{v!r}" for i, v in enumerate(rows.tolist())]
+    (root / "one.csv").write_text("\n".join(lines) + "\n")
     return root
 
 
 def _digest(argv, tmp):
     out, err = io.StringIO(), io.StringIO()
     argv = [a.format(tmp=tmp) for a in argv]
-    argv[1:1] = ["--input", f"{tmp}/five.csv"]
+    if "--input" not in argv:
+        argv[1:1] = ["--input", f"{tmp}/five.csv"]
+    data = argv[argv.index("--input") + 1]
     with redirect_stdout(out), redirect_stderr(err):
         code = execute(argv)
     h = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    for path in sorted(a for a in argv if a.startswith(f"{tmp}/") and "five.csv" not in a):
+    for path in sorted(a for a in argv if a.startswith(f"{tmp}/") and a != data):
         with open(path) as fh:
             h.update(fh.read().replace(str(tmp), "<tmp>").encode())
     return h.hexdigest()

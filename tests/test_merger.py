@@ -579,6 +579,18 @@ class TestEmpiricalWalk:
             assert single.first_merge_step == istar
             assert single.epsilon == eps_over(pair)
 
+    def test_merge_times_compute_no_similarity(self, ddpm, monkeypatch):
+        # ||S||_F^2 and <S_a, S_b> are read only for a series
+        sw = five_class_sweep(ddpm, range(0, 1001, 100))
+        part = partition_by_label(sw.dataset)
+        calls = []
+        monkeypatch.setattr(merger, "normalized_M",
+                            lambda a, b: calls.append(1) or normalized_M(a, b))
+        pairwise_merge_times(sw, part, epsilon=0.02, mode="empirical")
+        assert calls == []
+        pairwise_series(sw, part, epsilon=0.02, mode="empirical")
+        assert calls
+
     def test_one_snapshot_per_grid_step(self, ddpm, monkeypatch):
         sw = five_class_sweep(ddpm, range(0, 1001, 50))
         taken = []
@@ -760,7 +772,37 @@ class TestInterpolationSchedule:
             interpolation_schedule(ddpm, 1.5)
 
 
+def lattice_jump_oracle(series, tau, order, eps_disc):
+    """lattice_jump's differences one index at a time."""
+    phi = np.asarray(series, dtype=np.float64)
+    coeff = np.array([(-1) ** j * math.comb(order, j) for j in range(order + 1)])
+    out = []
+    for t in range(order * tau, len(phi) - order * tau):
+        left = sum(coeff[j] * phi[t - j * tau] for j in range(order + 1))
+        right = sum(coeff[j] * phi[t + (order - j) * tau] for j in range(order + 1))
+        if abs(left - right) / tau**order >= eps_disc:
+            out.append(t)
+    return out
+
+
 class TestLatticeJump:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_index_oracle(self, data):
+        order, tau = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        length = data.draw(st.integers(2 * order * tau + 1, 2 * order * tau + 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["noisy", "rounded", "step"]))
+        series = rng.standard_normal(length)
+        if kind == "rounded":  # ties of the differences with eps_disc
+            series = np.round(series, 1)
+        elif kind == "step":
+            series = np.cumsum(rng.random(length) < 0.1) + 1e-3 * series
+        eps_disc = data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0]))
+        hits = lattice_jump(series, tau=tau, order=order, eps_disc=eps_disc)
+        assert hits == lattice_jump_oracle(series, tau, order, eps_disc)
+        assert all(type(h) is int for h in hits)
+
     def test_unit_step(self):
         series = np.r_[np.zeros(5), np.ones(6)]
         hits = lattice_jump(series, tau=1, order=1, eps_disc=0.5)

@@ -131,11 +131,18 @@ class TestTrainLinearProbe:
         with pytest.raises(DataError, match="2-D"):
             train_linear_probe(np.zeros(50), np.ones(50))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_overflowed_scale_raises_under_errstate(self, d):
+        rng = np.random.default_rng(d)
+        a, b = rng.standard_normal((20, d)) * 1e200, rng.standard_normal((20, d)) * 1e200
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            train_linear_probe(a, b)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_matches_stacked_fit_bitwise(self, data):
         n_a, n_b = data.draw(st.integers(10, 120)), data.draw(st.integers(10, 120))
-        d = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 300))
         n = n_a + n_b
         n_train = data.draw(st.integers(1, n - 1))  # hypothesis tries the ends first
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -154,10 +161,9 @@ class TestTrainLinearProbe:
     @given(st.data())
     def test_fit_in_place_matches_stacked_fit_bitwise(self, data):
         # the probe's path: the samples are the design buffer's own first
-        # columns, and the squared deviations are summed a few columns at a time
+        # columns, centred and scaled in place
         n_a, n_b = data.draw(st.integers(10, 300)), data.draw(st.integers(10, 300))
         d = data.draw(st.integers(1, 12))
-        block_values = data.draw(st.sampled_from([probe._BLOCK_VALUES, 1, 50]))
         split = data.draw(st.floats(0.05, 0.95))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
@@ -169,9 +175,7 @@ class TestTrainLinearProbe:
         def fit_in_out(feats_a, feats_b, split, seed):
             return train_linear_probe(feats_a, feats_b, split=split, seed=seed, out=out)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(probe, "_BLOCK_VALUES", block_values)
-            ours = watched_fit(fit_in_out, out[:n_a, :-1], out[n_a:, :-1], split, seed)
+        ours = watched_fit(fit_in_out, out[:n_a, :-1], out[n_a:, :-1], split, seed)
         assert ours == watched_fit(stacked_fit_oracle, a, b, split, seed)
 
 
