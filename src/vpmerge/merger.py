@@ -13,34 +13,16 @@ merger is sticky).  Distances:
 
 In the default analytic mode, step-0 moments are pushed through the
 marginal law (lambda(t) = lambda(0) J^2 + 1 - J^2 and its trace
-analogue), which makes the first-merge step exact at integer resolution
-whatever step grid the sweep carries: a pair merges at the first t in 0..T
-(T if none) at which the float distance of an integer scan, J(t)^2 |gap|
-or the difference of two propagated_inner norms, is <= eps.
-_first_steps finds it for both metrics with no table over 0..T, in O(K^2)
-time and memory.  With u = J^2 the exact distance is |A u^2 + B u|: A = 0
-and B = |gap|, or A = dF - 2 dtr and B = 2 dtr from the step-0
-differences.  Step 0 (u = 1 exactly) is tested first.  The roots of
-A u^2 + B u = +-(eps + E), with E a bound on the scan's rounding, cut
-(0, 1] into pieces wholly inside or outside |A u^2 + B u| <= eps + E,
-told apart at their midpoints.  At u = 1 and at each root, in
-x = -ln u = int_0^t beta, a window opens on the steps within
-slack(x) = 2^-20 + 2^-40 x of it (within slack / beta0 of its real step,
-from the stable inverse of int_0^t beta) and runs on through the next
-piece when that piece is inside; each window is tested with the scan's
-own expression up to its first pass, and the least pass is the merge
-step.  It is exact: the float J^2 of a step and a computed root lie
-within about 2^-25 of their exact x (a double root errs by the square
-root of the roundoff), far inside slack(x), so a step outside every
-window has a float distance within E of a value above eps + E and fails.
-Where rounding loses the two roots that meet at the vertex -B / 2A, the
-distance is within rounding of eps + E there, and E (2^-44 times the
-magnitudes the trace adds) is tens of times that rounding, so those steps
-fail too.  Between adjacent steps u falls by a factor of e^-beta0 or
-more, far above rounding, so a window passes within a few steps unless
-eps is within the rounding of the distance, where only the scan can
-tell.  Below u = exp(-700), where J^2 may be subnormal, the last window
-runs to T.
+analogue), so a pair's distance at u = J(t)^2 is |A u^2 + B u|: A = 0 and
+B = |gap|, or A = dF - 2 dtr and B = 2 dtr from the step-0 differences.
+A pair merges at step 0 when its float step-0 gap |s_a - s_b| is <= eps,
+else at the first integer t in 1..T (T if none) whose u lies in the band
+|A u^2 + B u| <= eps, in real arithmetic.  _merge_steps takes it from the
+closed-form roots, one ceil per pair with no step tested and no table over
+0..T, in O(K^2) time and memory.  Where eps is within the rounding of a
+pair's float distance at some step, a float scan of 0..T can stop at
+another step (one off where eps sits on a distance; many off where a tiny
+eps is below the rounding of the cancelling trace difference).
 
 One broadcast over (pairs x grid steps) gives every pair's series, its
 squared norms and cross inner products both from propagated_inner.
@@ -69,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, exp
+from math import comb
 
 import numpy as np
 
@@ -78,7 +60,7 @@ from .errors import DataError, DegenerateError, DomainError
 from .fluctuation import (ConditionalMoments, _check_order, conditional_fluctuation,
                           moments_from_rows, normalized_M, propagated_inner)
 from .forward import TrajectorySweep
-from .schedule import NoiseSchedule, _beta_integral, _beta_integral_inverse, betas, j_values
+from .schedule import NoiseSchedule, _beta_integral_inverse, betas, j_values
 
 __all__ = [
     "MergerSeries",
@@ -104,8 +86,7 @@ class MergerSeries:
     epsilon: float
 
 
-_PAIR_BLOCK = 2**14  # pairs per _first_steps call: bounds its working arrays
-_SCAN_BLOCK = 2**16  # a window's steps per round double while a round tests fewer
+_PAIR_BLOCK = 2**14  # pairs per block of _merge_steps: bounds its working arrays
 
 
 def default_epsilon(moments0) -> float:
@@ -134,77 +115,56 @@ def _moments0(sweep: TrajectorySweep, events) -> list:
 
 def _merge_steps(schedule: NoiseSchedule, moments0: list, epsilon: float,
                  metric: str) -> np.ndarray:
-    """K x K first-merge matrix under the marginal law: each pair's first step
-    in 0..T whose distance is <= epsilon (T if none), from _first_steps over
-    blocks of _PAIR_BLOCK pairs i < j."""
-    k, d = len(moments0), moments0[0].dim
+    """K x K first-merge matrix under the marginal law (module docstring), from
+    the closed form over blocks of _PAIR_BLOCK pairs i < j."""
+    k = len(moments0)
     stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
     if metric == "trace_l1":
         trace = np.array([np.trace(m.tensor) for m in moments0])
     out = np.zeros((k, k), dtype=np.int64)
     ia, ib = np.triu_indices(k, 1)
-    for lo in range(0, len(ia), _PAIR_BLOCK):
-        a, b = ia[lo:lo + _PAIR_BLOCK], ib[lo:lo + _PAIR_BLOCK]
-        if metric == "top_eigen_abs":
-            gap = np.abs(stat[a] - stat[b])
-            first = _first_steps(schedule, 0.0, gap, 0.0, lambda j2, p: j2 * gap[p], epsilon)
-        else:  # |F_a - F_b| = |u^2 (dF - 2 dtr) + 2 u dtr| at u = J^2
-            fa, fb, ta, tb = stat[a], stat[b], trace[a], trace[b]
-            err = 2.0**-44 * (np.abs(fa) + np.abs(fb) + 4.0 * (np.abs(ta) + np.abs(tb)) + 2 * d)
-            first = _first_steps(
-                schedule, (fa - fb) - 2.0 * (ta - tb), 2.0 * (ta - tb), err,
-                lambda j2, p: np.abs(propagated_inner(j2, fa[p], ta[p], ta[p], d)
-                                     - propagated_inner(j2, fb[p], tb[p], tb[p], d)), epsilon)
-        out[a, b] = out[b, a] = first
+    with np.errstate(all="ignore"):  # absent roots and the logs of zero gaps are nan or inf
+        for lo in range(0, len(ia), _PAIR_BLOCK):
+            a, b = ia[lo:lo + _PAIR_BLOCK], ib[lo:lo + _PAIR_BLOCK]
+            gap = stat[a] - stat[b]
+            if metric == "top_eigen_abs":  # u |gap| <= eps
+                first = _first_step(schedule, np.log(np.abs(gap)) - np.log(epsilon))
+            else:
+                first = _trace_steps(schedule, gap, 2.0 * (trace[a] - trace[b]), epsilon)
+            # an absent step (nan) is the horizon
+            first = np.where(np.abs(gap) <= epsilon, 0, np.fmin(first, schedule.horizon_T))
+            out[a, b] = out[b, a] = first
     return out
 
 
-def _first_steps(schedule: NoiseSchedule, quad, lin: np.ndarray, err, distance,
+def _first_step(schedule: NoiseSchedule, x) -> np.ndarray:
+    """The first step t >= 1 with int_0^t beta >= x, i.e. J(t)^2 <= exp(-x)."""
+    return np.maximum(np.ceil(_beta_integral_inverse(schedule, np.maximum(x, 0.0))), 1.0)
+
+
+def _trace_steps(schedule: NoiseSchedule, gap: np.ndarray, lin: np.ndarray,
                  epsilon: float) -> np.ndarray:
-    """Each pair's first step t in 0..T with distance(J(t)^2, pairs) <= epsilon
-    (T if none), where |quad u^2 + lin u| is that distance at u = J^2 to within
-    err: step 0, then the windows of the module docstring, each tested up to
-    its first pass.  Arrays run along the pairs in their last axis."""
-    horizon, n = schedule.horizon_T, len(lin)
-    first = np.where(distance(np.ones(n), np.arange(n)) <= epsilon, 0, horizon)  # J(0)^2 = 1
-    low = exp(-min(float(_beta_integral(schedule, horizon)) + 1.0, 700.0))
-    cut = (epsilon + 2.0**-1070) + err  # 2^-1070: the rounding of a subnormal product
-    with np.errstate(all="ignore"):  # absent roots come out inf or nan
-        if np.any(quad):  # the stable pairs of roots of quad u^2 + lin u = +-cut
-            roots = []
-            for level in (cut, -cut):
-                half = -0.5 * (lin + np.copysign(np.sqrt(lin * lin + 4.0 * quad * level), lin))
-                roots += [half / quad, -level / half]
-        else:  # the root of |lin| u = cut
-            roots = [cut / np.abs(lin)]
-    roots = [np.where((r > low) & (r < 1.0), r, low) for r in roots]
-    u = np.stack([np.ones(n)] + [r for r in roots if (r > low).any()] + [np.full(n, low)])
-    if len(u) > 3:
-        u[1:-1] = -np.sort(-u[1:-1], axis=0)
-    mid = 0.5 * (u[:-1] + u[1:])
-    inside = np.abs(mid * (quad * mid + lin)) <= (cut + err) * (1.0 + 2.0**-40)
-    opens, closes = np.empty(u.shape), np.empty(u.shape)
-    with np.errstate(all="ignore"):  # a subnormal beta0: reach inf (all steps) or t nan (none)
-        for row, x in ((0, 0.0), (slice(1, -1), -np.log(u[1:-1])), (-1, -np.log(low))):
-            t = _beta_integral_inverse(schedule, x)
-            reach = (2.0**-20 + 2.0**-40 * x) / schedule.beta0
-            opens[row], closes[row] = np.maximum(np.ceil(t - reach), 1.0), np.floor(t + reach)
-    closes[:-1] = np.where(inside, closes[1:], closes[:-1])  # on through an inside piece
-    closes[-1] = horizon - 1  # and on from u = low, below which J^2 may be subnormal
-    closes = np.minimum(closes, horizon - 1)
-    job = np.flatnonzero((opens <= closes) & (first > 0))  # one per breakpoint and pair
-    lo, hi, pair = opens.ravel()[job].astype(np.int64), closes.ravel()[job].astype(np.int64), job % n
-    best, width = np.full(u.shape, horizon), 1
-    while job.size:  # each round tests the next `width` steps of every open window
-        t = lo + np.arange(width)[:, None]
-        hit = (t <= hi) & (distance(j_values(schedule, t) ** 2, pair) <= epsilon)
-        best.ravel()[job] = step = np.where(hit, t, horizon).min(axis=0)
-        first = np.minimum(first, best.min(axis=0))
-        lo = lo + width
-        go = (step == horizon) & (lo <= hi) & (lo < first[pair])
-        job, lo, hi, pair = job[go], lo[go], hi[go], pair[go]
-        width = max(1, min(2 * width, _SCAN_BLOCK // max(job.size, 1)))
-    return first
+    """First step t >= 1 (uncapped; nan if none) with u = J(t)^2 in the band
+    |quad u^2 + lin u| <= eps, quad = gap - lin.  With the signs flipped so
+    that lin >= 0, the band is [0, r1] u [r2, r3]: r1 <= r2 the roots at +eps
+    (r2 only when quad < 0) and r3 the positive root at -eps.  The step is
+    the upper piece's first step if that lands in it, else the lower
+    piece's.  Each root r enters as x = -ln r, a difference of the logs of
+    the stable root's factors; the discriminants lin^2 +- c^2, c^2 = 4 |quad|
+    eps, are taken as a hypot and a product of square roots, so no root
+    under- or overflows."""
+    # lin >= 0, and quad >= 0 where lin = 0, so (a, b) and (b, a) compute alike
+    quad = np.where((lin < 0) | (lin == 0) & (gap < 0), lin - gap, gap - lin)
+    lin = np.abs(lin)
+    c = 2.0 * np.sqrt(np.abs(quad)) * np.sqrt(epsilon)
+    hyp = np.hypot(lin, c)  # sqrt(lin^2 + c^2): at +eps where quad >= 0, at -eps where < 0
+    root = np.where(quad < 0, np.sqrt(lin - c) * np.sqrt(lin + c), hyp)  # nan: no r1, r2
+    ln_q = np.log(0.5 * (lin + root))
+    first = _first_step(schedule, ln_q - np.log(epsilon))  # r1 = eps / q
+    ln_quad = np.log(-quad)  # r2 = q / -quad, r3 = q3 / -quad
+    upper = _first_step(schedule, ln_quad - np.log(0.5 * (lin + hyp)))
+    lands = ~(_beta_integral_inverse(schedule, np.maximum(ln_quad - ln_q, 0.0)) < upper)
+    return np.where((quad < 0) & lands, upper, first)  # lands: u(upper) >= r2, or no r2
 
 
 def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
@@ -442,13 +402,11 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_gr
     number of gaps between consecutive sorted step-0 statistics (lambda_max
     or ||S||_F^2) above epsilon.
 
-    This is exact.  _first_steps tests step 0 first with the scan's own
-    expression at J^2 = 1, which is |s_a - s_b| for both metrics
-    (propagated_inner adds exact zeros there), so a pair's merge step is 0
-    if and only if |s_a - s_b| <= eps.  If C0 is the number of connected
-    components of the graph of those pairs, single linkage makes K - C0
-    merges at step 0 and every other merge at a positive step: C0 - 1 of
-    them.  On one axis the components are the runs of sorted s whose
+    This is exact.  A pair's merge step is 0 if and only if the float gap
+    |s_a - s_b| is <= eps (_merge_steps' step-0 test).  If C0 is the
+    number of connected components of the graph of those pairs, single
+    linkage makes K - C0 merges at step 0 and every other merge at a
+    positive step: C0 - 1 of them.  On one axis the components are the runs of sorted s whose
     consecutive gaps are <= eps, since float subtraction is monotone: no
     consecutive gap inside [s_a, s_b] exceeds fl(s_b - s_a).
     """

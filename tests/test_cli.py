@@ -526,6 +526,19 @@ class TestExtremeMagnitudes:
         assert out == "" and json.loads(err) == {"error": "numeric",
                                                  "message": "overflow encountered in multiply"}
 
+    @pytest.mark.parametrize("scale", [1e52, 1e60, 1e70])
+    def test_trace_merge_steps_below_the_squared_norm_limit(self, scale, tmp_path, capsys):
+        # an isotropic class against a spiked one of a smaller trace but a
+        # larger ||S||_F^2; 4 |quad| eps overflows from about 1e52 on, and the
+        # pair never reaches the band before T
+        z = np.random.default_rng(0).standard_normal((2, 30, 2))
+        z -= z.mean(axis=1, keepdims=True)
+        z = np.stack([c @ np.linalg.inv(np.linalg.cholesky(c.T @ c / 30)).T for c in z])
+        rows = np.concatenate([z[0], z[1] * [1.3, 0.1]]) * scale
+        assert run(["analyze", "--input", write_rows(tmp_path / "big.csv", rows),
+                    "--metric", "trace"]) == 0
+        assert json.loads(capsys.readouterr().out)["merge_times"] == [[0, 1000], [1000, 0]]
+
     def test_probe_fit_overflow_is_a_numeric_error(self, spiked, tmp_path, capsys):
         # the fit's squared deviations overflow near 1e200; the merge step is
         # given, so no merger statistic overflows first
