@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         _schedule_args(p)
         p.add_argument("--steps", default="101",
                        help="step count (even subsample) or comma list")
-        # only order 2 is computed; the flag stays for the config echo
-        p.add_argument("--order", type=int, default=2, choices=(2,))
         p.add_argument("--metric", default="top-eigen", choices=("top-eigen", "trace"))
         p.add_argument("--epsilon", default="auto")
         p.add_argument("--mode", default="analytic", choices=("analytic", "empirical"))

@@ -9,20 +9,15 @@ the normalized form
 is the cosine similarity, i.e. the centred kernel alignment between the
 two conditional covariance matrices.
 
-Moments come from one of two sources:
-
-* propagate=True: the step-0 moments of the dataset rows (only t = 0).
-  Later steps follow from them in closed form: the law of J x0 + sigma eps
-  conditioned on a step-0 event has covariance J^2 S0 + (1 - J^2) I; the
-  inner product of two such covariances (a squared norm when both are one)
-  is propagated_inner, the one copy of that law (the merger reads it with
-  J^2 directly).
-* propagate=False (empirical): recompute from the sweep's stochastic
-  snapshot at t.
+Step 0 reads the dataset rows, so the grid need not hold it; later steps
+follow from it in closed form.  The law of J x0 + sigma eps conditioned on a
+step-0 event has covariance J^2 S0 + (1 - J^2) I; the inner product of two
+such covariances (a squared norm when both are one) is propagated_inner, the
+one copy of that law (the merger reads it with J^2 directly).  Any other
+step, the empirical oracle, reads the sweep's stochastic snapshot there.
 
 Only order 2 is computed: order-1 tensors under own-mean centring are
-identically zero.  The n / order parameters accept 2 and raise
-DomainError otherwise.
+identically zero.
 """
 
 from __future__ import annotations
@@ -71,46 +66,35 @@ class ConditionalMoments:
         return float(np.sum(self.tensor * self.tensor))
 
     @classmethod
-    def from_tensor(cls, tensor, order: int = 2):
+    def from_tensor(cls, tensor):
         """Moments of a covariance matrix."""
-        _check_order(order)
         tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.ndim != 2:
             raise DomainError("order-2 tensor must be a matrix")
         return cls(tensor=tensor)
 
 
-def _check_order(n: int) -> None:
-    if n != 2:
-        raise DomainError(f"tensor order must be 2, got {n}")
-
-
-def moments_from_rows(rows: np.ndarray, n: int):
-    """(mean, covariance) of the rows, centred on their own mean and
-    divided by the row count."""
+def moments_from_rows(rows: np.ndarray) -> ConditionalMoments:
+    """Moments of the rows' covariance, centred on their own mean and divided
+    by the row count."""
     rows = np.asarray(rows, dtype=np.float64)
     m = rows.shape[0]
     if m == 0:
         raise DomainError("event is empty")
-    _check_order(n)
     if m < 2:
         raise DegenerateError("order-2 tensor needs an event with >= 2 rows")
-    mean = rows.mean(axis=0)
-    dev = rows - mean
-    return mean, dev.T @ dev / m
+    dev = rows - rows.mean(axis=0)
+    return ConditionalMoments.from_tensor(dev.T @ dev / m)
 
 
-def conditional_fluctuation(sweep: TrajectorySweep, event, t: int, n: int = 2,
-                            propagate: bool = True) -> ConditionalMoments:
-    """Conditional covariance of one event at step t of a sweep.  Propagated
-    moments read the dataset rows, so t must be 0 and the grid need not hold
-    it; empirical ones read the snapshot, so t must be a sweep step."""
+def conditional_fluctuation(sweep: TrajectorySweep, event, t: int) -> ConditionalMoments:
+    """Conditional covariance of one event at step t of a sweep.  Step 0 reads
+    the dataset rows, so the grid need not hold it; any other t reads the
+    snapshot, so it must be a sweep step.  The two agree at 0, where the
+    snapshot is an exact copy of the rows."""
     event = np.asarray(event, dtype=np.int64)
-    if not propagate:
-        return ConditionalMoments.from_tensor(moments_from_rows(sweep.snapshot(t, event), n)[1])
-    if t != 0:
-        raise DomainError(f"propagated moments are step-0 moments, got step {t}")
-    return ConditionalMoments.from_tensor(moments_from_rows(sweep.dataset.features[event], n)[1])
+    return moments_from_rows(sweep.dataset.features[event] if t == 0
+                             else sweep.snapshot(t, event))
 
 
 def propagated_inner(j2, inner, trace_a, trace_b, d):

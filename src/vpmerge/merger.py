@@ -33,14 +33,14 @@ Either mode reads ||S||_F^2 and <S_a, S_b> only for a series.
 
 pairwise_merge_times, pairwise_series, detect_series (the two-event case)
 and phase_spectrum (for its whole eps grid) share one step-0 pass
-(_moments0, one conditional_fluctuation per class) in either mode
-(phase_spectrum is analytic only).  As J(0) = 1 exactly, a pair merges at
-step 0 if and only if its step-0 gap is <= eps, so the phase spectrum's
-count of positive-step cascade merges is the number of gaps between
-consecutive sorted step-0 statistics that exceed eps: it needs no merge
-step and no cascade, and does not read the schedule.  The default threshold
-eps = max_k lambda_k_max(0) / 400 is resolved over all classes in the
-first two (so they agree), over the two events alone in detect_series.
+(_moments0, one conditional_fluctuation of the dataset rows per class) in
+either mode (phase_spectrum is analytic only).  As J(0) = 1 exactly, a pair
+merges at step 0 if and only if its step-0 gap is <= eps, so the phase
+spectrum's count of positive-step cascade merges is the number of gaps
+between consecutive sorted step-0 statistics that exceed eps: it needs no
+merge step and no cascade, and does not read the schedule.  The default
+threshold eps = max_k lambda_k_max(0) / 400 is resolved over all classes in
+the first two (so they agree), over the two events alone in detect_series.
 
 Cascades are single linkage over merge times, O(K^2) with a cached
 minimum per row; ties go to the pair of clusters whose smallest class ids
@@ -57,8 +57,8 @@ import numpy as np
 
 from .data import EventPartition
 from .errors import DataError, DegenerateError, DomainError
-from .fluctuation import (ConditionalMoments, _check_order, conditional_fluctuation,
-                          moments_from_rows, normalized_M, propagated_inner)
+from .fluctuation import (conditional_fluctuation, moments_from_rows, normalized_M,
+                          propagated_inner)
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, _beta_integral_inverse, betas, j_values
 
@@ -110,7 +110,7 @@ def _moments0(sweep: TrajectorySweep, events) -> list:
     if len(events) < 2:
         raise DataError("need at least two events")
     # empty events raise here
-    return [conditional_fluctuation(sweep, ev, 0, propagate=True) for ev in events]
+    return [conditional_fluctuation(sweep, ev, 0) for ev in events]
 
 
 def _merge_steps(schedule: NoiseSchedule, moments0: list, epsilon: float,
@@ -188,9 +188,8 @@ def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
     return np.minimum(values, 1.0, out=values)
 
 
-def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
-                  epsilon: float | None = None, metric: str = "top_eigen_abs",
-                  mode: str = "analytic") -> MergerSeries:
+def detect_series(sweep: TrajectorySweep, a, b, epsilon: float | None = None,
+                  metric: str = "top_eigen_abs", mode: str = "analytic") -> MergerSeries:
     """Thresholded similarity series and first merger step for events a, b.
 
     Per step: the normalized cross-fluctuation while the metric distance
@@ -200,7 +199,6 @@ def detect_series(sweep: TrajectorySweep, a, b, n: int = 2,
     """
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
-    _check_order(n)  # n is the tensor order, always 2
     merge, values, epsilon = _all_pairs(sweep, [a, b], epsilon, metric, mode, series=True)
     return MergerSeries(steps=sweep.steps, values=values[0],
                         first_merge_step=int(merge[0, 1]), epsilon=float(epsilon))
@@ -267,8 +265,7 @@ def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: 
         else:
             live = {c for _, pair in pairs for c in pair}
             sweep.snapshot(t, out=xt)
-            moments = {c: ConditionalMoments.from_tensor(moments_from_rows(xt[events[c]], 2)[1])
-                       for c in live}
+            moments = {c: moments_from_rows(xt[events[c]]) for c in live}
         for p, (i, j) in pairs:
             if abs(getattr(moments[i], stat) - getattr(moments[j], stat)) <= epsilon:
                 merge[i, j] = merge[j, i] = t
@@ -381,7 +378,7 @@ def lattice_jump(series, tau: int = 1, order: int = 1,
     phi = np.asarray(series, dtype=np.float64)
     if tau < 1 or order < 1:
         raise DomainError("tau and order must be >= 1")
-    if eps_disc <= 0.0:
+    if not eps_disc > 0.0:  # nan fails too
         raise DomainError("eps_disc must be positive")
     L = phi.shape[0]
     if L < 2 * order * tau + 1:
@@ -413,9 +410,8 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_gr
     eps_grid = [float(e) for e in epsilon_grid]
     if not eps_grid:
         raise DomainError("epsilon grid is empty")
-    if any(e <= 0 for e in eps_grid) or any(
-        b <= a for a, b in zip(eps_grid, eps_grid[1:])
-    ):
+    # a nan fails both comparisons
+    if not (eps_grid[0] > 0 and all(b > a for a, b in zip(eps_grid, eps_grid[1:]))):
         raise DomainError("epsilon grid must be positive and increasing")
     stat = _metric_stat(metric)
     gaps = np.diff(np.sort([getattr(m, stat) for m in _moments0(sweep, partition.events)]))

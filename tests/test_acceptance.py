@@ -89,7 +89,7 @@ def test_02_merger_time_oracle():
         ds = two_class_dataset(seed=seed, n_per_class=20000, d=16)
         sw = sweep(ds, DDPM, [0, 1000], SeedPolicy(base_seed=seed))
         part = partition_by_label(ds)
-        series = detect_series(sw, part.events[0], part.events[1], n=2,
+        series = detect_series(sw, part.events[0], part.events[1],
                                epsilon=0.06, metric="top_eigen_abs")
         detected.append(series.first_merge_step)
     elapsed = time.time() - t0
@@ -103,10 +103,10 @@ def test_03_eigenvalue_contraction():
     steps = [int(t) for t in np.linspace(0, 700, 11)]
     sw = sweep(ds, DDPM, steps, SeedPolicy(base_seed=30))
     rows = np.arange(ds.count)
-    lam0 = conditional_fluctuation(sw, rows, 0, n=2).top_eigenvalue
+    lam0 = conditional_fluctuation(sw, rows, 0).top_eigenvalue
     worst = 0.0
     for t in steps[1:]:
-        emp = conditional_fluctuation(sw, rows, t, n=2, propagate=False).top_eigenvalue
+        emp = conditional_fluctuation(sw, rows, t).top_eigenvalue
         j2 = float(j_values(DDPM, t)) ** 2
         law = lam0 * j2 + (1.0 - j2)
         worst = max(worst, abs(emp - law) / law)
@@ -122,7 +122,7 @@ def test_04_one_sweep_estimator():
     ds = LabeledDataset(features=feats, labels=np.zeros(100000, dtype=int))
     sw = sweep(ds, DDPM, [0], SeedPolicy(base_seed=41))
     event = np.flatnonzero(feats[:, 0] > 0)
-    est = conditional_fluctuation(sw, event, 0, n=2).tensor
+    est = conditional_fluctuation(sw, event, 0).tensor
     var_trunc = stats.truncnorm.var(0, np.inf)
     assert abs(var_trunc - (1 - 2 / math.pi)) < 1e-12
     target = np.eye(d)
@@ -140,8 +140,8 @@ def test_04_one_sweep_estimator():
             r = np.random.default_rng(s)
             xa = r.standard_normal((n, 8)) * np.sqrt(spec_a)
             xb = r.standard_normal((n, 8)) * np.sqrt(spec_b)
-            ma = ConditionalMoments.from_tensor(moments_from_rows(xa, 2)[1], order=2)
-            mb = ConditionalMoments.from_tensor(moments_from_rows(xb, 2)[1], order=2)
+            ma = moments_from_rows(xa)
+            mb = moments_from_rows(xb)
             errs.append(abs(normalized_M(ma, mb) - truth))
         return float(np.mean(errs))
 
@@ -216,8 +216,8 @@ def test_07_cka_property_suite():
     q *= np.sign(np.diag(r))
 
     def cka_of(u, v):
-        mu = ConditionalMoments.from_tensor(moments_from_rows(u, 2)[1], order=2)
-        mv = ConditionalMoments.from_tensor(moments_from_rows(v, 2)[1], order=2)
+        mu = moments_from_rows(u)
+        mv = moments_from_rows(v)
         return normalized_M(mu, mv)
 
     drift = abs(cka_of(2.5 * xa @ q.T, 2.5 * xb @ q.T) - cka_of(xa, xb))

@@ -110,7 +110,7 @@ class TestAnalyze:
         series = tmp_path / "series.csv"
         code = run([
             "analyze", "--input", str(small_fixture), "--T", "1000",
-            "--steps", "101", "--order", "2", "--metric", "top-eigen",
+            "--steps", "101", "--metric", "top-eigen",
             "--epsilon", "0.06", "--seed", "1",
             "--out", str(out), "--series-out", str(series),
         ])
@@ -612,8 +612,7 @@ def random_argv(draw, files):
     mostly from the flags that subcommand accepts."""
     tiny, out = files["tiny"], files["out"]
     sched = ["--T", "--beta0", "--betaT"]
-    analysis = sched + ["--input", "--steps", "--order", "--metric", "--epsilon", "--mode",
-                        "--seed"]
+    analysis = sched + ["--input", "--steps", "--metric", "--epsilon", "--mode", "--seed"]
     commands = {
         "mixing": (["--dim", "4"], sched + ["--dim"]),
         "analyze": (["--input", tiny, "--steps", "11"], analysis),

@@ -50,25 +50,13 @@ def from_matrix(mat):
 class TestConditionalFluctuation:
     def test_standard_normal_covariance(self, ddpm):
         sw = gaussian_sweep(ddpm, 0)
-        m = conditional_fluctuation(sw, np.arange(100000), 0, n=2)
+        m = conditional_fluctuation(sw, np.arange(100000), 0)
         assert np.linalg.norm(m.tensor - np.eye(4), ord=2) < 0.03
-
-    def test_first_order_rejected(self, ddpm):
-        # an order-1 tensor under own-mean centring is identically zero
-        sw = gaussian_sweep(ddpm, 1, n=500)
-        for propagate in (True, False):
-            with pytest.raises(DomainError, match="order must be 2"):
-                conditional_fluctuation(sw, np.arange(500), 0, n=1, propagate=propagate)
-        with pytest.raises(DomainError, match="order must be 2"):
-            moments_from_rows(sw.dataset.features, 1)
-        with pytest.raises(DomainError, match="order must be 2"):
-            ConditionalMoments.from_tensor(np.eye(4), order=1)
 
     def test_own_mean_centring_and_event_count(self):
         rows = np.array([[1.0, 2.0], [3.0, 2.0], [5.0, 8.0]])
-        mean, tensor = moments_from_rows(rows, 2)
+        tensor = moments_from_rows(rows).tensor
         dev = rows - rows.mean(axis=0)
-        assert np.array_equal(mean, rows.mean(axis=0))
         assert np.array_equal(tensor, dev.T @ dev / 3)
 
     def test_empty_event(self, ddpm):
@@ -79,10 +67,10 @@ class TestConditionalFluctuation:
     def test_degenerate_event_for_order_two(self, ddpm):
         sw = gaussian_sweep(ddpm, 4, n=100)
         with pytest.raises(DegenerateError):
-            conditional_fluctuation(sw, np.array([3]), 0, n=2)
+            conditional_fluctuation(sw, np.array([3]), 0)
 
     def test_propagated_needs_no_step_zero_in_the_grid(self, ddpm):
-        # propagated moments read the dataset rows, never the step-0 snapshot
+        # step-0 moments read the dataset rows, never the step-0 snapshot
         with_zero = gaussian_sweep(ddpm, 2, n=500, steps=(0, 300))
         without = gaussian_sweep(ddpm, 2, n=500, steps=(300,))
         ev = np.arange(250)
@@ -92,23 +80,22 @@ class TestConditionalFluctuation:
         assert (a.top_eigenvalue, a.frobenius_sq) == (b.top_eigenvalue, b.frobenius_sq)
         # step 300 follows from them, and agrees with the snapshot there
         # (250 rows in d = 4: a loose 4 sqrt(d / n) spectral bound)
-        emp = conditional_fluctuation(without, ev, 300, propagate=False)
+        emp = conditional_fluctuation(without, ev, 300)
         ana = propagate_moments(b, ddpm, 300)
         assert np.linalg.norm(ana.tensor - emp.tensor, ord=2) < 4 * math.sqrt(4 / 250)
-        with pytest.raises(DomainError, match="not in sweep steps"):
-            conditional_fluctuation(without, ev, 0, propagate=False)
 
     def test_propagated_rejects_a_later_step(self, ddpm):
         sw = gaussian_sweep(ddpm, 2, n=500, steps=(0, 300))
-        for t in (300, -1, ddpm.horizon_T + 1):
-            with pytest.raises(DomainError, match="step-0 moments"):
-                conditional_fluctuation(sw, np.arange(250), t, propagate=True)
+        # a step after 0 reads the snapshot, so it must be on the grid
+        for t in (100, -1, ddpm.horizon_T + 1):
+            with pytest.raises(DomainError, match="not in sweep steps"):
+                conditional_fluctuation(sw, np.arange(250), t)
 
     def test_propagated_matches_empirical(self, ddpm):
         sw = gaussian_sweep(ddpm, 5, n=50000, d=6, steps=(0, 300))
         ev = np.arange(25000)
-        ana = propagate_moments(conditional_fluctuation(sw, ev, 0, n=2), ddpm, 300)
-        emp = conditional_fluctuation(sw, ev, 300, n=2, propagate=False)
+        ana = propagate_moments(conditional_fluctuation(sw, ev, 0), ddpm, 300)
+        emp = conditional_fluctuation(sw, ev, 300)
         assert np.linalg.norm(ana.tensor - emp.tensor, ord=2) < 0.05
         assert ana.top_eigenvalue == pytest.approx(emp.top_eigenvalue, rel=0.05)
 
@@ -126,7 +113,7 @@ class TestConditionalFluctuation:
         x = rng.standard_normal((2000, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.2])
         ds = LabeledDataset(features=x, labels=np.zeros(2000, dtype=int))
         sw = sweep(ds, ddpm, (0, 300), SeedPolicy(base_seed=7))
-        m0 = conditional_fluctuation(sw, np.arange(2000), 0, n=2, propagate=True)
+        m0 = conditional_fluctuation(sw, np.arange(2000), 0)
         m = propagate_moments(m0, ddpm, 300)
         assert calls == [(5, 5)]  # the step-0 tensor only
         dense = np.linalg.eigvalsh(m.tensor)[-1]
@@ -139,7 +126,7 @@ class TestConditionalFluctuation:
 
     def test_frobenius_matches_tensor_norm(self, ddpm):
         sw = gaussian_sweep(ddpm, 6, n=1000)
-        m = conditional_fluctuation(sw, np.arange(1000), 0, n=2)
+        m = conditional_fluctuation(sw, np.arange(1000), 0)
         assert m.frobenius_sq == pytest.approx(np.sum(m.tensor**2), rel=1e-9)
 
 
@@ -203,8 +190,8 @@ class TestNormalizedM:
         scale = 3.7
 
         def cka(u, v):
-            ma = ConditionalMoments.from_tensor(moments_from_rows(u, 2)[1], order=2)
-            mb = ConditionalMoments.from_tensor(moments_from_rows(v, 2)[1], order=2)
+            ma = moments_from_rows(u)
+            mb = moments_from_rows(v)
             return normalized_M(ma, mb)
 
         base = cka(xa, xb)
@@ -264,8 +251,8 @@ class TestOneSweepEstimator:
                 rng = np.random.default_rng(s)
                 xa = rng.standard_normal((n, d)) * np.sqrt(spec_a)
                 xb = rng.standard_normal((n, d)) * np.sqrt(spec_b)
-                ma = ConditionalMoments.from_tensor(moments_from_rows(xa, 2)[1], order=2)
-                mb = ConditionalMoments.from_tensor(moments_from_rows(xb, 2)[1], order=2)
+                ma = moments_from_rows(xa)
+                mb = moments_from_rows(xb)
                 errs.append(abs(normalized_M(ma, mb) - truth))
             return np.mean(errs)
 
@@ -279,11 +266,9 @@ class TestContractionLaw:
         ds = LabeledDataset(features=feats, labels=np.zeros(50000, dtype=int))
         steps = [0, 200, 400, 600]
         sw = sweep(ds, ddpm, steps, SeedPolicy(base_seed=22))
-        lam0 = conditional_fluctuation(sw, np.arange(50000), 0, n=2).top_eigenvalue
+        lam0 = conditional_fluctuation(sw, np.arange(50000), 0).top_eigenvalue
         for t in steps[1:]:
-            emp = conditional_fluctuation(
-                sw, np.arange(50000), t, n=2, propagate=False
-            ).top_eigenvalue
+            emp = conditional_fluctuation(sw, np.arange(50000), t).top_eigenvalue
             j2 = float(j_values(ddpm, t)) ** 2
             law = lam0 * j2 + (1 - j2)
             assert abs(emp - law) / law < 0.03

@@ -25,18 +25,18 @@ from vpmerge.cli import execute
 CASES = {
     "analyze-top-series": (
         ["analyze", "--steps", "21", "--out", "{tmp}/a.json", "--series-out", "{tmp}/s.csv"],
-        "a2a6fbf21c7a0d2850a16675e576048c02405e33204cf3e33739914dac781ebd"),
+        "b11c1b7edcbff15279d3021c8876336c796a752fcb9a907208a76507174f4466"),
     "analyze-trace": (
         ["analyze", "--metric", "trace", "--steps", "21", "--out", "{tmp}/a.json"],
-        "ebf04b78c8324e37334fe4fc15bb386f75e96b6cfb0e8f28f35e6b7e0f2d73fb"),
+        "f093b6db462728faf69ece38adf9dc10a4ef46f49176e52c7416e2fe32e56f7f"),
     "analyze-empirical": (
         ["analyze", "--mode", "empirical", "--steps", "11", "--seed", "3",
          "--out", "{tmp}/a.json"],
-        "7e883114f259ccf6356e78ba01db9554757ac7bf80d933925ed4c058bfb0f794"),
+        "6dbc3bc53a8361794373e54063714d03f71b95ab4f8f4ec0dcb447f8401c82ca"),
     "windows": (
         ["windows", "--steps", "21", "--projections", "16", "--seed", "2",
          "--out", "{tmp}/w.json"],
-        "846e1a4acfed63ed885aa1f94e36e4f0406ad95c2416cea8027ce810e473a1a5"),
+        "128b87b7e70e246d7b5185bda67101e3f4e8fa625590321a5936e784f19da233"),
     "converge": (
         ["converge", "--steps", "21", "--projections", "16", "--seed", "2",
          "--out", "{tmp}/c.json"],

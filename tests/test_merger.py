@@ -197,7 +197,7 @@ def internal_nodes(tree):
     return out
 
 
-def reference_empirical_series(sw, a, b, epsilon, metric, n=2):
+def reference_empirical_series(sw, a, b, epsilon, metric):
     """Oracle: the per-pair, per-step empirical loop (two snapshots per step)
     that the one-snapshot-per-step walk replaced; returns (values, i*)."""
     stat = {"top_eigen_abs": "top_eigenvalue", "trace_l1": "frobenius_sq"}[metric]
@@ -207,8 +207,8 @@ def reference_empirical_series(sw, a, b, epsilon, metric, n=2):
         if t >= istar:
             values[i] = 1.0
             continue
-        mat = conditional_fluctuation(sw, a, t, n=n, propagate=False)
-        mbt = conditional_fluctuation(sw, b, t, n=n, propagate=False)
+        mat = conditional_fluctuation(sw, a, t)
+        mbt = conditional_fluctuation(sw, b, t)
         if abs(getattr(mat, stat) - getattr(mbt, stat)) <= epsilon:
             istar = t
             values[i] = 1.0
@@ -360,28 +360,26 @@ class TestDetectSeries:
     def test_duplicate_halves_merge_at_zero(self, ddpm):
         sw = halves_sweep(ddpm)
         part = partition_by_label(sw.dataset)
-        series = detect_series(sw, part.events[0], part.events[1], n=2)
+        series = detect_series(sw, part.events[0], part.events[1])
         assert series.first_merge_step == 0
         assert np.all(series.values == 1.0)
 
     def test_two_class_fixture_matches_oracle(self, two_class_sweep, ddpm):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], n=2,
-                               epsilon=0.06, metric="top_eigen_abs")
+        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06,
+                               metric="top_eigen_abs")
         oracle = closed_form_merge_step(ddpm, 6.0, 0.06)
         assert abs(series.first_merge_step - oracle) <= 2
 
     def test_tiny_epsilon_never_merges_before_horizon(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], n=2,
-                               epsilon=1e-300)
+        series = detect_series(sw, part.events[0], part.events[1], epsilon=1e-300)
         assert series.first_merge_step == sw.horizon
         assert series.values[-1] == 1.0
 
     def test_stickiness(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], n=2,
-                               epsilon=0.06)
+        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
         istar = series.first_merge_step
         after = [v for t, v in zip(series.steps, series.values) if t >= istar]
         assert all(v == 1.0 for v in after)
@@ -389,8 +387,7 @@ class TestDetectSeries:
 
     def test_values_in_unit_interval(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], n=2,
-                               epsilon=0.06)
+        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
         assert np.all((series.values >= 0.0) & (series.values <= 1.0))
 
     def test_empirical_mode_agrees_roughly(self, ddpm):
@@ -407,25 +404,18 @@ class TestDetectSeries:
     def test_overlapping_events_rejected(self, two_class_sweep):
         sw, part = two_class_sweep
         with pytest.raises(DomainError):
-            detect_series(sw, part.events[0], part.events[0], n=2, epsilon=0.1)
+            detect_series(sw, part.events[0], part.events[0], epsilon=0.1)
 
     def test_bad_epsilon(self, two_class_sweep):
         sw, part = two_class_sweep
         with pytest.raises(DomainError):
             detect_series(sw, part.events[0], part.events[1], epsilon=-1.0)
 
-    def test_order_one_rejected(self, two_class_sweep):
-        # conditional-mean order-1 tensors are identically zero
-        sw, part = two_class_sweep
-        with pytest.raises(DomainError, match="tensor order must be 2"):
-            detect_series(sw, part.events[0], part.events[1], n=1, epsilon=0.06)
-
 
 class TestPairwiseMergeTimes:
     def test_two_classes(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], n=2,
-                               epsilon=0.06)
+        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
         mt = pairwise_merge_times(sw, part, epsilon=0.06)
         assert mt[0, 0] == mt[1, 1] == 0
         assert mt[0, 1] == mt[1, 0] == series.first_merge_step
@@ -449,14 +439,13 @@ class TestPairwiseMergeTimes:
         assert mt[0, 1] == 0
 
     @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
-    @pytest.mark.parametrize("n", [2])  # detect_series rejects order 1 (test_order_one_rejected)
-    def test_matches_per_pair_series(self, ddpm, metric, n):
+    def test_matches_per_pair_series(self, ddpm, metric):
         sw = five_class_sweep(ddpm, [0, 500, 1000])
         part = partition_by_label(sw.dataset)
         mt = pairwise_merge_times(sw, part, epsilon=0.02, metric=metric)
         for i in range(5):
             for j in range(i + 1, 5):
-                series = detect_series(sw, part.events[i], part.events[j], n=n,
+                series = detect_series(sw, part.events[i], part.events[j],
                                        epsilon=0.02, metric=metric)
                 assert mt[i, j] == mt[j, i] == series.first_merge_step
 
@@ -902,6 +891,11 @@ class TestLatticeJump:
         with pytest.raises(DomainError, match=">= 1"):
             lattice_jump(np.ones(20), tau=tau, order=order, eps_disc=0.1)
 
+    @pytest.mark.parametrize("eps_disc", [0.0, -1.0, math.nan])
+    def test_eps_disc_positive(self, eps_disc):
+        with pytest.raises(DomainError, match="eps_disc must be positive"):
+            lattice_jump(np.ones(20), tau=1, order=1, eps_disc=eps_disc)
+
     def test_recovers_merger_step(self, ddpm):
         ds = two_class_dataset(seed=0)
         sw = sweep(ds, ddpm, range(0, 1001), SeedPolicy(base_seed=1))
@@ -1010,3 +1004,6 @@ class TestPhaseSpectrum:
             phase_spectrum(sw, part, epsilon_grid=[])
         with pytest.raises(DomainError):
             phase_spectrum(sw, part, epsilon_grid=[0.2, 0.1])
+        for grid in ([1e-3, math.nan], [math.nan, 1.0]):  # nan passes no comparison
+            with pytest.raises(DomainError, match="positive and increasing"):
+                phase_spectrum(sw, part, epsilon_grid=grid)
