@@ -24,7 +24,7 @@ def main() -> None:
     print("-" * 40)
     for dim in (int(v) for v in args.dims.split(",")):
         pred = predict_mixing_step(sched, dim)
-        print(f"{dim:>8} | {pred.t_mix_steps:>14.1f} | {pred.t_mix_fraction:>10.3f}")
+        print(f"{dim:>8} | {pred['t_mix_steps']:>14.1f} | {pred['t_mix_fraction']:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def main() -> None:
         samples_per_class=(args.n_per_class,) * len(tops),
     )
     ds = synth_gaussian_mixture(spec, seed=args.seed)
-    sched = NoiseSchedule.ddpm_default()
+    sched = NoiseSchedule()
     sw = sweep(ds, sched, [0, sched.horizon_T], SeedPolicy(base_seed=args.seed))
     grid = np.geomspace(args.eps_min, args.eps_max, args.grid_points)
     counts = phase_spectrum(sw, partition_by_label(ds), epsilon_grid=grid)

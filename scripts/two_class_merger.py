@@ -43,7 +43,7 @@ def main() -> None:
                     help="write step,value rows for the first seed")
     args = ap.parse_args()
 
-    sched = NoiseSchedule.ddpm_default()
+    sched = NoiseSchedule()
     oracle = closed_form(sched, abs(args.lam_a - args.lam_b), args.epsilon)
     print(f"closed-form merge step: {oracle:.2f}")
 

@@ -13,7 +13,6 @@ imported from its module (``vpmerge.merger``, ``vpmerge.data`` ...).
 __version__ = "0.1.0"
 
 from .convergence import (
-    RandomProjections,
     convergence_step,
     empirical_cf_distance,
     moment_tv_check,

@@ -21,13 +21,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
 
 from . import __version__
-from .convergence import RandomProjections, convergence_step, empirical_cf_distance, moment_tv_check
+from .convergence import convergence_step, empirical_cf_distance, moment_tv_check
 from .data import (
     SyntheticSpec,
     load_dataset,
@@ -108,7 +107,7 @@ def _emit(text: str, args) -> None:
 
 def _cmd_mixing(args) -> dict:
     sched = NoiseSchedule(beta0=args.beta0, betaT=args.betaT, horizon_T=args.T)
-    return {"schedule": sched.to_dict(), **asdict(predict_mixing_step(sched, args.dim))}
+    return {"schedule": sched.to_dict(), **predict_mixing_step(sched, args.dim)}
 
 
 def _sweep(args):
@@ -126,13 +125,6 @@ def _analysis_inputs(args):
     eps = None if args.epsilon == "auto" else float(args.epsilon)
     metric = {"top-eigen": "top_eigen_abs", "trace": "trace_l1"}[args.metric]
     return sw, part, eps, metric
-
-
-def _convergence(args, sw, **kwargs):
-    """convergence_step over the coordinates and --projections seeded
-    projections (the coordinates alone when it is 0)."""
-    views = RandomProjections(count=args.projections, seed=args.seed)
-    return convergence_step(sw, alpha=args.alpha, views=views, **kwargs)
 
 
 def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
@@ -167,7 +159,8 @@ def _cmd_windows(args) -> dict:
     sw, part, eps, metric = _analysis_inputs(args)
     mt = pairwise_merge_times(sw, part, epsilon=eps, metric=metric, mode=args.mode)
     # only detected_step is read
-    istar = _convergence(args, sw, stop_at_detection=True).detected_step
+    istar = convergence_step(sw, args.alpha, args.projections, args.seed,
+                             stop_at_detection=True).detected_step
     return {
         "schedule": sw.schedule.to_dict(),
         "istar": istar,
@@ -177,7 +170,7 @@ def _cmd_windows(args) -> dict:
 
 
 def _cmd_converge(args) -> dict:
-    return _convergence(args, _sweep(args)).to_dict()
+    return convergence_step(_sweep(args), args.alpha, args.projections, args.seed).to_dict()
 
 
 def _cmd_simulate(args) -> None:
@@ -224,14 +217,13 @@ def _cmd_probe(args) -> None:
 def _cmd_cf(args) -> dict:
     a = load_dataset(args.input_a)
     b = load_dataset(args.input_b)
-    return asdict(empirical_cf_distance(a, b, freq_count=args.freqs,
-                                        freq_scale=args.scale, seed=args.seed))
+    return empirical_cf_distance(a, b, freq_count=args.freqs,
+                                 freq_scale=args.scale, seed=args.seed)
 
 
 def _cmd_tvcheck(args) -> dict:
     arr = read_csv(args.input, width=3)
-    return asdict(moment_tv_check(arr[:, 1], arr[:, 2], arr[:, 0],
-                                  n=args.order, c0=args.c0))
+    return moment_tv_check(arr[:, 1], arr[:, 2], arr[:, 0], n=args.order, c0=args.c0)
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call

@@ -2,14 +2,14 @@
 
 Convergence of the forward process is read off a battery of 1-D
 D'Agostino-Pearson omnibus tests over the d coordinates and P seeded
-random projections (RandomProjections; P = 0 leaves the coordinates
-alone): the detected step is the first at which the fraction of rejecting
-views drops to 1.5 * alpha (the slack absorbs false positives at the
-nominal level).  Per step the battery makes one chunked pass over the
-snapshot: each block of rows is centred by the column mean, projected
-into the same buffer, and its centred power sums give m2, m3 and m4 of
-every view (one-pass moments after Pebay, SAND2008-6212), from which
-K^2 follows.  The N x (d + P) view matrix is never built.
+random projections (convergence_step's projections and seed; P = 0 leaves
+the coordinates alone): the detected step is the first at which the
+fraction of rejecting views drops to 1.5 * alpha (the slack absorbs false
+positives at the nominal level).  Per step the battery makes one chunked
+pass over the snapshot: each block of rows is centred by the column mean,
+projected into the same buffer, and its centred power sums give m2, m3
+and m4 of every view (one-pass moments after Pebay, SAND2008-6212), from
+which K^2 follows.  The N x (d + P) view matrix is never built.
 
 Steps run on forward.step_results' pool of one worker thread per usable
 core (at most one per step): each step draws its own Philox stream, so
@@ -29,7 +29,10 @@ Also here: 1-D total-variation distance on grid densities, the
 moment-based TV bound d_TV <= C_n (M^2 + B) with C_n = c0 (1+n!) (2^n+48),
 and an empirical characteristic-function distance over seeded Gaussian
 frequency probes (a Monte-Carlo stand-in for the L2 frequency norm, which
-is intractable on a dense grid in high dimension).
+is intractable on a dense grid in high dimension).  The bound check returns
+{"d_tv", "moment_bound", "second_moment_bound", "constant", "bound_value",
+"holds"} and the CF distance {"delta", "freq_count", "freq_scale"}: the
+dicts the CLI writes.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ from .forward import TrajectorySweep, step_results
 
 __all__ = [
     "NormalityReport",
-    "RandomProjections",
-    "TVBoundReport",
-    "CFDistance",
     "dagostino_pearson",
     "convergence_step",
     "tv_distance_1d",
@@ -68,14 +68,6 @@ MATMUL_MADDS = 1 << 18
 
 
 @dataclass(frozen=True)
-class RandomProjections:
-    """View spec: the coordinates plus this many seeded unit-vector projections."""
-
-    count: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class NormalityReport:
     alpha: float
     detected_step: int
@@ -89,23 +81,6 @@ class NormalityReport:
             "detected_step": self.detected_step,
             "steps": [{"t": int(t), "reject_frac": float(r)} for t, r in self.steps],
         }
-
-
-@dataclass(frozen=True)
-class TVBoundReport:
-    d_tv: float
-    moment_bound: float      # M: max centered-moment gap up to order n
-    second_moment_bound: float  # B: max of |mean| and variance over both
-    constant: float          # C_n
-    bound_value: float       # C_n (M^2 + B)
-    holds: bool
-
-
-@dataclass(frozen=True)
-class CFDistance:
-    delta: float
-    freq_count: int
-    freq_scale: float
 
 
 def _k2_from_moments(n: int, m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> np.ndarray:
@@ -207,28 +182,26 @@ def dagostino_pearson(sample):
     return k2, p
 
 
-def _projections(views, d: int) -> np.ndarray:
-    """The (d, P) unit-column projection matrix of a view spec."""
-    if not isinstance(views, RandomProjections):
-        raise DomainError(f"unknown views spec {views!r}")
-    if views.count < 0:
-        raise DomainError(f"projection count must be >= 0, got {views.count}")
-    proj = philox(views.seed, 0xC0DE).standard_normal((d, views.count))
+def _projections(count: int, seed: int, d: int) -> np.ndarray:
+    """The (d, count) matrix of seeded unit-column projections."""
+    if count < 0:
+        raise DomainError(f"projection count must be >= 0, got {count}")
+    proj = philox(seed, 0xC0DE).standard_normal((d, count))
     proj /= np.linalg.norm(proj, axis=0)
     return proj
 
 
 def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
-                     views: RandomProjections = RandomProjections(count=0),
+                     projections: int = 0, seed: int = 0,
                      stop_at_detection: bool = False) -> NormalityReport:
     """First sweep step at which the view battery looks Gaussian.
 
-    The views are the d coordinates and views.count seeded projections
-    (none by default); a views that is not a RandomProjections raises
-    DomainError.  Scans steps upward; per step the rejection fraction at
-    level alpha is compared to REJECTION_SLACK * alpha.  Degenerate views
-    are recorded and excluded from the fraction, never fatal.  If no step
-    passes, the detected step is reported as the horizon.
+    The views are the d coordinates and `projections` unit-vector
+    projections drawn from seed (none by default).  Scans steps upward;
+    per step the rejection fraction at level alpha is compared to
+    REJECTION_SLACK * alpha.  Degenerate views are recorded and excluded
+    from the fraction, never fatal.  If no step passes, the detected step
+    is reported as the horizon.
     stop_at_detection skips the remaining steps once the decision fires
     (the detected step is unaffected; the per-step series just ends there).
 
@@ -243,7 +216,7 @@ def convergence_step(sweep: TrajectorySweep, alpha: float = 0.05,
     if len(steps) < 1:
         raise DomainError("sweep has no steps")
     n, d = sweep.dataset.features.shape
-    proj = _projections(views, d)
+    proj = _projections(projections, seed, d)
     width = d + proj.shape[1]
 
     def slot() -> tuple:
@@ -313,12 +286,14 @@ def _grid_central_moments(p: np.ndarray, grid: np.ndarray, up_to: int) -> np.nda
     return moments
 
 
-def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> TVBoundReport:
+def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> dict:
     """Check d_TV(p, q) <= C_n (M^2 + B) with C_n = c0 (1 + n!) (2^n + 48).
 
     M is the largest gap between centered moments up to order n; B bounds
     |mean| and the variance of both densities.  C_n and the bound must be
-    finite floats, which needs n <= 170 (171! overflows a float).
+    finite floats, which needs n <= 170 (171! overflows a float).  Returns
+    {"d_tv", "moment_bound": M, "second_moment_bound": B, "constant": C_n,
+    "bound_value": C_n (M^2 + B), "holds": d_tv <= bound_value}.
     """
     if not 2 <= n <= 170:
         raise DomainError(f"moment order n must lie in [2, 170], got {n}")
@@ -339,16 +314,16 @@ def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> TVBoundReport:
         bound = c_n * (m_bound**2 + b_bound)
     if not np.isfinite(bound):
         raise DomainError(f"the bound C_n (M^2 + B) is not finite at n = {n}, c0 = {c0}")
-    return TVBoundReport(
-        d_tv=d_tv, moment_bound=float(m_bound), second_moment_bound=float(b_bound),
-        constant=c_n, bound_value=float(bound), holds=bool(d_tv <= bound),
-    )
+    return {"d_tv": d_tv, "moment_bound": float(m_bound),
+            "second_moment_bound": float(b_bound), "constant": c_n,
+            "bound_value": float(bound), "holds": bool(d_tv <= bound)}
 
 
 def empirical_cf_distance(a, b, freq_count: int = 64,
                           freq_scale: float | None = None,
-                          seed: int = 0) -> CFDistance:
-    """RMS gap between empirical characteristic functions at seeded probes.
+                          seed: int = 0) -> dict:
+    """RMS gap between empirical characteristic functions at seeded probes,
+    as {"delta", "freq_count", "freq_scale"}.
 
     Probes are freq_scale * N(0, I_d) draws; freq_scale defaults to
     1/sqrt(d) so probe energy matches unit-variance data.
@@ -367,4 +342,4 @@ def empirical_cf_distance(a, b, freq_count: int = 64,
     phi_a = np.exp(1j * xa @ freqs.T).mean(axis=0)
     phi_b = np.exp(1j * xb @ freqs.T).mean(axis=0)
     delta = float(np.sqrt(np.mean(np.abs(phi_a - phi_b) ** 2)))
-    return CFDistance(delta=delta, freq_count=freq_count, freq_scale=float(scale))
+    return {"delta": delta, "freq_count": freq_count, "freq_scale": float(scale)}

@@ -292,10 +292,10 @@ def _single_linkage(merge_times: np.ndarray):
     mt = np.asarray(merge_times, dtype=np.float64)
     if mt.ndim != 2 or mt.shape[0] != mt.shape[1]:
         raise DomainError("merge_times must be a square matrix")
-    if not np.allclose(mt, mt.T):
+    if not np.all(np.isfinite(mt) & (mt >= 0) & (mt == np.floor(mt))):
+        raise DomainError("merge_times must be finite, non-negative whole steps")
+    if not np.array_equal(mt, mt.T):
         raise DomainError("merge_times must be symmetric")
-    if np.any(mt < 0):
-        raise DomainError("merge_times must be non-negative")
     k = mt.shape[0]
     if k < 2:
         return
@@ -306,7 +306,7 @@ def _single_linkage(merge_times: np.ndarray):
     for _ in range(k - 1):
         lo = int(np.argmin(low))
         hi = int(col[lo])
-        yield lo, hi, int(round(dist[lo, hi]))
+        yield lo, hi, int(dist[lo, hi])
         row = np.minimum(dist[lo], dist[hi])
         row[lo] = row[hi] = np.inf
         dist[lo, :] = dist[:, lo] = row

@@ -22,7 +22,6 @@ from .errors import DomainError
 
 __all__ = [
     "NoiseSchedule",
-    "MixingPrediction",
     "betas",
     "j_values",
     "predict_mixing_step",
@@ -31,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Linear beta schedule with discrete horizon T."""
+    """Linear beta schedule with discrete horizon T; the defaults are DDPM's."""
 
     beta0: float = 1e-4
     betaT: float = 0.02
@@ -45,21 +44,8 @@ class NoiseSchedule:
         if self.horizon_T < 1:
             raise DomainError(f"horizon_T must be >= 1, got {self.horizon_T}")
 
-    @classmethod
-    def ddpm_default(cls) -> "NoiseSchedule":
-        return cls(beta0=1e-4, betaT=0.02, horizon_T=1000)
-
     def to_dict(self) -> dict:
         return {"beta0": self.beta0, "betaT": self.betaT, "T": self.horizon_T}
-
-
-@dataclass(frozen=True)
-class MixingPrediction:
-    """Analytic epsilon-mixing step for sub-Gaussian data of dimension d."""
-
-    t_mix_steps: float
-    t_mix_fraction: float
-    dim: int
 
 
 def betas(schedule: NoiseSchedule) -> np.ndarray:
@@ -93,8 +79,9 @@ def j_values(schedule: NoiseSchedule, t) -> np.ndarray:
     return np.exp(-0.5 * _beta_integral(schedule, t))
 
 
-def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> MixingPrediction:
-    """Analytic mixing step for sub-Gaussian data in dimension d.
+def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> dict:
+    """Analytic epsilon-mixing step for sub-Gaussian data in dimension d, as
+    {"t_mix_steps", "t_mix_fraction" (of the horizon T), "dim"}.
 
     Solves (beta0/2) t + (betaT - beta0) t^2 / (4 T) = log(d/2) / 4,
     the quadratic whose DDPM-default form is t + 0.0995 t^2 = 5000 log(d/2).
@@ -108,6 +95,4 @@ def predict_mixing_step(schedule: NoiseSchedule, dim: int) -> MixingPrediction:
     for _ in range(3):  # Newton polish to push the residual below 1e-9
         f = a * t * t + b * t - rhs
         t -= f / (2.0 * a * t + b)
-    return MixingPrediction(
-        t_mix_steps=t, t_mix_fraction=t / schedule.horizon_T, dim=dim
-    )
+    return {"t_mix_steps": t, "t_mix_fraction": t / schedule.horizon_T, "dim": dim}

@@ -16,7 +16,7 @@ from vpmerge import (
 
 @pytest.fixture(scope="session")
 def ddpm():
-    return NoiseSchedule.ddpm_default()
+    return NoiseSchedule()
 
 
 def discrete_product_oracle(sched, t):

@@ -18,7 +18,6 @@ from vpmerge import (
     ConditionalMoments,
     LabeledDataset,
     NoiseSchedule,
-    RandomProjections,
     SeedPolicy,
     SyntheticSpec,
     conditional_fluctuation,
@@ -43,7 +42,7 @@ from vpmerge.schedule import j_values
 
 from conftest import two_class_dataset
 
-DDPM = NoiseSchedule.ddpm_default()
+DDPM = NoiseSchedule()
 
 
 def report(num, ok, detail):
@@ -73,7 +72,7 @@ def spiked_gaussians(seed, tops, d=8, n=20000, mean_sep=0.0):
 def test_01_mixing_time_reproduction():
     t0 = time.time()
     rows = {3072: 0.602, 784: 0.543, 4096: 0.614}
-    errs = {d: abs(predict_mixing_step(DDPM, d).t_mix_fraction - v)
+    errs = {d: abs(predict_mixing_step(DDPM, d)["t_mix_fraction"] - v)
             for d, v in rows.items()}
     elapsed = time.time() - t0
     ok = all(e <= 0.005 for e in errs.values()) and elapsed < 1.0
@@ -174,15 +173,14 @@ def test_06_convergence_detection():
         labels=np.zeros(20000, dtype=int),
     )
     sw = sweep(cube, DDPM, range(0, 1001, 10), SeedPolicy(base_seed=61))
-    rep = convergence_step(sw, views=RandomProjections(count=64, seed=62),
-                           stop_at_detection=True)
-    predicted = predict_mixing_step(DDPM, 64).t_mix_steps
+    rep = convergence_step(sw, projections=64, seed=62, stop_at_detection=True)
+    predicted = predict_mixing_step(DDPM, 64)["t_mix_steps"]
     gap = abs(rep.detected_step - predicted)
 
     gauss = LabeledDataset(features=rng.standard_normal((20000, 64)),
                            labels=np.zeros(20000, dtype=int))
     sw_g = sweep(gauss, DDPM, [0, 10], SeedPolicy(base_seed=63))
-    rep_g = convergence_step(sw_g, views=RandomProjections(count=64, seed=64))
+    rep_g = convergence_step(sw_g, projections=64, seed=64)
     ok = gap <= 0.1 * DDPM.horizon_T and rep_g.detected_step == 0
     report(6, ok, f"cube detected {rep.detected_step} vs predicted "
                   f"{predicted:.0f}; gaussian detected {rep_g.detected_step}")
@@ -258,7 +256,7 @@ def test_09_moment_tv():
 
         p, q = mixture(), mixture()
         for n in (2, 3):
-            all_hold &= moment_tv_check(p, q, x, n=n, c0=1.0).holds
+            all_hold &= moment_tv_check(p, q, x, n=n, c0=1.0)["holds"]
 
     worst_tv = 0.0
     for delta in (0.1, 0.5, 3.0):
@@ -278,7 +276,7 @@ def test_10_fluctuation_adaptation():
         labels=ds.labels.copy(),
     )
     delta = empirical_cf_distance(ds.features, pert.features,
-                                  freq_count=64, seed=100).delta
+                                  freq_count=64, seed=100)["delta"]
 
     def merge_steps(d):
         sw = sweep(d, DDPM, [0, 1000], SeedPolicy(base_seed=101))
@@ -299,8 +297,7 @@ def test_11_speciation_ordering():
         part = partition_by_label(ds)
         mt = pairwise_merge_times(sw, part)
         latest = int(mt[np.triu_indices(3, 1)].max())
-        rep = convergence_step(sw, views=RandomProjections(count=64, seed=111),
-                               stop_at_detection=True)
+        rep = convergence_step(sw, projections=64, seed=111, stop_at_detection=True)
         rows.append((latest, rep.detected_step))
         ok &= latest < rep.detected_step
     report(11, ok, f"(latest merge, detected) per seed: {rows}")

@@ -10,7 +10,6 @@ from vpmerge import (
     DegenerateError,
     DomainError,
     LabeledDataset,
-    RandomProjections,
     SeedPolicy,
     convergence_step,
     empirical_cf_distance,
@@ -74,14 +73,15 @@ def _reference_dp_statistics(views):
     return z_skew**2 + z_kurt**2
 
 
-def reference_battery(sw, alpha, views):
-    """Oracle: the view-matrix battery the one-pass moments replaced.  Per
-    step the N x (d + P) matrix [x | x @ P] is built with hstack, degenerate
-    views are the zero-variance columns, and K^2 is taken over a copy of the
-    live columns.  Returns (fractions, decisions, degenerate, p-values)."""
-    key = np.array([views.seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
+def reference_battery(sw, alpha, count, seed):
+    """Oracle: the view-matrix battery the one-pass moments replaced, over the
+    coordinates and count projections drawn from seed.  Per step the
+    N x (d + P) matrix [x | x @ P] is built with hstack, degenerate views are
+    the zero-variance columns, and K^2 is taken over a copy of the live
+    columns.  Returns (fractions, decisions, degenerate, p-values)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    proj = rng.standard_normal((sw.dataset.features.shape[1], views.count))
+    proj = rng.standard_normal((sw.dataset.features.shape[1], count))
     proj /= np.linalg.norm(proj, axis=0)
     fractions, decisions, degenerate, pvalues = [], [], [], []
     for t in sw.steps:
@@ -146,7 +146,7 @@ class TestConvergenceStep:
         ds = LabeledDataset(features=rng.standard_normal((20000, 16)),
                             labels=np.zeros(20000, dtype=int))
         sw = sweep(ds, ddpm, [0, 100], SeedPolicy(base_seed=4))
-        report = convergence_step(sw, views=RandomProjections(count=32, seed=9))
+        report = convergence_step(sw, projections=32, seed=9)
         assert report.detected_step == 0
 
     def test_uniform_cube_matches_mixing_prediction(self, ddpm):
@@ -156,8 +156,8 @@ class TestConvergenceStep:
             labels=np.zeros(20000, dtype=int),
         )
         sw = sweep(ds, ddpm, range(0, 1001, 20), SeedPolicy(base_seed=6))
-        report = convergence_step(sw, views=RandomProjections(count=64, seed=7))
-        predicted = predict_mixing_step(ddpm, 64).t_mix_steps
+        report = convergence_step(sw, projections=64, seed=7)
+        predicted = predict_mixing_step(ddpm, 64)["t_mix_steps"]
         assert abs(report.detected_step - predicted) <= 0.1 * ddpm.horizon_T
 
     def test_single_step_non_gaussian_reports_horizon(self, ddpm):
@@ -178,9 +178,7 @@ class TestConvergenceStep:
             ds = LabeledDataset(features=rng.standard_normal((5000, 64)),
                                 labels=np.zeros(5000, dtype=int))
             sw = sweep(ds, ddpm, [0], SeedPolicy(base_seed=seed))
-            report = convergence_step(
-                sw, alpha=alpha, views=RandomProjections(count=64, seed=seed)
-            )
+            report = convergence_step(sw, alpha=alpha, projections=64, seed=seed)
             fracs.append(report.steps[0][1])
         margin = 3 * math.sqrt(alpha * (1 - alpha) / views)
         assert abs(np.mean(fracs) - alpha) < margin
@@ -190,13 +188,13 @@ class TestConvergenceStep:
         feats = np.column_stack([rng.standard_normal(5000), np.full(5000, 2.0)])
         ds = LabeledDataset(features=feats, labels=np.zeros(5000, dtype=int))
         sw = sweep(ds, ddpm, [0], SeedPolicy(base_seed=11))
-        report = convergence_step(sw, views=RandomProjections(count=0))
+        report = convergence_step(sw, projections=0)
         assert report.degenerate_views[0] == 1
 
     @pytest.mark.parametrize("value", [0.7, 2.0])
-    @pytest.mark.parametrize("views", [pytest.param(RandomProjections(count=0), id="coordinates"),
-                                       RandomProjections(count=12, seed=3)])
+    @pytest.mark.parametrize("views", [pytest.param((0, 0), id="coordinates"), (12, 3)])
     def test_constant_column_is_degenerate(self, ddpm, value, views):
+        count, seed = views  # projections and their seed
         # at N=5000 the mean of a column of 0.7 is 0.7 + 1.1e-16, so the column
         # centres to rounding noise, not to zero; it is still no live view
         rng = np.random.default_rng(10)
@@ -204,9 +202,9 @@ class TestConvergenceStep:
         feats = np.column_stack([live, np.full(5000, value)])
         ds = LabeledDataset(features=feats, labels=np.zeros(5000, dtype=int))
         sw = sweep(ds, ddpm, [0], SeedPolicy(base_seed=11))
-        report = convergence_step(sw, views=views)
+        report = convergence_step(sw, projections=count, seed=seed)
         assert report.degenerate_views == (1,)
-        if views.count == 0:  # oracle: scipy over the two live columns
+        if count == 0:  # oracle: scipy over the two live columns
             assert report.steps[0][1] == np.mean(stats.normaltest(live).pvalue < 0.05)
 
     def test_alpha_validated(self, ddpm):
@@ -220,9 +218,9 @@ class TestConvergenceStep:
 
     @pytest.mark.parametrize("n", [convergence.BLOCK_ROWS - 1, convergence.BLOCK_ROWS,
                                    convergence.BLOCK_ROWS + 1, 5000])
-    @pytest.mark.parametrize("views", [pytest.param(RandomProjections(count=0), id="coordinates"),
-                                       RandomProjections(count=12, seed=3)])
+    @pytest.mark.parametrize("views", [pytest.param((0, 0), id="coordinates"), (12, 3)])
     def test_matches_view_matrix_reference(self, ddpm, monkeypatch, n, views):
+        count, seed = views  # projections and their seed
         # non-Gaussian columns plus a constant one (degenerate at step 0 only)
         rng = np.random.default_rng(n)
         feats = np.column_stack([rng.exponential(size=(n, 3)),
@@ -230,7 +228,7 @@ class TestConvergenceStep:
                                  rng.standard_normal(n), np.full(n, 2.0)])
         ds = LabeledDataset(features=feats, labels=np.zeros(n, dtype=int))
         sw = sweep(ds, ddpm, [0, 50, 200, 400, 700, 1000], SeedPolicy(base_seed=n))
-        fractions, decisions, degenerate, pvalues = reference_battery(sw, 0.05, views)
+        fractions, decisions, degenerate, pvalues = reference_battery(sw, 0.05, count, seed)
         assert degenerate[0] == 1 and fractions[0][1] > 0.5
         # the early stop ends the series at the first passing step
         stop = decisions.index(True) + 1 if True in decisions else len(decisions)
@@ -248,7 +246,7 @@ class TestConvergenceStep:
                     k2s = []
                     monkeypatch.setattr(convergence, "_k2_from_moments",
                                         lambda *a: k2s.append(k2_from_moments(*a)) or k2s[-1])
-                    report = convergence_step(sw, alpha=0.05, views=views,
+                    report = convergence_step(sw, alpha=0.05, projections=count, seed=seed,
                                               stop_at_detection=stop_at_detection)
                     end = stop if stop_at_detection else len(decisions)
                     assert report.detected_step == detected
@@ -270,7 +268,7 @@ class TestConvergenceStep:
         n = 2 * convergence.BLOCK_ROWS + 37
         rng = np.random.default_rng(d)
         x = rng.exponential(size=(n, d))
-        proj = convergence._projections(RandomProjections(count=count, seed=5), d)
+        proj = convergence._projections(count, 5, d)
         mean = x.mean(axis=0)
         block = np.empty((convergence.BLOCK_ROWS, d + count))
         sums = np.zeros((3, d + count))
@@ -287,16 +285,6 @@ class TestConvergenceStep:
             else:  # numpy issues a one-row product as a matrix-vector call, which
                 # sums in another order than dgemm
                 np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_views_must_be_random_projections(self, ddpm):
-        # the coordinates alone are spelled RandomProjections(count=0), never a string
-        rng = np.random.default_rng(30)
-        ds = LabeledDataset(features=rng.exponential(size=(500, 3)),
-                            labels=np.zeros(500, dtype=int))
-        sw = sweep(ds, ddpm, [0, 300], SeedPolicy(base_seed=31))
-        for views in ("coordinates", 64, None):
-            with pytest.raises(DomainError, match="views"):
-                convergence_step(sw, views=views)
 
     @staticmethod
     def _failing_sweep(monkeypatch, ddpm, fail_at, gaussian):
@@ -334,8 +322,7 @@ class TestConvergenceStep:
         monkeypatch.setattr(forward, "_usable_cores", lambda: workers)
         sw, drawn = self._failing_sweep(monkeypatch, ddpm, set(range(100, 501, 100)),
                                         gaussian=True)
-        report = convergence_step(sw, views=RandomProjections(count=16, seed=36),
-                                  stop_at_detection=True)
+        report = convergence_step(sw, projections=16, seed=36, stop_at_detection=True)
         assert report.detected_step == 0 and report.decisions == (True,)
         assert 0 in drawn and len(drawn) <= workers
 
@@ -348,8 +335,7 @@ class TestConvergenceStep:
         ds = LabeledDataset(features=rng.exponential(size=(n, d)),
                             labels=np.zeros(n, dtype=int))
         sw = sweep(ds, ddpm, [300], SeedPolicy(base_seed=21))
-        views = RandomProjections(count=32, seed=22)
-        _, peak = traced_peak(convergence_step, sw, views=views)
+        _, peak = traced_peak(convergence_step, sw, projections=32, seed=22)
         assert peak < 4 * n * d * 8
 
     def test_memory_stays_near_one_snapshot_per_worker(self, ddpm, monkeypatch):
@@ -360,8 +346,7 @@ class TestConvergenceStep:
         ds = LabeledDataset(features=rng.exponential(size=(n, d)),
                             labels=np.zeros(n, dtype=int))
         sw = sweep(ds, ddpm, [100, 300, 500, 700], SeedPolicy(base_seed=21))
-        views = RandomProjections(count=32, seed=22)
-        report, peak = traced_peak(convergence_step, sw, views=views)
+        report, peak = traced_peak(convergence_step, sw, projections=32, seed=22)
         assert len(report.steps) == 4
         assert peak < 4 * n * d * 8
 
@@ -371,7 +356,7 @@ class TestConvergenceStep:
                             labels=np.zeros(19, dtype=int))
         sw = sweep(ds, ddpm, [0, 500], SeedPolicy(base_seed=24))
         with pytest.raises(DataError):
-            convergence_step(sw, views=RandomProjections(count=4))
+            convergence_step(sw, projections=4)
 
 class TestTvDistance:
     def test_identical_densities(self):
@@ -414,18 +399,18 @@ class TestMomentTvCheck:
     def test_identical(self):
         x, p = gaussian_grid(0.0)
         report = moment_tv_check(p, p, x, n=2)
-        assert report.d_tv == 0.0 and report.holds
+        assert report["d_tv"] == 0.0 and report["holds"]
 
     def test_gaussian_pair_constant(self):
         x, p = gaussian_grid(0.0)
         _, q = gaussian_grid(0.1)
         report = moment_tv_check(p, q, x, n=2, c0=1.0)
-        assert report.constant == pytest.approx(156.0)  # 1 * (1+2!) * (4+48)
+        assert report["constant"] == pytest.approx(156.0)  # 1 * (1+2!) * (4+48)
         # the shift leaves centered moments equal; it shows up in B via the mean
-        assert report.moment_bound == pytest.approx(0.0, abs=1e-12)
-        assert report.second_moment_bound == pytest.approx(1.0, abs=1e-6)
-        assert report.bound_value == pytest.approx(156.0, abs=1e-3)
-        assert report.holds
+        assert report["moment_bound"] == pytest.approx(0.0, abs=1e-12)
+        assert report["second_moment_bound"] == pytest.approx(1.0, abs=1e-6)
+        assert report["bound_value"] == pytest.approx(156.0, abs=1e-3)
+        assert report["holds"]
 
     def test_seeded_mixture_family(self):
         # 20 bounded-variation mixture pairs, n in {2, 3}
@@ -441,7 +426,7 @@ class TestMomentTvCheck:
 
             p, q = mixture(), mixture()
             for n in (2, 3):
-                assert moment_tv_check(p, q, x, n=n, c0=1.0).holds, f"case {case}"
+                assert moment_tv_check(p, q, x, n=n, c0=1.0)["holds"], f"case {case}"
 
     def test_order_validation(self):
         x, p = gaussian_grid(0.0)
@@ -454,19 +439,19 @@ class TestCfDistance:
         rng = np.random.default_rng(16)
         xa = rng.standard_normal((2000, 6))
         res = empirical_cf_distance(xa, xa, freq_count=32, seed=1)
-        assert res.delta < 1e-12
+        assert res["delta"] < 1e-12
 
     def test_shift_monotonicity(self):
         rng = np.random.default_rng(17)
         xa = rng.standard_normal((20000, 6))
-        small = empirical_cf_distance(xa, xa + 0.05, freq_count=64, seed=2).delta
-        large = empirical_cf_distance(xa, xa + 3.0, freq_count=64, seed=2).delta
+        small = empirical_cf_distance(xa, xa + 0.05, freq_count=64, seed=2)["delta"]
+        large = empirical_cf_distance(xa, xa + 3.0, freq_count=64, seed=2)["delta"]
         assert small < large
 
     def test_same_law_concentration(self):
         ra, rb = np.random.default_rng(18), np.random.default_rng(19)
         xa, xb = ra.standard_normal((100000, 8)), rb.standard_normal((100000, 8))
-        assert empirical_cf_distance(xa, xb, freq_count=64, seed=3).delta < 0.02
+        assert empirical_cf_distance(xa, xb, freq_count=64, seed=3)["delta"] < 0.02
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -474,7 +459,7 @@ class TestCfDistance:
 
     def test_default_scale(self):
         res = empirical_cf_distance(np.zeros((10, 16)), np.ones((10, 16)))
-        assert res.freq_scale == pytest.approx(0.25)
+        assert res["freq_scale"] == pytest.approx(0.25)
 
 
 class TestFluctuationAdaptation:
@@ -492,7 +477,7 @@ class TestFluctuationAdaptation:
                 labels=ds.labels.copy(),
             )
             delta = empirical_cf_distance(ds.features, bent.features,
-                                          freq_count=64, seed=21).delta
+                                          freq_count=64, seed=21)["delta"]
             worst = 0.0
             for label in (0, 1):
                 mags = []

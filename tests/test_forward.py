@@ -154,7 +154,7 @@ class TestSweep:
         rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # any order, repeats
         rng = np.random.default_rng(n * d)
         ds = LabeledDataset(features=rng.standard_normal((n, d)), labels=np.zeros(n, dtype=int))
-        sw = sweep(ds, NoiseSchedule.ddpm_default(), [0, 1, 250, 1000], SeedPolicy(base_seed=d))
+        sw = sweep(ds, NoiseSchedule(), [0, 1, 250, 1000], SeedPolicy(base_seed=d))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forward, "_BLOCK_VALUES", block_values)
             got = sw.snapshot(t, rows)
@@ -177,7 +177,7 @@ class TestSweep:
            d=st.integers(1, 12), t=st.sampled_from([1, 250, 1000]), into=st.booleans())
     def test_snapshot_matches_one_shot_draw_bitwise(self, block_values, n, d, t, into):
         # drawn block by block, with a short last block, into out or a new array
-        sched = NoiseSchedule.ddpm_default()
+        sched = NoiseSchedule()
         ds = unit_dataset(n * d, n=n, d=d)
         pol = SeedPolicy(base_seed=n + d)
         j = float(j_values(sched, t))

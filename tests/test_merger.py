@@ -757,6 +757,10 @@ class TestCascade:
             build_cascade(np.array([[0, -1], [-1, 0]]))
         with pytest.raises(DomainError, match="square"):
             build_cascade(np.zeros((2, 3)))
+        # merge times are finite whole steps, exactly symmetric
+        for bad in ([[0, 1000], [1000.001, 0]], [[0, np.inf], [np.inf, 0]], [[0, 2.5], [2.5, 0]]):
+            with pytest.raises(DomainError):
+                build_cascade(np.array(bad))
 
 
 class TestGuidanceWindows:
@@ -818,7 +822,7 @@ class TestInterpolationSchedule:
         assert sched["eta"][-1] == pytest.approx(0.001, rel=1e-12)
 
     def test_half_beta(self):
-        ddpm = NoiseSchedule.ddpm_default()
+        ddpm = NoiseSchedule()
         b = betas(ddpm)
         eta = interpolation_schedule(ddpm, 0.001)["eta"]
         idx = int(np.argmin(np.abs(b - b.max() / 2)))

@@ -392,7 +392,7 @@ class TestWeightLaw:
         kind=st.sampled_from(["uniform", "inverse_snr", "truncated_inverse_snr"]),
     )
     def test_sum_and_support_properties(self, start, width, kind):
-        ddpm = NoiseSchedule.ddpm_default()
+        ddpm = NoiseSchedule()
         stop = start + width
         if kind != "uniform" and stop < 21:
             stop = 21  # keep some support above the floor / origin

@@ -94,22 +94,22 @@ class TestMixingPrediction:
     @pytest.mark.parametrize("dim,expected", [(3072, 0.602), (784, 0.543), (4096, 0.614)])
     def test_reference_rows(self, ddpm, dim, expected):
         pred = predict_mixing_step(ddpm, dim)
-        assert pred.t_mix_fraction == pytest.approx(expected, abs=0.005)
+        assert pred["t_mix_fraction"] == pytest.approx(expected, abs=0.005)
 
     def test_fraction_ratio_exact(self, ddpm):
         pred = predict_mixing_step(ddpm, 64)
-        assert pred.t_mix_fraction == pred.t_mix_steps / ddpm.horizon_T
+        assert pred["t_mix_fraction"] == pred["t_mix_steps"] / ddpm.horizon_T
 
     def test_quadratic_residual(self, ddpm):
         pred = predict_mixing_step(ddpm, 3072)
-        t = pred.t_mix_steps
+        t = pred["t_mix_steps"]
         lhs = 0.5 * ddpm.beta0 * t + 0.25 * (ddpm.betaT - ddpm.beta0) * t * t / ddpm.horizon_T
         assert abs(lhs - 0.25 * math.log(3072 / 2)) < 1e-9
 
     def test_ddpm_default_reduced_form(self, ddpm):
         # t + 0.0995 t^2 = 5000 log(d/2) is the same quadratic rescaled
         pred = predict_mixing_step(ddpm, 784)
-        t = pred.t_mix_steps
+        t = pred["t_mix_steps"]
         assert t + 0.0995 * t * t == pytest.approx(5000 * math.log(392), rel=1e-9)
 
     def test_small_dim_rejected(self, ddpm):
@@ -119,7 +119,7 @@ class TestMixingPrediction:
     def test_constant_schedule_closed_form(self):
         sched = NoiseSchedule(beta0=0.01, betaT=0.01, horizon_T=100)
         pred = predict_mixing_step(sched, 100)
-        assert pred.t_mix_steps == pytest.approx(math.log(50) / (2 * 0.01), rel=1e-9)
+        assert pred["t_mix_steps"] == pytest.approx(math.log(50) / (2 * 0.01), rel=1e-9)
 
 
 class TestScheduleValidation:
