@@ -307,9 +307,9 @@ def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> dict:
     grid = np.asarray(grid, dtype=np.float64)
     d_tv = tv_distance_1d(p, q, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        mp = _grid_central_moments(p, grid, n + 1)
-        mq = _grid_central_moments(q, grid, n + 1)
-        m_bound = np.max(np.abs(mp[1 : n + 1] - mq[1 : n + 1]))
+        mp = _grid_central_moments(p, grid, n)
+        mq = _grid_central_moments(q, grid, n)
+        m_bound = np.max(np.abs(mp[1:] - mq[1:]))
         b_bound = max(abs(mp[0]), abs(mq[0]), mp[2], mq[2])
         bound = c_n * (m_bound**2 + b_bound)
     if not np.isfinite(bound):

@@ -23,6 +23,7 @@ uint64 d, then N records of [uint32 label, d x float32 features].
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -254,18 +255,19 @@ def _load_csv(path: Path) -> LabeledDataset:
 
 
 def _load_fvec1(path: Path) -> LabeledDataset:
-    raw = path.read_bytes()
-    if len(raw) < 21 or raw[:5] != _FVEC1_MAGIC:
-        raise DataError(f"{path} is not an fvec1 file")
-    n, d = struct.unpack("<QQ", raw[5:21])
-    # Python ints, so a d that numpy cannot take as a record shape is a size mismatch
-    expected = 21 + n * (4 + 4 * d)
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: expected {expected} bytes for N={n}, d={d}, got {len(raw)}"
-        )
-    if n == 0:  # N = 0 passes the size check with a d the record dtype cannot take
-        raise DataError("dataset is empty")
-    rec = np.frombuffer(raw[21:], dtype=[("label", "<u4"), ("feat", "<f4", (d,))])
+    with open(path, "rb") as fh:
+        head, size = fh.read(21), os.fstat(fh.fileno()).st_size
+        if len(head) < 21 or head[:5] != _FVEC1_MAGIC:
+            raise DataError(f"{path} is not an fvec1 file")
+        n, d = struct.unpack("<QQ", head[5:])
+        # Python ints, so a d that numpy cannot take as a record shape is a size mismatch
+        expected = 21 + n * (4 + 4 * d)
+        if size != expected:
+            raise DataError(f"{path}: expected {expected} bytes for N={n}, d={d}, got {size}")
+        if n == 0:  # N = 0 passes the size check with a d the record dtype cannot take
+            raise DataError("dataset is empty")
+        if 4 + 4 * d > np.iinfo(np.intc).max:  # numpy would wrap the itemsize, not raise
+            raise DataError(f"{path}: a record of d={d} features exceeds numpy's item size")
+        rec = np.fromfile(fh, dtype=[("label", "<u4"), ("feat", "<f4", (d,))], count=n)
     return LabeledDataset(features=rec["feat"].astype(np.float64),
                           labels=rec["label"].astype(np.int64))

@@ -374,6 +374,20 @@ class TestErrorMapping:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "data" and "non-finite" in record["message"]
 
+    def test_over_wide_fvec1_record_is_a_data_error_unread(self, tmp_path, capsys):
+        # N = 1, d = 2^29 - 1: the size matches the header, but a record of
+        # 2^31 bytes exceeds numpy's item size. The 2 GiB body is a sparse
+        # hole the loader must not read
+        d = 2**29 - 1
+        path = tmp_path / "wide.fvec1"
+        path.write_bytes(b"FVEC1" + struct.pack("<QQ", 1, d))
+        os.truncate(path, 21 + 4 + 4 * d)
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert run(["analyze", "--input", str(path)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "data" and f"d={d}" in record["message"]
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib < 64 * 1024
+
     def test_refused_analyze_writes_no_file(self, tmp_path, capsys):
         # the document is encoded before the series CSV is written
         write_deep_csv(tmp_path / "deep.csv")

@@ -15,9 +15,9 @@ from vpmerge import (
 from vpmerge.convergence import _projections, empirical_cf_distance
 from vpmerge.data import EventPartition, save_dataset
 from vpmerge.forward import SeedPolicy
-from vpmerge.probe import train_linear_probe
 
 from conftest import traced_peak
+from test_probe import fit_two
 
 
 class TestCsv:
@@ -260,4 +260,4 @@ def test_every_random_stream_keeps_its_key(seed):
     order = stream(seed, 0xB0BE).permutation(500)
     labels = np.r_[np.zeros(300), np.ones(200)]
     share = float(np.mean(labels[order[400:]] == 0))
-    assert train_linear_probe(np.zeros((300, 2)), np.zeros((200, 2)), seed=seed) == share
+    assert fit_two(np.zeros((300, 2)), np.zeros((200, 2)), seed=seed) == share

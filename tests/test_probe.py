@@ -59,8 +59,17 @@ def stacked_fit_oracle(feats_a, feats_b, split=0.8, seed=0):
     return float(np.mean(pred == y[te]))
 
 
-def watched_fit(fit, feats_a, feats_b, split, seed):
-    """fit's accuracy and a digest of every logit vector its descent made."""
+def fit_two(feats_a, feats_b, split=0.8, seed=0):
+    """train_linear_probe on two samples, its design built as
+    probe_through_time builds it: the stacked rows in split order."""
+    order = philox(seed, 0xB0BE).permutation(len(feats_a) + len(feats_b))
+    design = np.empty((len(order), np.shape(feats_a)[1] + 1))
+    design[:, :-1] = np.concatenate([feats_a, feats_b])[order]
+    return train_linear_probe(design, order >= len(feats_a), int(round(split * len(order))))
+
+
+def watched(call):
+    """call()'s result and a digest of every logit vector its descents made."""
     digest = hashlib.sha256()
 
     def sigmoid(z):
@@ -69,8 +78,8 @@ def watched_fit(fit, feats_a, feats_b, split, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(probe, "_sigmoid", sigmoid)
-        acc = fit(feats_a, feats_b, split=split, seed=seed)
-    return acc, digest.hexdigest()
+        result = call()
+    return result, digest.hexdigest()
 
 
 class StepFailure(Exception):
@@ -95,48 +104,52 @@ class TestTrainLinearProbe:
     def test_separable_clusters(self):
         a = np.full((200, 1), -10.0) + np.random.default_rng(0).normal(0, 0.1, (200, 1))
         b = np.full((200, 1), 10.0) + np.random.default_rng(1).normal(0, 0.1, (200, 1))
-        assert train_linear_probe(a, b, seed=2) == 1.0
+        assert fit_two(a, b, seed=2) == 1.0
 
     def test_chance_level_on_identical_law(self):
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((5000, 4)), rng.standard_normal((5000, 4))
-        acc = train_linear_probe(a, b, seed=4)
+        acc = fit_two(a, b, seed=4)
         assert abs(acc - 0.5) < 0.03
 
     def test_bayes_rate_on_shifted_gaussians(self):
         rng = np.random.default_rng(5)
         a = rng.normal(-1.0, 1.0, size=(20000, 1))
         b = rng.normal(+1.0, 1.0, size=(20000, 1))
-        acc = train_linear_probe(a, b, seed=6)
+        acc = fit_two(a, b, seed=6)
         bayes = 0.5 * (1 + math.erf(1 / math.sqrt(2)))  # Phi(1)
         assert abs(acc - bayes) < 0.03
 
     def test_small_class_rejected(self):
         with pytest.raises(DataError):
-            train_linear_probe(np.zeros((5, 2)), np.zeros((50, 2)))
+            fit_two(np.zeros((5, 2)), np.zeros((50, 2)))
 
     def test_bad_split(self):
         with pytest.raises(DomainError):
-            train_linear_probe(np.zeros((50, 2)), np.ones((50, 2)), split=1.0)
+            fit_two(np.zeros((50, 2)), np.ones((50, 2)), split=1.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         a, b = rng.standard_normal((500, 3)), rng.standard_normal((500, 3)) + 0.5
-        assert train_linear_probe(a, b, seed=8) == train_linear_probe(a, b, seed=8)
+        assert fit_two(a, b, seed=8) == fit_two(a, b, seed=8)
 
-    def test_mismatched_widths_rejected(self):
-        # a one-column sample would otherwise broadcast into the design matrix
-        with pytest.raises(DataError, match="same number of columns"):
-            train_linear_probe(np.zeros((50, 3)), np.ones((50, 1)))
-        with pytest.raises(DataError, match="2-D"):
-            train_linear_probe(np.zeros(50), np.ones(50))
+    def test_design_checks(self):
+        # the design is standardized in place, so it must be a 2-D float64
+        # array with one class label per row
+        y = np.repeat([0.0, 1.0], 25)
+        with pytest.raises(DataError, match="2-D float64"):
+            train_linear_probe(np.zeros(50), y, 40)
+        with pytest.raises(DataError, match="2-D float64"):
+            train_linear_probe(np.zeros((50, 3), dtype=np.float32), y, 40)
+        with pytest.raises(DataError, match="one class label per row"):
+            train_linear_probe(np.zeros((50, 3)), y[:49], 40)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_overflowed_scale_raises_under_errstate(self, d):
         rng = np.random.default_rng(d)
         a, b = rng.standard_normal((20, d)) * 1e200, rng.standard_normal((20, d)) * 1e200
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            train_linear_probe(a, b)
+            fit_two(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -154,29 +167,8 @@ class TestTrainLinearProbe:
             col = data.draw(st.integers(0, d - 1))
             a[:, col] = b[:, col] = rng.standard_normal()
         split = n_train / n
-        ours = watched_fit(train_linear_probe, a, b, split, seed)
-        assert ours == watched_fit(stacked_fit_oracle, a, b, split, seed)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_fit_in_place_matches_stacked_fit_bitwise(self, data):
-        # the probe's path: the samples are the design buffer's own first
-        # columns, centred and scaled in place
-        n_a, n_b = data.draw(st.integers(10, 300)), data.draw(st.integers(10, 300))
-        d = data.draw(st.integers(1, 12))
-        split = data.draw(st.floats(0.05, 0.95))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n_a, d)) * rng.uniform(0.1, 10.0, size=d)
-        b = rng.standard_normal((n_b, d)) + rng.uniform(-1.0, 1.0, size=d)
-        out = np.full((n_a + n_b, d + 1), np.nan)
-        out[:n_a, :-1], out[n_a:, :-1] = a, b
-
-        def fit_in_out(feats_a, feats_b, split, seed):
-            return train_linear_probe(feats_a, feats_b, split=split, seed=seed, out=out)
-
-        ours = watched_fit(fit_in_out, out[:n_a, :-1], out[n_a:, :-1], split, seed)
-        assert ours == watched_fit(stacked_fit_oracle, a, b, split, seed)
+        ours = watched(lambda: fit_two(a, b, split, seed))
+        assert ours == watched(lambda: stacked_fit_oracle(a, b, split, seed))
 
 
 class TestProbeThroughTime:
@@ -193,7 +185,7 @@ class TestProbeThroughTime:
         sw0 = sweep(ds, ddpm, [0], SeedPolicy(base_seed=9))
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
         accs = probe_through_time(sw0, a, b, merge_step=1000, seed=10)
-        direct = train_linear_probe(ds.features[a], ds.features[b], seed=10)
+        direct = fit_two(ds.features[a], ds.features[b], seed=10)
         assert accs == [direct]
 
     def test_bayes_accuracy_at_zero(self, ddpm):
@@ -220,6 +212,19 @@ class TestProbeThroughTime:
         a, b = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
         accs = probe_through_time(sw, a, b, merge_step=1000, seed=14)
         assert all(acc >= 0.45 for acc in accs)
+
+    def test_shuffled_events_match_stacked_fit_bitwise(self, ddpm, monkeypatch):
+        # events in any index order: each step fits the snapshot's rows of a
+        # stacked over those of b, permuted by the split
+        monkeypatch.setattr(forward, "_usable_cores", lambda: 1)  # the logits in step order
+        sw, ds = self.make_sweep(ddpm, n=300)
+        rng = np.random.default_rng(17)
+        a = rng.permutation(np.flatnonzero(ds.labels == 0))
+        b = rng.permutation(np.flatnonzero(ds.labels == 1))
+        ours = watched(lambda: probe_through_time(sw, a, b, merge_step=1000, split=0.7, seed=18))
+        oracle = watched(lambda: [stacked_fit_oracle(sw.snapshot(t)[a], sw.snapshot(t)[b],
+                                                     split=0.7, seed=18) for t in sw.steps])
+        assert ours == oracle
 
     @staticmethod
     def three_class_sweep(ddpm):
@@ -264,7 +269,7 @@ class TestProbeThroughTime:
         sw = sweep(LabeledDataset(features=feats, labels=labels), ddpm, [0, 100, 200, 300],
                    SeedPolicy(base_seed=9))
         a, b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
-        serial = [train_linear_probe(sw.snapshot(t)[a], sw.snapshot(t)[b], seed=16)
+        serial = [fit_two(sw.snapshot(t)[a], sw.snapshot(t)[b], seed=16)
                   for t in sw.steps]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
