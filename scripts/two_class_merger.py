@@ -60,7 +60,7 @@ def main() -> None:
         sw = sweep(ds, sched, range(0, sched.horizon_T + 1),
                    SeedPolicy(base_seed=seed))
         part = partition_by_label(ds)
-        series = detect_series(sw, part.events[0], part.events[1],
+        series = detect_series(sw, part[0], part[1],
                                epsilon=args.epsilon)
         dev = series.first_merge_step - oracle
         print(f"seed {seed}: detected {series.first_merge_step} "

@@ -146,7 +146,7 @@ def _cmd_analyze(args) -> None:
     # encoded before either file is written, so a refused document leaves neither
     text = _json_text({
         "schedule": sw.schedule.to_dict(),
-        "classes": part.n_events,
+        "classes": len(part),
         "merge_times": mt.tolist(),
         "cascade": build_cascade(mt),
     }, args)
@@ -200,9 +200,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_probe(args) -> None:
     sw = _sweep(args)
     part = partition_by_label(sw.dataset)
-    if not (0 <= args.class_a < part.n_events and 0 <= args.class_b < part.n_events):
-        raise DomainError(f"classes must lie in [0, {part.n_events})")
-    a, b = part.events[args.class_a], part.events[args.class_b]
+    if not (0 <= args.class_a < len(part) and 0 <= args.class_b < len(part)):
+        raise DomainError(f"classes must lie in [0, {len(part)})")
+    a, b = part[args.class_a], part[args.class_b]
     if args.merge_step == "auto":
         merge_step = detect_series(sw, a, b).first_merge_step
     else:

@@ -1,4 +1,4 @@
-"""Datasets, class-event partitions, and synthetic Gaussian mixtures.
+"""Datasets, class events as row-index arrays, and synthetic Gaussian mixtures.
 
 Features are stored as float64 regardless of file precision so that
 covariance accumulation stays accurate.  Labels are remapped to the
@@ -35,7 +35,6 @@ from .errors import DataError, DomainError
 
 __all__ = [
     "LabeledDataset",
-    "EventPartition",
     "philox",
     "SyntheticSpec",
     "load_dataset",
@@ -93,30 +92,21 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-
-@dataclass(frozen=True)
-class EventPartition:
-    """Disjoint, exhaustive index lists, one per class event."""
-
-    events: tuple
-
-    def __post_init__(self) -> None:
-        joined = np.sort(np.concatenate([np.asarray(e) for e in self.events]))
-        if np.any(joined[1:] == joined[:-1]):
-            raise DataError("partition events overlap")
-        if not np.array_equal(joined, np.arange(len(joined))):
-            raise DataError("partition events do not cover the index set")
-
-    @property
-    def n_events(self) -> int:
-        return len(self.events)
+    def rows(self, event) -> np.ndarray:
+        """The event, a set of this dataset's rows, as a 1-D intp index array
+        (the event itself when it is one).  DomainError for a boolean mask,
+        non-integer values, an index outside [0, N) or another shape; an
+        empty event passes, for its reader to refuse."""
+        rows = np.asarray(event)
+        if rows.ndim != 1 or rows.size and not (
+                rows.dtype.kind in "iu" and 0 <= rows.min() and rows.max() < self.count):
+            raise DomainError(f"rows must be a 1-D integer index array into [0, {self.count})")
+        return rows.astype(np.intp, copy=False)
 
 
-def partition_by_label(ds: LabeledDataset) -> EventPartition:
-    """One event per distinct label."""
-    k = ds.n_classes
-    events = tuple(np.flatnonzero(ds.labels == c) for c in range(k))
-    return EventPartition(events=events)
+def partition_by_label(ds: LabeledDataset) -> tuple:
+    """One event per distinct label: the row-index array of each class."""
+    return tuple(np.flatnonzero(ds.labels == c) for c in range(ds.n_classes))
 
 
 @dataclass(frozen=True)

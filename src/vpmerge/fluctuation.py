@@ -92,7 +92,7 @@ def conditional_fluctuation(sweep: TrajectorySweep, event, t: int) -> Conditiona
     the dataset rows, so the grid need not hold it; any other t reads the
     snapshot, so it must be a sweep step.  The two agree at 0, where the
     snapshot is an exact copy of the rows."""
-    event = np.asarray(event, dtype=np.int64)
+    event = sweep.dataset.rows(event)
     return moments_from_rows(sweep.dataset.features[event] if t == 0
                              else sweep.snapshot(t, event))
 

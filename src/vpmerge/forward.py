@@ -68,8 +68,8 @@ class TrajectorySweep:
 
     def snapshot(self, t: int, rows=None, out: np.ndarray | None = None) -> np.ndarray:
         """The marginal J(t) x0 + sqrt(1 - J^2) eps at sweep step t, or its
-        rows (a 1-D index array, any order, repeats allowed), written into
-        out when given: float64, C-contiguous N x d or any len(rows) x d.
+        rows (an event, read by LabeledDataset.rows; any order, repeats allowed),
+        written into out when given: float64, C-contiguous N x d or any len(rows) x d.
 
         The step's stream is drawn a block of rows at a time, the values of
         one N x d draw.  A whole snapshot is scaled and shifted in out block
@@ -82,9 +82,7 @@ class TrajectorySweep:
         n, d = x0.shape
         block = max(1, _BLOCK_VALUES // d)
         if rows is not None:
-            rows = np.asarray(rows, dtype=np.intp)
-            if rows.ndim != 1 or (rows.size and not (0 <= rows.min() and rows.max() < n)):
-                raise DomainError(f"rows must be a 1-D index array into [0, {n})")
+            rows = self.dataset.rows(rows)
         if out is None:
             out = np.empty((n if rows is None else len(rows), d))
         if t == 0:

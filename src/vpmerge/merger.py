@@ -39,8 +39,9 @@ merges at step 0 if and only if its step-0 gap is <= eps, so the phase
 spectrum's count of positive-step cascade merges is the number of gaps
 between consecutive sorted step-0 statistics that exceed eps: it needs no
 merge step and no cascade, and does not read the schedule.  The default
-threshold eps = max_k lambda_k_max(0) / 400 is resolved over all classes in
-the first two (so they agree), over the two events alone in detect_series.
+threshold eps = max_k lambda_k_max(0) / 400 is resolved over the events
+passed (so the first two agree).  An event is any set of dataset rows, read
+by LabeledDataset.rows, so any sequence of events may be passed.
 
 Cascades are single linkage over merge times, O(K^2) with a cached
 minimum per row; ties go to the pair of clusters whose smallest class ids
@@ -55,7 +56,6 @@ from math import comb
 
 import numpy as np
 
-from .data import EventPartition
 from .errors import DataError, DegenerateError, DomainError
 from .fluctuation import (conditional_fluctuation, moments_from_rows, normalized_M,
                           propagated_inner)
@@ -197,6 +197,7 @@ def detect_series(sweep: TrajectorySweep, a, b, epsilon: float | None = None,
     branch and is sticky.  Events merge no later than the horizon, so the
     last value is 1 when the grid ends there.
     """
+    a, b = sweep.dataset.rows(a), sweep.dataset.rows(b)
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
     merge, values, epsilon = _all_pairs(sweep, [a, b], epsilon, metric, mode, series=True)
@@ -204,21 +205,19 @@ def detect_series(sweep: TrajectorySweep, a, b, epsilon: float | None = None,
                         first_merge_step=int(merge[0, 1]), epsilon=float(epsilon))
 
 
-def pairwise_series(sweep: TrajectorySweep, partition: EventPartition,
-                    epsilon: float | None = None,
+def pairwise_series(sweep: TrajectorySweep, events, epsilon: float | None = None,
                     metric: str = "top_eigen_abs", mode: str = "analytic") -> tuple:
     """(K x K first-merge matrix, P x len(steps) thresholded similarities with
     one row per pair i < j, row-major) from one step-0 pass and one epsilon
-    over all classes."""
-    return _all_pairs(sweep, partition.events, epsilon, metric, mode, series=True)[:2]
+    over all the events."""
+    return _all_pairs(sweep, events, epsilon, metric, mode, series=True)[:2]
 
 
-def pairwise_merge_times(sweep: TrajectorySweep, partition: EventPartition,
-                         epsilon: float | None = None,
-                         metric: str = "top_eigen_abs",
-                         mode: str = "analytic") -> np.ndarray:
-    """K x K symmetric matrix of first merger steps; zero diagonal."""
-    return _all_pairs(sweep, partition.events, epsilon, metric, mode, series=False)[0]
+def pairwise_merge_times(sweep: TrajectorySweep, events, epsilon: float | None = None,
+                         metric: str = "top_eigen_abs", mode: str = "analytic") -> np.ndarray:
+    """K x K symmetric matrix of first merger steps of any K events; zero
+    diagonal."""
+    return _all_pairs(sweep, events, epsilon, metric, mode, series=False)[0]
 
 
 def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
@@ -226,7 +225,7 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
     """(K x K first-merge matrix, P x len(steps) similarities of the pairs
     i < j row-major or None, epsilon) from one step-0 pass and one epsilon
     over the events; the similarities are computed only for series."""
-    events = [np.asarray(ev, dtype=np.int64) for ev in events]  # row indices of a snapshot
+    events = [sweep.dataset.rows(ev) for ev in events]
     moments0 = _moments0(sweep, events)
     if epsilon is None:
         epsilon = default_epsilon(moments0)
@@ -393,7 +392,7 @@ def lattice_jump(series, tau: int = 1, order: int = 1,
     return (np.flatnonzero(np.abs(left - right) / tau**order >= eps_disc) + lo).tolist()
 
 
-def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_grid,
+def phase_spectrum(sweep: TrajectorySweep, events, epsilon_grid,
                    metric: str = "top_eigen_abs") -> list:
     """Count of positive-step merger events in the cascade, per epsilon: the
     number of gaps between consecutive sorted step-0 statistics (lambda_max
@@ -414,5 +413,5 @@ def phase_spectrum(sweep: TrajectorySweep, partition: EventPartition, epsilon_gr
     if not (eps_grid[0] > 0 and all(b > a for a, b in zip(eps_grid, eps_grid[1:]))):
         raise DomainError("epsilon grid must be positive and increasing")
     stat = _metric_stat(metric)
-    gaps = np.diff(np.sort([getattr(m, stat) for m in _moments0(sweep, partition.events)]))
+    gaps = np.diff(np.sort([getattr(m, stat) for m in _moments0(sweep, events)]))
     return [int(np.count_nonzero(gaps > eps)) for eps in eps_grid]

@@ -95,8 +95,7 @@ def probe_through_time(sweep: TrajectorySweep, a, b, merge_step: int,
         raise DomainError(f"merge_step {merge_step} outside [0, {sweep.horizon}]")
     if not 0.0 < split < 1.0:
         raise DomainError(f"split fraction must lie in (0, 1), got {split}")
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = sweep.dataset.rows(a), sweep.dataset.rows(b)
     if np.intersect1d(a, b).size:
         raise DomainError("events must be disjoint")
     # the split is drawn once: the design's rows are the two classes' rows in

@@ -88,7 +88,7 @@ def test_02_merger_time_oracle():
         ds = two_class_dataset(seed=seed, n_per_class=20000, d=16)
         sw = sweep(ds, DDPM, [0, 1000], SeedPolicy(base_seed=seed))
         part = partition_by_label(ds)
-        series = detect_series(sw, part.events[0], part.events[1],
+        series = detect_series(sw, part[0], part[1],
                                epsilon=0.06, metric="top_eigen_abs")
         detected.append(series.first_merge_step)
     elapsed = time.time() - t0
@@ -227,7 +227,7 @@ def test_08_lattice_and_phase():
     ds = two_class_dataset(seed=0)
     sw = sweep(ds, DDPM, range(0, 1001), SeedPolicy(base_seed=80))
     part = partition_by_label(ds)
-    series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
+    series = detect_series(sw, part[0], part[1], epsilon=0.06)
     vals = np.asarray(series.values)
     gaps = np.abs((vals[1:-1] - vals[:-2]) - (vals[2:] - vals[1:-1]))
     hits = lattice_jump(vals, tau=1, order=1, eps_disc=float(gaps.max()) / 2)

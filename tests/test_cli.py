@@ -138,6 +138,18 @@ class TestAnalyze:
             merge_times.append(json.loads(out.read_text())["merge_times"])
         assert merge_times[0] == merge_times[1]
 
+    def test_one_step_is_step_zero(self, tmp_path, small_fixture):
+        # a step count of 1 is the grid [0]; analytic merge steps do not read the grid
+        docs = []
+        for steps in ("1", "11"):
+            out, series = tmp_path / f"an{steps}.json", tmp_path / f"series{steps}.csv"
+            assert run(["analyze", "--input", str(small_fixture), "--steps", steps,
+                        "--out", str(out), "--series-out", str(series)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0]["merge_times"] == docs[1]["merge_times"]
+        rows = (tmp_path / "series1.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0"]
+
     def test_epsilon_auto_series_matches_merge_times(self, tmp_path, three_class_fixture):
         out, series = tmp_path / "an.json", tmp_path / "series.csv"
         assert run(["analyze", "--input", str(three_class_fixture), "--steps", "101",
@@ -185,7 +197,7 @@ class TestAnalyze:
         expected = ["pair_a,pair_b,step,value"]
         for i in range(3):
             for j in range(i + 1, 3):
-                ref = detect_series(sw, part.events[i], part.events[j], epsilon=0.06)
+                ref = detect_series(sw, part[i], part[j], epsilon=0.06)
                 expected += [f"{i},{j},{t},{float(v)!r}" for t, v in zip(ref.steps, ref.values)]
         assert series.read_text().splitlines() == expected
 
@@ -326,6 +338,8 @@ BAD_VALUES = [
     # a dataset too small for the statistic is a data error
     (["analyze", "--input", "{tmp}/one.csv"], 3, "two events"),
     (["converge", "--input", "{tmp}/four.csv"], 3, "at least 20 samples"),
+    (["converge", "--input", "{tmp}/flat.csv", "--steps", "3", "--projections", "4"], 3,
+     "all views degenerate at step 0"),
     (["probe", "--input", "{tmp}/four.csv", "--merge-step", "500", "--out", "{tmp}/p.csv"], 3,
      "at least 10 samples"),
     # a step count below 1, and --means for the wrong number of classes
@@ -422,10 +436,12 @@ class TestErrorMapping:
         (tmp_path / "huge_d.fvec1").write_bytes(
             b"FVEC1" + struct.pack("<QQ", 1, 2**40) + struct.pack("<I", 0))
         (tmp_path / "empty_huge_d.fvec1").write_bytes(b"FVEC1" + struct.pack("<QQ", 0, 2**40))
-        # 520 classes of 3 rows, d = 2; one class of 3 rows; two classes of 2 rows
+        # 520 classes of 3 rows, d = 2; one class of 3 rows; two classes of 2 rows;
+        # two classes of 20 rows, every row (0.5, 0.25)
         write_deep_csv(tmp_path / "deep.csv")
         (tmp_path / "one.csv").write_text("0,1.0,2.0\n0,2.0,0.5\n0,-1.0,0.3\n")
         (tmp_path / "four.csv").write_text("0,1.0,2.0\n0,2.0,0.5\n1,-1.0,0.3\n1,0.4,-0.7\n")
+        (tmp_path / "flat.csv").write_text("0,0.5,0.25\n" * 20 + "1,0.5,0.25\n" * 20)
         argv = [a.format(data=small_fixture, tmp=tmp_path) for a in argv]
         assert run(argv) == code
         err = capsys.readouterr().err
@@ -499,7 +515,7 @@ class TestErrorMapping:
         ds = load_dataset(str(small_fixture))
         sw = sweep(ds, schedule, [0], SeedPolicy(base_seed=0))
         tops = np.array([conditional_fluctuation(sw, ev, 0).top_eigenvalue
-                         for ev in partition_by_label(ds).events])
+                         for ev in partition_by_label(ds)])
         j2 = j_values(schedule, np.arange(merge.max() + 2)) ** 2
         assert np.array_equal(merge, scan_oracle(j2, tops, tops.max() / 400.0))
 

@@ -357,6 +357,10 @@ class TestConvergenceStep:
         sw = sweep(ds, ddpm, [0, 500], SeedPolicy(base_seed=24))
         with pytest.raises(DataError):
             convergence_step(sw, projections=4)
+        # sweep() refuses an empty step list; a sweep built by hand can have one
+        bare = TrajectorySweep(dataset=ds, schedule=ddpm, steps=(), seeds=SeedPolicy(0))
+        with pytest.raises(DomainError, match="sweep has no steps"):
+            convergence_step(bare, projections=4)
 
 class TestTvDistance:
     def test_identical_densities(self):
@@ -393,6 +397,11 @@ class TestTvDistance:
         x, p = gaussian_grid(0.0)
         with pytest.raises(DomainError):
             tv_distance_1d(p, 2 * p, x)
+
+    def test_shape_mismatch(self):
+        x, p = gaussian_grid(0.0)
+        with pytest.raises(DomainError, match="q and grid shapes differ"):
+            tv_distance_1d(p, p[:-1], x)
 
 
 class TestMomentTvCheck:
@@ -432,6 +441,13 @@ class TestMomentTvCheck:
         x, p = gaussian_grid(0.0)
         with pytest.raises(DomainError):
             moment_tv_check(p, p, x, n=1)
+
+    def test_infinite_bound_rejected(self):
+        # sd 1e159: the squared third moment bound overflows although C_n is finite
+        x = np.linspace(-1e160, 1e160, 2001)
+        p = np.exp(-0.5 * (x / 1e159) ** 2) / (1e159 * np.sqrt(2.0 * np.pi))
+        with pytest.raises(DomainError, match=r"the bound C_n \(M\^2 \+ B\) is not finite"):
+            moment_tv_check(p, p, x, n=3)
 
 
 class TestCfDistance:

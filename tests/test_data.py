@@ -8,13 +8,20 @@ from vpmerge import (
     DomainError,
     LabeledDataset,
     SyntheticSpec,
+    conditional_fluctuation,
+    detect_series,
     load_dataset,
+    pairwise_merge_times,
     partition_by_label,
+    phase_spectrum,
+    sweep,
     synth_gaussian_mixture,
 )
 from vpmerge.convergence import _projections, empirical_cf_distance
-from vpmerge.data import EventPartition, save_dataset
+from vpmerge.data import save_dataset
 from vpmerge.forward import SeedPolicy
+from vpmerge.merger import pairwise_series
+from vpmerge.probe import probe_through_time
 
 from conftest import traced_peak
 from test_probe import fit_two
@@ -134,19 +141,19 @@ class TestPartition:
     def test_basic(self):
         ds = LabeledDataset(features=np.zeros((3, 2)), labels=[0, 0, 1])
         part = partition_by_label(ds)
-        assert [e.tolist() for e in part.events] == [[0, 1], [2]]
+        assert [e.tolist() for e in part] == [[0, 1], [2]]
 
     def test_single_label(self):
         ds = LabeledDataset(features=np.zeros((4, 2)), labels=[0, 0, 0, 0])
         part = partition_by_label(ds)
-        assert part.n_events == 1 and part.events[0].tolist() == [0, 1, 2, 3]
+        assert len(part) == 1 and part[0].tolist() == [0, 1, 2, 3]
 
     def test_non_contiguous_remap(self):
         ds = LabeledDataset(features=np.zeros((4, 2)), labels=[2, 2, 2, 5])
         assert ds.labels.tolist() == [0, 0, 0, 1]
         assert ds.label_map == {0: 2, 1: 5}
         part = partition_by_label(ds)
-        assert [e.tolist() for e in part.events] == [[0, 1, 2], [3]]
+        assert [e.tolist() for e in part] == [[0, 1, 2], [3]]
 
     def test_label_map_is_computed(self):
         ds = LabeledDataset(features=np.zeros((3, 2)), labels=[1, 0, 1])
@@ -154,20 +161,62 @@ class TestPartition:
         with pytest.raises(TypeError):
             LabeledDataset(features=np.zeros((3, 2)), labels=[1, 0, 1], label_map={0: 7, 1: 9})
 
-    def test_overlap_rejected(self):
-        with pytest.raises(DataError):
-            EventPartition(events=(np.array([0, 1]), np.array([1, 2])))
 
-    def test_gap_rejected(self):
-        with pytest.raises(DataError):
-            EventPartition(events=(np.array([0]), np.array([2])))
+    def test_dataset_validation(self):
+        with pytest.raises(DataError, match="2-D"):
+            LabeledDataset(features=np.zeros(3), labels=[0, 0, 1])
+        with pytest.raises(DataError, match="does not match"):
+            LabeledDataset(features=np.zeros((3, 2)), labels=[0, 1])
+        with pytest.raises(DataError, match="dataset is empty"):
+            LabeledDataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
 
-    def test_overlap_reported_before_cover(self):
-        # index 1 twice and index 2 missing: the overlap is what is reported
-        with pytest.raises(DataError, match="partition events overlap"):
-            EventPartition(events=(np.array([0, 1]), np.array([3, 1])))
-        with pytest.raises(DataError, match="do not cover the index set"):
-            EventPartition(events=(np.array([0, 3]), np.array([1])))
+
+# events that are not 1-D integer index arrays into the 100 rows of
+# TestRows' dataset; cast to integers, the mask and the floats would name
+# other rows and the negative index would wrap
+BAD_EVENTS = {
+    "mask": lambda x: x[:, 0] > 0,
+    "float": lambda x: np.array([0.0, 1.0, 2.5]),
+    "negative": lambda x: [-1],
+    "past the end": lambda x: [len(x)],
+    "2-D": lambda x: [[0, 1], [2, 3]],
+}
+
+
+class TestRows:
+    def test_rows_is_the_event_when_it_is_one(self):
+        ds = LabeledDataset(features=np.zeros((4, 2)), labels=[0, 0, 1, 1])
+        event = np.array([3, 1, 1], dtype=np.intp)
+        assert ds.rows(event) is event
+        for other in ([3, 1], (3, 1), np.array([3, 1], dtype=np.uint8), range(3, 0, -2)):
+            got = ds.rows(other)
+            assert got.dtype == np.intp and got.tolist() == [3, 1]
+        # an empty event passes through, for its reader to refuse
+        assert ds.rows([]).dtype == np.intp and ds.rows([]).shape == (0,)
+
+    @pytest.mark.parametrize("kind", list(BAD_EVENTS))
+    def test_bad_event_is_refused_at_every_entry_point(self, kind, ddpm):
+        rng = np.random.default_rng(25)
+        ds = LabeledDataset(features=rng.standard_normal((100, 3)), labels=np.repeat([0, 1], 50))
+        sw = sweep(ds, ddpm, [0, 500, 1000], SeedPolicy(base_seed=25))
+        good, bad = partition_by_label(ds)[0], BAD_EVENTS[kind](ds.features)
+        entry_points = {
+            "snapshot": lambda: sw.snapshot(500, bad),
+            "conditional_fluctuation at 0": lambda: conditional_fluctuation(sw, bad, 0),
+            "conditional_fluctuation at 500": lambda: conditional_fluctuation(sw, bad, 500),
+            "pairwise_merge_times": lambda: pairwise_merge_times(sw, [good, bad], 0.05),
+            "pairwise_merge_times empirical": lambda: pairwise_merge_times(
+                sw, [good, bad], 0.05, mode="empirical"),
+            "pairwise_series": lambda: pairwise_series(sw, [good, bad], 0.05),
+            "phase_spectrum": lambda: phase_spectrum(sw, [good, bad], [0.05]),
+            "detect_series": lambda: detect_series(sw, good, bad, 0.05),
+            "detect_series, first event": lambda: detect_series(sw, bad, good, 0.05),
+            "probe_through_time": lambda: probe_through_time(sw, good, bad, 1000),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == "rows must be a 1-D integer index array into [0, 100)", name
 
 
 class TestSynthetic:
@@ -217,6 +266,12 @@ class TestSynthetic:
         with pytest.raises(DomainError, match="count per class"):
             SyntheticSpec(means=np.zeros((2, 3)), spectra=np.ones((2, 3)),
                           samples_per_class=(10,))
+        with pytest.raises(DomainError, match="matching shapes"):
+            SyntheticSpec(means=np.zeros((2, 3)), spectra=np.ones((2, 2)),
+                          samples_per_class=(10, 10))
+        with pytest.raises(DomainError, match="at least one class"):
+            SyntheticSpec(means=np.zeros((0, 3)), spectra=np.ones((0, 3)),
+                          samples_per_class=())
 
 
 def stream(seed, tag):

@@ -166,7 +166,7 @@ class TestSweep:
 
     def test_snapshot_rows_rejects_bad_rows_and_steps(self, ddpm):
         sw = sweep(unit_dataset(9, n=30), ddpm, [0, 5], SeedPolicy(base_seed=0))
-        for rows in ([30], [-1], [[0, 1]]):
+        for rows in ([30], [-1], [[0, 1]], np.arange(30) < 5, [0.0, 1.5]):
             with pytest.raises(DomainError, match="rows"):
                 sw.snapshot(5, rows)
         with pytest.raises(DomainError, match="not in sweep steps"):

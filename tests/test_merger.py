@@ -23,7 +23,6 @@ from vpmerge import (
     sweep,
 )
 from vpmerge import merger
-from vpmerge.data import EventPartition
 from vpmerge.fluctuation import propagated_inner
 from vpmerge.forward import TrajectorySweep
 from vpmerge.merger import (build_cascade, default_epsilon, guidance_windows,
@@ -360,26 +359,26 @@ class TestDetectSeries:
     def test_duplicate_halves_merge_at_zero(self, ddpm):
         sw = halves_sweep(ddpm)
         part = partition_by_label(sw.dataset)
-        series = detect_series(sw, part.events[0], part.events[1])
+        series = detect_series(sw, part[0], part[1])
         assert series.first_merge_step == 0
         assert np.all(series.values == 1.0)
 
     def test_two_class_fixture_matches_oracle(self, two_class_sweep, ddpm):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06,
+        series = detect_series(sw, part[0], part[1], epsilon=0.06,
                                metric="top_eigen_abs")
         oracle = closed_form_merge_step(ddpm, 6.0, 0.06)
         assert abs(series.first_merge_step - oracle) <= 2
 
     def test_tiny_epsilon_never_merges_before_horizon(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], epsilon=1e-300)
+        series = detect_series(sw, part[0], part[1], epsilon=1e-300)
         assert series.first_merge_step == sw.horizon
         assert series.values[-1] == 1.0
 
     def test_stickiness(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
+        series = detect_series(sw, part[0], part[1], epsilon=0.06)
         istar = series.first_merge_step
         after = [v for t, v in zip(series.steps, series.values) if t >= istar]
         assert all(v == 1.0 for v in after)
@@ -387,15 +386,15 @@ class TestDetectSeries:
 
     def test_values_in_unit_interval(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
+        series = detect_series(sw, part[0], part[1], epsilon=0.06)
         assert np.all((series.values >= 0.0) & (series.values <= 1.0))
 
     def test_empirical_mode_agrees_roughly(self, ddpm):
         ds = two_class_dataset(seed=3, n_per_class=20000)
         sw = sweep(ds, ddpm, range(0, 1001, 10), SeedPolicy(base_seed=5))
         part = partition_by_label(ds)
-        ana = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
-        emp = detect_series(sw, part.events[0], part.events[1], epsilon=0.06,
+        ana = detect_series(sw, part[0], part[1], epsilon=0.06)
+        emp = detect_series(sw, part[0], part[1], epsilon=0.06,
                             mode="empirical")
         # the stochastic estimate carries per-step MC noise; agreement is
         # coarse, the analytic mode is the calibrated path
@@ -404,18 +403,18 @@ class TestDetectSeries:
     def test_overlapping_events_rejected(self, two_class_sweep):
         sw, part = two_class_sweep
         with pytest.raises(DomainError):
-            detect_series(sw, part.events[0], part.events[0], epsilon=0.1)
+            detect_series(sw, part[0], part[0], epsilon=0.1)
 
     def test_bad_epsilon(self, two_class_sweep):
         sw, part = two_class_sweep
         with pytest.raises(DomainError):
-            detect_series(sw, part.events[0], part.events[1], epsilon=-1.0)
+            detect_series(sw, part[0], part[1], epsilon=-1.0)
 
 
 class TestPairwiseMergeTimes:
     def test_two_classes(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
+        series = detect_series(sw, part[0], part[1], epsilon=0.06)
         mt = pairwise_merge_times(sw, part, epsilon=0.06)
         assert mt[0, 0] == mt[1, 1] == 0
         assert mt[0, 1] == mt[1, 0] == series.first_merge_step
@@ -445,7 +444,7 @@ class TestPairwiseMergeTimes:
         mt = pairwise_merge_times(sw, part, epsilon=0.02, metric=metric)
         for i in range(5):
             for j in range(i + 1, 5):
-                series = detect_series(sw, part.events[i], part.events[j],
+                series = detect_series(sw, part[i], part[j],
                                        epsilon=0.02, metric=metric)
                 assert mt[i, j] == mt[j, i] == series.first_merge_step
 
@@ -453,6 +452,26 @@ class TestPairwiseMergeTimes:
         sw, part = two_class_sweep
         with pytest.raises(DomainError, match="metric"):
             pairwise_merge_times(sw, part, epsilon=0.06, metric="l2")
+
+    def test_unknown_mode_rejected(self, two_class_sweep):
+        sw, part = two_class_sweep
+        with pytest.raises(DomainError, match="unknown mode"):
+            pairwise_merge_times(sw, part, epsilon=0.06, mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    @pytest.mark.parametrize("metric", ["top_eigen_abs", "trace_l1"])
+    def test_any_subset_of_events(self, ddpm, metric, mode):
+        """At an explicit eps, the merge steps of some classes, in any order,
+        are their entries of the all-class matrix.  Under the default eps this
+        does not hold: it is taken over the events passed."""
+        sw = five_class_sweep(ddpm, range(0, 1001, 50))
+        part = partition_by_label(sw.dataset)
+        full = pairwise_merge_times(sw, part, epsilon=0.05, metric=metric, mode=mode)
+        assert len(np.unique(full)) > 3
+        for subset in ([4, 0, 2], [1, 3], [3, 2, 4, 1]):
+            mt = pairwise_merge_times(sw, [part[i] for i in subset], epsilon=0.05,
+                                      metric=metric, mode=mode)
+            assert np.array_equal(mt, full[np.ix_(subset, subset)]), subset
 
 
 class TestMergeSteps:
@@ -557,12 +576,12 @@ class TestPairwiseSeries:
         part = partition_by_label(sw.dataset)
         # epsilon None is one threshold over all classes, not per pair
         eps = epsilon or default_epsilon(
-            [conditional_fluctuation(sw, ev, 0) for ev in part.events])
+            [conditional_fluctuation(sw, ev, 0) for ev in part])
         mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode=mode)
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         assert values.shape == (len(pairs), len(sw.steps))
         for (i, j), row in zip(pairs, values):
-            ref = detect_series(sw, part.events[i], part.events[j], epsilon=eps,
+            ref = detect_series(sw, part[i], part[j], epsilon=eps,
                                 metric=metric, mode=mode)
             assert mt[i, j] == mt[j, i] == ref.first_merge_step
             assert row.tobytes() == ref.values.tobytes()
@@ -583,8 +602,8 @@ class TestPairwiseSeries:
         assert np.array_equal(mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric))
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         for (i, j), row in zip(pairs, values):
-            pair = (part.events[i], part.events[j])
-            ref, istar = reference_series(sw, *pair, eps_over(part.events), metric)
+            pair = (part[i], part[j])
+            ref, istar = reference_series(sw, *pair, eps_over(part), metric)
             assert row.tobytes() == ref.tobytes()
             assert mt[i, j] == mt[j, i] == istar
             single = detect_series(sw, *pair, epsilon=epsilon, metric=metric)
@@ -602,7 +621,7 @@ class TestPairwiseSeries:
                            1e-3 * rng.standard_normal((50, 3))])
         ds = LabeledDataset(features=feats, labels=np.repeat([0, 1, 2], 50))
         sw = sweep(ds, ddpm, [0, 500, 1000], SeedPolicy(base_seed=3))
-        ev = partition_by_label(ds).events
+        ev = partition_by_label(ds)
         merged = detect_series(sw, ev[0], ev[2], epsilon=0.01)
         assert merged.first_merge_step == 0 and np.all(merged.values == 1.0)
         assert reference_series(sw, ev[0], ev[2], 0.01, "top_eigen_abs")[1] == 0
@@ -616,7 +635,7 @@ class TestPairwiseSeries:
 
     def test_needs_two_events(self, two_class_sweep):
         sw, part = two_class_sweep
-        one = EventPartition(events=(np.concatenate(part.events),))
+        one = (np.concatenate(part),)
         with pytest.raises(DataError, match="two events"):
             pairwise_series(sw, one)
 
@@ -632,13 +651,13 @@ class TestEmpiricalWalk:
             return epsilon or default_epsilon(
                 [conditional_fluctuation(sw, ev, 0) for ev in events])
 
-        eps_all = eps_over(part.events)
+        eps_all = eps_over(part)
         mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
         assert np.array_equal(mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric,
                                                        mode="empirical"))
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         for (i, j), row in zip(pairs, values):
-            pair = (part.events[i], part.events[j])
+            pair = (part[i], part[j])
             ref, istar = reference_empirical_series(sw, *pair, eps_all, metric)
             assert row.tobytes() == ref.tobytes()
             assert mt[i, j] == mt[j, i] == istar
@@ -904,7 +923,7 @@ class TestLatticeJump:
         ds = two_class_dataset(seed=0)
         sw = sweep(ds, ddpm, range(0, 1001), SeedPolicy(base_seed=1))
         part = partition_by_label(ds)
-        series = detect_series(sw, part.events[0], part.events[1], epsilon=0.06)
+        series = detect_series(sw, part[0], part[1], epsilon=0.06)
         vals = np.asarray(series.values)
         ld = vals[1:-1] - vals[:-2]
         rd = vals[2:] - vals[1:-1]
@@ -961,7 +980,7 @@ class TestPhaseSpectrum:
         part = partition_by_label(sw.dataset)
         eps0 = default_epsilon([
             __import__("vpmerge").conditional_fluctuation(sw, ev, 0)
-            for ev in part.events
+            for ev in part
         ])
         counts = phase_spectrum(sw, part, epsilon_grid=[eps0, 2 * eps0, 4 * eps0])
         assert counts == [0, 0, 0]
@@ -1000,7 +1019,7 @@ class TestPhaseSpectrum:
         monkeypatch.setattr(merger, "conditional_fluctuation",
                             lambda *a, **kw: calls.append(a[1]) or moments(*a, **kw))
         assert phase_spectrum(sw, part, metric=metric, epsilon_grid=grid) == want
-        assert len(calls) == part.n_events
+        assert len(calls) == len(part)
 
     def test_grid_validation(self, two_class_sweep):
         sw, part = two_class_sweep

@@ -364,6 +364,9 @@ class TestWeightLaw:
         steps = np.arange(0, 101)
         assert np.all(law[steps < 20] == 0.0)
         assert law[steps >= 20].sum() == pytest.approx(1.0)
+        # a window wholly below the floor has no weight to normalize
+        with pytest.raises(DomainError, match="empty support"):
+            weight_law("truncated_inverse_snr", NoiseSchedule(), 0, 10)
 
     def test_weights_proportional_to_inverse_snr(self, ddpm):
         law = weight_law("inverse_snr", ddpm, 5, 9)
