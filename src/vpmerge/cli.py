@@ -75,7 +75,7 @@ def _steps_list(spec: str, horizon: int) -> list:
     """A step count means an even subsample of [0, T] including endpoints."""
     if "," in spec:
         return sorted({int(s) for s in spec.split(",")})
-    count = int(spec)
+    count = min(int(spec), horizon + 1)  # T + 1 or more already gives every step
     if count < 1:
         raise DomainError("step count must be >= 1")
     if count == 1:
@@ -328,7 +328,7 @@ def execute(argv) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:  # a ValueError, so caught first
         _error_record("numeric", exc)
         return EXIT_NUMERIC
-    except (DomainError, ValueError, IndexError) as exc:
+    except (DomainError, ValueError, IndexError, OverflowError) as exc:  # an int flag too big
         _error_record("domain", exc)
         return EXIT_USAGE
     except (DataError, OSError, MemoryError) as exc:  # an unmet size comes from the input

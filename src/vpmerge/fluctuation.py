@@ -9,6 +9,9 @@ the normalized form
 is the cosine similarity, i.e. the centred kernel alignment between the
 two conditional covariance matrices.
 
+ConditionalMoments (lambda_max, tr S, ||S||_F^2) and cross_fluctuation_G
+are the only readers of a tensor; other modules read only their numbers.
+
 Step 0 reads the dataset rows, so the grid need not hold it; later steps
 follow from it in closed form.  The law of J x0 + sigma eps conditioned on a
 step-0 event has covariance J^2 S0 + (1 - J^2) I; the inner product of two
@@ -61,17 +64,14 @@ class ConditionalMoments:
         return top_eigenvalue(self.tensor)
 
     @cached_property
+    def trace(self) -> float:
+        """tr S."""
+        return float(np.trace(self.tensor))
+
+    @cached_property
     def frobenius_sq(self) -> float:
         """||S||_F^2, the squared Hilbert norm F."""
         return float(np.sum(self.tensor * self.tensor))
-
-    @classmethod
-    def from_tensor(cls, tensor):
-        """Moments of a covariance matrix."""
-        tensor = np.asarray(tensor, dtype=np.float64)
-        if tensor.ndim != 2:
-            raise DomainError("order-2 tensor must be a matrix")
-        return cls(tensor=tensor)
 
 
 def moments_from_rows(rows: np.ndarray) -> ConditionalMoments:
@@ -84,7 +84,7 @@ def moments_from_rows(rows: np.ndarray) -> ConditionalMoments:
     if m < 2:
         raise DegenerateError("order-2 tensor needs an event with >= 2 rows")
     dev = rows - rows.mean(axis=0)
-    return ConditionalMoments.from_tensor(dev.T @ dev / m)
+    return ConditionalMoments(dev.T @ dev / m)
 
 
 def conditional_fluctuation(sweep: TrajectorySweep, event, t: int) -> ConditionalMoments:

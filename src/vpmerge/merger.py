@@ -17,12 +17,13 @@ analogue), so a pair's distance at u = J(t)^2 is |A u^2 + B u|: A = 0 and
 B = |gap|, or A = dF - 2 dtr and B = 2 dtr from the step-0 differences.
 A pair merges at step 0 when its float step-0 gap |s_a - s_b| is <= eps,
 else at the first integer t in 1..T (T if none) whose u lies in the band
-|A u^2 + B u| <= eps, in real arithmetic.  _merge_steps takes it from the
-closed-form roots, one ceil per pair with no step tested and no table over
-0..T, in O(K^2) time and memory.  Where eps is within the rounding of a
-pair's float distance at some step, a float scan of 0..T can stop at
-another step (one off where eps sits on a distance; many off where a tiny
-eps is below the rounding of the cancelling trace difference).
+|A u^2 + B u| <= eps, in real arithmetic.  _merge_steps takes it for both
+metrics from the closed-form roots of one band (_band_steps), one ceil per
+pair with no step tested and no table over 0..T, in O(K^2) time and memory.
+Where eps is within the rounding of a pair's float distance at some step, a
+float scan of 0..T can stop at another step (one off where eps sits on a
+distance; many off where a tiny eps is below the rounding of the cancelling
+trace difference).
 
 One broadcast over (pairs x grid steps) gives every pair's series, its
 squared norms and cross inner products both from propagated_inner.
@@ -57,8 +58,8 @@ from math import comb
 import numpy as np
 
 from .errors import DataError, DegenerateError, DomainError
-from .fluctuation import (conditional_fluctuation, moments_from_rows, normalized_M,
-                          propagated_inner)
+from .fluctuation import (conditional_fluctuation, cross_fluctuation_G, moments_from_rows,
+                          normalized_M, propagated_inner)
 from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, _beta_integral_inverse, betas, j_values
 
@@ -119,18 +120,15 @@ def _merge_steps(schedule: NoiseSchedule, moments0: list, epsilon: float,
     the closed form over blocks of _PAIR_BLOCK pairs i < j."""
     k = len(moments0)
     stat = np.array([getattr(m, _metric_stat(metric)) for m in moments0])
-    if metric == "trace_l1":
-        trace = np.array([np.trace(m.tensor) for m in moments0])
+    trace = np.array([m.trace for m in moments0]) if metric == "trace_l1" else None
     out = np.zeros((k, k), dtype=np.int64)
     ia, ib = np.triu_indices(k, 1)
     with np.errstate(all="ignore"):  # absent roots and the logs of zero gaps are nan or inf
         for lo in range(0, len(ia), _PAIR_BLOCK):
             a, b = ia[lo:lo + _PAIR_BLOCK], ib[lo:lo + _PAIR_BLOCK]
             gap = stat[a] - stat[b]
-            if metric == "top_eigen_abs":  # u |gap| <= eps
-                first = _first_step(schedule, np.log(np.abs(gap)) - np.log(epsilon))
-            else:
-                first = _trace_steps(schedule, gap, 2.0 * (trace[a] - trace[b]), epsilon)
+            lin = gap if trace is None else 2.0 * (trace[a] - trace[b])  # top-eigen: A = 0
+            first = _band_steps(schedule, gap, lin, epsilon)
             # an absent step (nan) is the horizon
             first = np.where(np.abs(gap) <= epsilon, 0, np.fmin(first, schedule.horizon_T))
             out[a, b] = out[b, a] = first
@@ -142,27 +140,28 @@ def _first_step(schedule: NoiseSchedule, x) -> np.ndarray:
     return np.maximum(np.ceil(_beta_integral_inverse(schedule, np.maximum(x, 0.0))), 1.0)
 
 
-def _trace_steps(schedule: NoiseSchedule, gap: np.ndarray, lin: np.ndarray,
-                 epsilon: float) -> np.ndarray:
+def _band_steps(schedule: NoiseSchedule, gap: np.ndarray, lin: np.ndarray,
+                epsilon: float) -> np.ndarray:
     """First step t >= 1 (uncapped; nan if none) with u = J(t)^2 in the band
-    |quad u^2 + lin u| <= eps, quad = gap - lin.  With the signs flipped so
-    that lin >= 0, the band is [0, r1] u [r2, r3]: r1 <= r2 the roots at +eps
-    (r2 only when quad < 0) and r3 the positive root at -eps.  The step is
-    the upper piece's first step if that lands in it, else the lower
-    piece's.  Each root r enters as x = -ln r, a difference of the logs of
-    the stable root's factors; the discriminants lin^2 +- c^2, c^2 = 4 |quad|
-    eps, are taken as a hypot and a product of square roots, so no root
-    under- or overflows."""
+    |quad u^2 + lin u| <= eps, quad = gap - lin (lin = gap: u |gap| <= eps).
+    With the signs flipped so that lin >= 0, the band is [0, r1] u [r2, r3]:
+    r1 <= r2 the roots at +eps (r2 only when quad < 0) and r3 the positive
+    root at -eps.  The step is the upper piece's first step if that lands in
+    it, else the lower piece's.  Each root r enters as x = -ln r, a
+    difference of the logs of the stable root's factors; the discriminants
+    lin^2 +- c^2, c^2 = 4 |quad| eps, are taken at half scale (h = lin / 2,
+    s = c / 2: the same bits above the subnormals) as a hypot and a product
+    of square roots, so no root or sum overflows before the statistics do."""
     # lin >= 0, and quad >= 0 where lin = 0, so (a, b) and (b, a) compute alike
     quad = np.where((lin < 0) | (lin == 0) & (gap < 0), lin - gap, gap - lin)
     lin = np.abs(lin)
-    c = 2.0 * np.sqrt(np.abs(quad)) * np.sqrt(epsilon)
-    hyp = np.hypot(lin, c)  # sqrt(lin^2 + c^2): at +eps where quad >= 0, at -eps where < 0
-    root = np.where(quad < 0, np.sqrt(lin - c) * np.sqrt(lin + c), hyp)  # nan: no r1, r2
-    ln_q = np.log(0.5 * (lin + root))
+    h, s = 0.5 * lin, np.sqrt(np.abs(quad)) * np.sqrt(epsilon)
+    hyp = np.hypot(h, s)  # at +eps where quad >= 0, at -eps where < 0
+    root = np.where(quad < 0, np.sqrt(2 * (h - s)) * np.sqrt((h + s) / 2), hyp)  # nan: no r1, r2
+    ln_q = np.log(lin - h + root)  # lin - h is h, but exact where halving a subnormal rounds
     first = _first_step(schedule, ln_q - np.log(epsilon))  # r1 = eps / q
     ln_quad = np.log(-quad)  # r2 = q / -quad, r3 = q3 / -quad
-    upper = _first_step(schedule, ln_quad - np.log(0.5 * (lin + hyp)))
+    upper = _first_step(schedule, ln_quad - np.log(h + hyp))
     lands = ~(_beta_integral_inverse(schedule, np.maximum(ln_quad - ln_q, 0.0)) < upper)
     return np.where((quad < 0) & lands, upper, first)  # lands: u(upper) >= r2, or no r2
 
@@ -174,14 +173,14 @@ def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
     ia, ib = np.triu_indices(len(moments0), 1)
     j2 = j_values(schedule, grid)[None, :] ** 2
     d = moments0[0].dim
-    trace = np.array([[np.trace(m.tensor)] for m in moments0])
+    trace = np.array([[m.trace] for m in moments0])
     f = propagated_inner(j2, np.array([[m.frobenius_sq] for m in moments0]), trace, trace, d)
     before = grid < merge[ia, ib][:, None]
     bad = np.argwhere(before & ((f[ia] <= 0) | (f[ib] <= 0)))
     if bad.size:
         raise DegenerateError(f"zero-norm tensor at step {grid[bad[0, 1]]}")
     den = f[ia] * f[ib]
-    g0 = np.array([[np.sum(moments0[a].tensor * moments0[b].tensor)] for a, b in zip(ia, ib)])
+    g0 = np.array([[cross_fluctuation_G(moments0[a], moments0[b])] for a, b in zip(ia, ib)])
     g = propagated_inner(j2, g0, trace[ia], trace[ib], d)
     values = np.divide(np.abs(g, out=g), np.sqrt(den, out=den), out=den, where=before)
     values[~before] = 1.0

@@ -191,18 +191,18 @@ def test_07_cka_property_suite():
     checks = []
     for _ in range(50):
         ra, rb = rng.standard_normal((2, 5, 5))
-        a = ConditionalMoments.from_tensor(ra @ ra.T + 1e-9 * np.eye(5))
-        b = ConditionalMoments.from_tensor(rb @ rb.T + 1e-9 * np.eye(5))
+        a = ConditionalMoments(ra @ ra.T + 1e-9 * np.eye(5))
+        b = ConditionalMoments(rb @ rb.T + 1e-9 * np.eye(5))
         m = normalized_M(a, b)
         checks.append(0.0 <= m <= 1.0)
         checks.append(abs(m - normalized_M(b, a)) <= 1e-12)
         checks.append(abs(normalized_M(a, a) - 1.0) <= 1e-12)
 
     # exact cases
-    eye2 = ConditionalMoments.from_tensor(np.eye(2))
-    d10 = ConditionalMoments.from_tensor(np.diag([1.0, 0.0]))
-    d01 = ConditionalMoments.from_tensor(np.diag([0.0, 1.0]))
-    d20 = ConditionalMoments.from_tensor(np.diag([2.0, 0.0]))
+    eye2 = ConditionalMoments(np.eye(2))
+    d10 = ConditionalMoments(np.diag([1.0, 0.0]))
+    d01 = ConditionalMoments(np.diag([0.0, 1.0]))
+    d20 = ConditionalMoments(np.diag([2.0, 0.0]))
     checks.append(abs(normalized_M(d10, d01) - 0.0) <= 1e-9)
     checks.append(abs(normalized_M(eye2, d20) - 1 / math.sqrt(2)) <= 1e-9)
     checks.append(abs(normalized_M(d10, d10) - 1.0) <= 1e-9)

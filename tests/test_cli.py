@@ -150,6 +150,15 @@ class TestAnalyze:
         rows = (tmp_path / "series1.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["0"]
 
+    def test_step_count_above_the_horizon_is_every_step(self, tmp_path, small_fixture):
+        # the count is capped at T + 1, so 10^12 steps is not a 10^12-pass loop
+        out, series = tmp_path / "an.json", tmp_path / "series.csv"
+        assert run(["analyze", "--input", str(small_fixture), "--T", "20",
+                    "--steps", "1000000000000", "--out", str(out),
+                    "--series-out", str(series)]) == 0
+        rows = series.read_text().splitlines()[1:]
+        assert [int(row.split(",")[2]) for row in rows] == list(range(21))
+
     def test_epsilon_auto_series_matches_merge_times(self, tmp_path, three_class_fixture):
         out, series = tmp_path / "an.json", tmp_path / "series.csv"
         assert run(["analyze", "--input", str(three_class_fixture), "--steps", "101",

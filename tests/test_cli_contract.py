@@ -25,6 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from vpmerge.cli import build_parser, execute
 # free-form string, by dest; every size (T, steps, classes, rows, dim,
 # projections, freqs, order) stays small
 VALUES = {
-    "T": (["20", "1000"], ["-1", "0", "1", "2"]),
+    "T": (["20", "1000"], ["-1", "0", "1", "2", str(10**400)]),
     "beta0": (["1e-4", "1e-3"], ["nan", "-inf", "-1", "0", "1e-300", "1"]),
     "betaT": (["0.02", "0.05"], ["nan", "inf", "1e-300", "1e308"]),
     "steps": (["2", "3", "6", "0,5,10"], ["1", "0", "-1", "x", "0,3,2000"]),
@@ -43,7 +44,7 @@ VALUES = {
     "alpha": (["0.05", "0.5"], ["nan", "0", "1", "-1"]),
     "projections": (["0", "1", "4"], ["-1"]),
     "eta_scale": (["1e-3", "0.5"], ["0", "nan", "2"]),
-    "dim": (["2", "3", "64"], ["-1", "0", "x"]),
+    "dim": (["2", "3", "64"], ["-1", "0", "x", str(10**400)]),
     "classes": (["2", "3"], ["-1", "0", "1"]),
     "n_per_class": (["3", "12"], ["-1", "0"]),
     "spectra": (["2,1/1", "3,2/2/1"], ["1,x", "inf/1", "1", "2/1/0.5/1"]),
@@ -196,3 +197,24 @@ class TestCliContract:
             out = root / "out"
             out.mkdir()
             check_contract(data.draw(argvs(inputs, out)), out)
+
+
+# an int flag too big for a float or an index: one "domain" record, exit 2
+@pytest.mark.parametrize("argv", [
+    ["mixing", "--T", str(10**400), "--dim", "5"],
+    ["mixing", "--dim", str(10**400)],
+    ["analyze", "--input", "IN", "--T", str(10**400)],
+    ["converge", "--input", "IN", "--T", str(10**400)],
+    ["probe", "--input", "IN", "--T", str(10**400), "--out", "OUT/p.csv"],
+    ["simulate", "--classes", "2", "--dim", str(10**400), "--spectra", "2,1/1",
+     "--n-per-class", "3", "--out", "OUT/s.fvec1"],
+], ids=["mixing-T", "mixing-dim", "analyze-T", "converge-T", "probe-T", "simulate-dim"])
+def test_int_flag_too_big_for_a_float_is_a_domain_error(argv, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("".join(f"{i % 2},{i * 0.5},{i % 3}\n" for i in range(20)))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(path) if a == "IN" else a.replace("OUT", str(out)) for a in argv]
+    check_contract(argv, out)
+    code, _, stderr, files = run_case(argv, out)
+    assert (code, json.loads(stderr)["error"], files) == (2, "domain", {})

@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from vpmerge import (
@@ -171,6 +172,75 @@ def scan_relation(schedule, moments0, metric, eps, got, steps):
     return bool(np.any((np.abs(dist - eps) <= tol)[:, later]))
 
 
+def _first_true(lo, hi, pred):
+    """The first t in lo..hi with pred(t), for pred false then true (hi if none)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+    return lo
+
+
+def decimal_merge_step(schedule, gap, lin, eps, got):
+    """Oracle: a pair's merge step in real arithmetic (80 digits), and whether
+    it is a tie with the closed form's step got.
+
+    The float gap (the statistic's step-0 difference), B = lin (2 dtr for the
+    trace, the gap for top-eigen), A = gap - lin as a float, eps and the
+    schedule are exact inputs, as in the closed form.  The step is 0 when
+    |gap| <= eps in floats, else the first t in 1..T with
+    f(t) = |A u^2 + B u| <= eps, u = exp(-x(t)), x(t) = beta0 t +
+    (betaT - beta0) t^2 / (2 T), and T if none.  f is monotone in t between
+    the steps where u crosses the vertex -B / (2 A) and the zero -B / A (one
+    piece when A = 0), so each piece is bisected, with no scan.  A tie is f
+    within 1e-12 relative of eps at got, the oracle's step or the step before
+    either."""
+    if abs(gap) <= eps:
+        return 0, False
+    horizon = schedule.horizon_T
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a, b, e = Decimal(gap - lin), Decimal(lin), Decimal(eps)
+        beta0 = Decimal(schedule.beta0)
+        slope = (Decimal(schedule.betaT) - beta0) / (2 * horizon)
+
+        def x(t):
+            return beta0 * t + slope * t * t
+
+        def f(t):
+            u = (-x(t)).exp()
+            return abs(a * u * u + b * u)
+
+        cuts = {1, horizon + 1}
+        for u in ((-b / (2 * a), -b / a) if a else ()):
+            if 0 < u < 1:  # the first step with u(t) <= u
+                cuts.add(_first_true(1, horizon + 1, lambda t, xu=-u.ln(): x(t) >= xu))
+        cuts = sorted(cuts)
+        want = horizon
+        for lo, hi in zip(cuts, cuts[1:]):  # f is monotone on lo..hi - 1
+            if f(lo) <= e:
+                want = lo
+                break
+            if f(hi - 1) <= e:  # so f falls through eps on this piece
+                want = _first_true(lo, hi - 1, lambda t: f(t) <= e)
+                break
+        near = {t for s in (got, want) for t in (s - 1, s) if 1 <= t <= horizon}
+        return want, any(abs(f(t) - e) <= e / Decimal(10**12) for t in near)
+
+
+def assert_matches_the_decimal_oracle(schedule, moments0, metric, eps):
+    """_merge_steps against decimal_merge_step on every pair, up to ties;
+    each tie is counted as a hypothesis event."""
+    got = merger._merge_steps(schedule, moments0, eps, metric)
+    stat = [getattr(m, merger._metric_stat(metric)) for m in moments0]
+    for i, j in zip(*np.triu_indices(len(moments0), 1)):
+        gap = stat[i] - stat[j]
+        lin = 2.0 * (moments0[i].trace - moments0[j].trace) if metric == "trace_l1" else gap
+        want, tie = decimal_merge_step(schedule, gap, lin, eps, int(got[i, j]))
+        if got[i, j] != want:
+            assert tie, (i, j, int(got[i, j]), want)
+            event(f"{metric}: a tie of the closed form and the oracle")
+
+
 def linkage_oracle(merge_times):
     """Oracle: the O(K^3) loop the row-minimum linkage replaced; each merge
     is the first row-major argmin of the whole matrix, row hi folded into lo."""
@@ -268,21 +338,24 @@ def tie_heavy_matrices(draw):
 
 
 @st.composite
-def merge_step_cases(draw):
+def merge_step_cases(draw, max_classes=24, magnitude=None):
     """(schedule, J^2 over 0..T, step-0 statistics, eps) for _merge_steps: T
     from 1 to 10^4, beta0 from 1e-5 to 1e-2 with betaT / beta0 up to 1000 or
-    1, K from 2 to 24, d from 1 to 39, a third of the classes drawn from a pool
+    1, K from 2 to max_classes, d from 1 to 39, a third of the classes drawn from a pool
     of three (so duplicates and zero gaps), in half the cases class 1 a copy
     of class 0 off by 1e-16 to 1e-6 relative, eps from 1e-320 to 1e3 or inf,
     or placed on the float distance of one pair at one step (or 1 ulp off),
     or within 4 ulps of the vertex of |Delta f(u)| =
     |u^2 (Delta F - 2 Delta tr) + 2 u Delta tr| for a pair built from Delta F
-    and Delta tr."""
+    and Delta tr.  With a metric as magnitude, the statistics and eps are
+    scaled by 2^k, k from 0 to the largest that leaves that metric's statistics
+    (for the trace, |F| + 4 |tr|) below DBL_MAX: a scaling that no rounding
+    sees, up to statistics above DBL_MAX / 2."""
     horizon = draw(st.one_of(st.integers(1, 30), st.integers(1, 10_000)))
     beta0 = 10.0 ** draw(st.floats(-5.0, -2.0))
     ratio = draw(st.one_of(st.just(1.0), st.floats(1.0, 1000.0)))
     schedule = NoiseSchedule(beta0, min(beta0 * ratio, 0.999), horizon)
-    k, d = draw(st.integers(2, 24)), draw(st.integers(1, 39))
+    k, d = draw(st.integers(2, max_classes)), draw(st.integers(1, 39))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     trace = rng.uniform(0.1, 5.0, k) * d
     frob = trace**2 / d * rng.uniform(1.0, 3.0, k)
@@ -311,6 +384,13 @@ def merge_step_cases(draw):
         value = draw(st.sampled_from([abs(tops[0] - tops[-1]) * j2[s], abs(f[0] - f[-1])]))
         if value > 0:
             eps = float(np.nextafter(value, draw(st.sampled_from([0.0, value, np.inf]))))
+    if magnitude is not None:
+        size = (np.max(np.abs(tops)) if magnitude == "top_eigen_abs"
+                else np.max(np.abs(frob)) + 4.0 * np.max(np.abs(trace)))
+        top = 1024 - math.frexp(size)[1]  # size 2^top in [DBL_MAX / 2, DBL_MAX]
+        power = draw(st.one_of(st.just(0), st.integers(0, top), st.just(top)))
+        with np.errstate(over="ignore"):  # eps may scale to inf
+            tops, frob, trace, eps = (np.ldexp(v, power) for v in (tops, frob, trace, eps))
     return schedule, j2, step0_stats(tops, frob, trace, d), eps
 
 
@@ -339,7 +419,7 @@ def halves_sweep(ddpm, seed=HALVES_SEED, n=40000, d=16):
 
 class TestDefaultEpsilon:
     def make(self, lam):
-        return ConditionalMoments.from_tensor(np.diag([lam, 1.0]))
+        return ConditionalMoments(np.diag([lam, 1.0]))
 
     def test_rule_arithmetic(self):
         assert default_epsilon([self.make(10.0)]) == pytest.approx(0.025)
@@ -350,7 +430,7 @@ class TestDefaultEpsilon:
         assert eps == pytest.approx(10.0 / 400)
 
     def test_degenerate(self):
-        zero = ConditionalMoments.from_tensor(np.zeros((2, 2)))
+        zero = ConditionalMoments(np.zeros((2, 2)))
         with pytest.raises(DegenerateError):
             default_epsilon([zero])
 
@@ -504,6 +584,44 @@ class TestMergeSteps:
         steps = np.arange(schedule.horizon_T + 1)
         if not scan_relation(schedule, moments0, "trace_l1", eps, got, steps):
             assert np.array_equal(got, trace_scan_oracle(j2, frob, trace, moments0[0].dim, eps))
+
+    # the decimal oracle up to ties (decimal_merge_step), at up to three
+    # classes and up to statistics above DBL_MAX / 2; the examples: the scan
+    # tests' ties, the pair of test_no_table_over_the_horizon (T = 4e8, where
+    # at eps 1e-300 the float scan stops at 345421), and statistics above
+    # DBL_MAX / 2, where lin + root (top-eigen, as the band with A = 0) or
+    # c = 2 sqrt(|A| eps) (trace) overflows a full-scale sum, and a subnormal
+    # gap of 3 units, whose half rounds to 2
+    @settings(max_examples=300, deadline=None)
+    @given(merge_step_cases(max_classes=3, magnitude="top_eigen_abs"))
+    @example(tie_case(NoiseSchedule(1e-3, 1e-3, 2), [16.35876966440531, 18.298733756915574],
+                      [1.0, 1.0], [1.0, 1.0], 2, 1.9380250980765519))
+    @example((NoiseSchedule(1e-4, 0.02, 400_000_000), None,
+              step0_stats([8.0, 1.0], [80.0, 20.0], [13.0, 6.0], 6), 0.02))
+    @example((NoiseSchedule(), None, step0_stats([1.5e308, 1e307], [1.0, 1.0], [1.0, 1.0], 2),
+              1e306))
+    @example((NoiseSchedule(), None, step0_stats([1.5e-323, 0.0], [1.0, 1.0], [1.0, 1.0], 2),
+              5e-324))
+    def test_top_eigen_matches_the_decimal_oracle(self, case):
+        schedule, _, moments0, eps = case
+        assert_matches_the_decimal_oracle(schedule, moments0, "top_eigen_abs", eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_step_cases(max_classes=3, magnitude="trace_l1"))
+    @example(tie_case(NoiseSchedule(0.002644300301811709, 0.999, 27), [1.0, 1.0],
+                      [15.384206704771989, 15.384206704772092],
+                      [3.5189074607362483, 3.5189074607400572], 1, 1e-15))
+    @example((NoiseSchedule(1e-4, 0.02, 400_000_000), None,
+              step0_stats([8.0, 1.0], [80.0, 20.0], [13.0, 6.0], 6), 1e-300))
+    @example((NoiseSchedule(1e-4, 0.02, 400_000_000), None,
+              step0_stats([8.0, 1.0], [80.0, 20.0], [13.0, 6.0], 6), 1e-100))
+    @example((NoiseSchedule(1e-4, 0.02, 400_000_000), None,
+              step0_stats([8.0, 1.0], [80.0, 20.0], [13.0, 6.0], 6), 0.02))
+    @example((NoiseSchedule(), None,
+              step0_stats([1.0, 1.0], [1.7e308, 1e307], [1e150, 2e150], 6), 1e308))
+    def test_trace_matches_the_decimal_oracle(self, case):
+        schedule, _, moments0, eps = case
+        assert_matches_the_decimal_oracle(schedule, moments0, "trace_l1", eps)
 
     @pytest.mark.parametrize("schedule", [NoiseSchedule(1e-17, 0.5, 3000),
                                           NoiseSchedule(1e-300, 1e-300, 50)])
