@@ -60,15 +60,13 @@ def main() -> None:
         sw = sweep(ds, sched, range(0, sched.horizon_T + 1),
                    SeedPolicy(base_seed=seed))
         part = partition_by_label(ds)
-        series = detect_series(sw, part[0], part[1],
-                               epsilon=args.epsilon)
-        dev = series.first_merge_step - oracle
-        print(f"seed {seed}: detected {series.first_merge_step} "
-              f"(deviation {dev:+.2f})")
+        merge_times, values = detect_series(sw, part, epsilon=args.epsilon)
+        step = int(merge_times[0, 1])
+        print(f"seed {seed}: detected {step} (deviation {step - oracle:+.2f})")
         if seed == 0 and args.series_out:
             with open(args.series_out, "w") as fh:
                 fh.write("step,value\n")
-                for t, v in zip(series.steps, series.values):
+                for t, v in zip(sw.steps, values[0]):
                     fh.write(f"{t},{float(v)!r}\n")
             print(f"series written to {args.series_out}")
 

@@ -43,7 +43,6 @@ from .merger import (
     guidance_windows,
     interpolation_schedule,
     pairwise_merge_times,
-    pairwise_series,
 )
 from .probe import probe_through_time
 from .schedule import NoiseSchedule, predict_mixing_step
@@ -128,7 +127,7 @@ def _analysis_inputs(args):
 
 
 def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
-    """Write the per-pair series CSV (rows i,j,t,repr(v)) from pairwise_series'
+    """Write the per-pair series CSV (rows i,j,t,repr(v)) from detect_series'
     matrix and values, one pair at a time."""
     template = "".join(f"\0{t},%r\n" for t in steps)  # \0 stands for the pair
     with open(path, "w") as fh:
@@ -140,7 +139,7 @@ def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
 def _cmd_analyze(args) -> None:
     sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
-        mt, values = pairwise_series(sw, part, epsilon=eps, metric=metric, mode=args.mode)
+        mt, values = detect_series(sw, part, epsilon=eps, metric=metric, mode=args.mode)
     else:
         mt = pairwise_merge_times(sw, part, epsilon=eps, metric=metric, mode=args.mode)
     # encoded before either file is written, so a refused document leaves neither
@@ -204,7 +203,10 @@ def _cmd_probe(args) -> None:
         raise DomainError(f"classes must lie in [0, {len(part)})")
     a, b = part[args.class_a], part[args.class_b]
     if args.merge_step == "auto":
-        merge_step = detect_series(sw, a, b).first_merge_step
+        # refused before the merger, which takes overlapping events and may fail on them
+        if args.class_a == args.class_b:
+            raise DomainError("events must be disjoint")
+        merge_step = int(detect_series(sw, [a, b])[0][0, 1])
     else:
         merge_step = int(args.merge_step)
     accs = probe_through_time(sw, a, b, merge_step, split=args.split, seed=args.seed)

@@ -32,17 +32,19 @@ per step after 0, all into one buffer, then the moments of each class in
 an unmerged pair and every unmerged pair compared (covariances, order 2).
 Either mode reads ||S||_F^2 and <S_a, S_b> only for a series.
 
-pairwise_merge_times, pairwise_series, detect_series (the two-event case)
-and phase_spectrum (for its whole eps grid) share one step-0 pass
-(_moments0, one conditional_fluctuation of the dataset rows per class) in
-either mode (phase_spectrum is analytic only).  As J(0) = 1 exactly, a pair
-merges at step 0 if and only if its step-0 gap is <= eps, so the phase
-spectrum's count of positive-step cascade merges is the number of gaps
-between consecutive sorted step-0 statistics that exceed eps: it needs no
-merge step and no cascade, and does not read the schedule.  The default
+detect_series (the merge matrix and every pair's series),
+pairwise_merge_times (the matrix alone) and phase_spectrum (for its whole
+eps grid) share one step-0 pass (_moments0, one conditional_fluctuation of
+the dataset rows per class) in either mode (phase_spectrum is analytic
+only).  As J(0) = 1 exactly, a pair merges at step 0 if and only if its
+step-0 gap is <= eps, so the phase spectrum's count of positive-step
+cascade merges is the number of gaps between consecutive sorted step-0
+statistics that exceed eps: it needs no merge step and no cascade, and
+does not read the schedule.  The default
 threshold eps = max_k lambda_k_max(0) / 400 is resolved over the events
 passed (so the first two agree).  An event is any set of dataset rows, read
-by LabeledDataset.rows, so any sequence of events may be passed.
+by LabeledDataset.rows, so any sequence of events may be passed, overlapping
+ones included.
 
 Cascades are single linkage over merge times, O(K^2) with a cached
 minimum per row; ties go to the pair of clusters whose smallest class ids
@@ -51,7 +53,6 @@ minimum per row; ties go to the pair of clusters whose smallest class ids
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -64,10 +65,8 @@ from .forward import TrajectorySweep
 from .schedule import NoiseSchedule, _beta_integral_inverse, betas, j_values
 
 __all__ = [
-    "MergerSeries",
     "default_epsilon",
     "detect_series",
-    "pairwise_series",
     "pairwise_merge_times",
     "build_cascade",
     "guidance_windows",
@@ -75,16 +74,6 @@ __all__ = [
     "lattice_jump",
     "phase_spectrum",
 ]
-
-
-@dataclass(frozen=True)
-class MergerSeries:
-    """Thresholded similarity per step for one event pair, plus i*."""
-
-    steps: tuple
-    values: np.ndarray
-    first_merge_step: int
-    epsilon: float
 
 
 _PAIR_BLOCK = 2**14  # pairs per block of _merge_steps: bounds its working arrays
@@ -187,29 +176,18 @@ def _analytic_series(schedule: NoiseSchedule, grid: np.ndarray, moments0: list,
     return np.minimum(values, 1.0, out=values)
 
 
-def detect_series(sweep: TrajectorySweep, a, b, epsilon: float | None = None,
-                  metric: str = "top_eigen_abs", mode: str = "analytic") -> MergerSeries:
-    """Thresholded similarity series and first merger step for events a, b.
+def detect_series(sweep: TrajectorySweep, events, epsilon: float | None = None,
+                  metric: str = "top_eigen_abs", mode: str = "analytic") -> tuple:
+    """(K x K first-merge matrix, P x len(steps) thresholded similarities with
+    one row per pair i < j, row-major) of any K events, from one step-0 pass
+    and one epsilon over all of them.
 
     Per step: the normalized cross-fluctuation while the metric distance
     exceeds epsilon, exactly 1 otherwise; i* is the first step of the 1
     branch and is sticky.  Events merge no later than the horizon, so the
     last value is 1 when the grid ends there.
     """
-    a, b = sweep.dataset.rows(a), sweep.dataset.rows(b)
-    if np.intersect1d(a, b).size:
-        raise DomainError("events must be disjoint")
-    merge, values, epsilon = _all_pairs(sweep, [a, b], epsilon, metric, mode, series=True)
-    return MergerSeries(steps=sweep.steps, values=values[0],
-                        first_merge_step=int(merge[0, 1]), epsilon=float(epsilon))
-
-
-def pairwise_series(sweep: TrajectorySweep, events, epsilon: float | None = None,
-                    metric: str = "top_eigen_abs", mode: str = "analytic") -> tuple:
-    """(K x K first-merge matrix, P x len(steps) thresholded similarities with
-    one row per pair i < j, row-major) from one step-0 pass and one epsilon
-    over all the events."""
-    return _all_pairs(sweep, events, epsilon, metric, mode, series=True)[:2]
+    return _all_pairs(sweep, events, epsilon, metric, mode, series=True)
 
 
 def pairwise_merge_times(sweep: TrajectorySweep, events, epsilon: float | None = None,
@@ -222,8 +200,8 @@ def pairwise_merge_times(sweep: TrajectorySweep, events, epsilon: float | None =
 def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
                metric: str, mode: str, series: bool) -> tuple:
     """(K x K first-merge matrix, P x len(steps) similarities of the pairs
-    i < j row-major or None, epsilon) from one step-0 pass and one epsilon
-    over the events; the similarities are computed only for series."""
+    i < j row-major or None) from one step-0 pass and one epsilon over the
+    events; the similarities are computed only for series."""
     events = [sweep.dataset.rows(ev) for ev in events]
     moments0 = _moments0(sweep, events)
     if epsilon is None:
@@ -239,7 +217,7 @@ def _all_pairs(sweep: TrajectorySweep, events, epsilon: float | None,
                   if series else None)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    return merge, values, epsilon
+    return merge, values
 
 
 def _empirical_walk(sweep: TrajectorySweep, events: list, epsilon: float, stat: str,
@@ -282,10 +260,11 @@ def _single_linkage(merge_times: np.ndarray):
     Row i of the distance matrix stands for the cluster whose smallest
     member is i; a merge folds row hi into row lo by a minimum.  Each merge
     is the first row-major minimum, the smallest (lo, hi), which is the
-    tie-break, so the merges are deterministic.  Every row caches its minimum
-    and the first column holding it, so a merge costs O(K): lo is the first
-    row with the least minimum and hi its column; only row lo is rescanned,
-    and every other row sees one column change.
+    tie-break, so the merges are deterministic.  Every row caches only its
+    minimum, so a merge costs O(K): lo is the first row with the least
+    minimum and hi the first column of row lo holding it; only row lo is
+    rescanned.  Every other row's column lo takes the lesser of its columns
+    lo and hi and its column hi leaves, so its minimum does not change.
     """
     mt = np.asarray(merge_times, dtype=np.float64)
     if mt.ndim != 2 or mt.shape[0] != mt.shape[1]:
@@ -299,23 +278,16 @@ def _single_linkage(merge_times: np.ndarray):
         return
     dist = mt.copy()
     np.fill_diagonal(dist, np.inf)
-    col = dist.argmin(axis=1)
-    low = dist[np.arange(k), col]
+    low = dist.min(axis=1)
     for _ in range(k - 1):
         lo = int(np.argmin(low))
-        hi = int(col[lo])
+        hi = int(np.argmin(dist[lo]))
         yield lo, hi, int(dist[lo, hi])
         row = np.minimum(dist[lo], dist[hi])
         row[lo] = row[hi] = np.inf
         dist[lo, :] = dist[:, lo] = row
         dist[hi, :] = dist[:, hi] = np.inf
-        # column lo of row r now holds row[r], the lesser of two of its
-        # values, and column hi nothing: the row's minimum keeps its value
-        # and moves to lo if lo holds it and comes first (as when it was at hi)
-        col[(row == low) & (lo < col)] = lo
-        col[lo] = np.argmin(row)
-        low[lo] = row[col[lo]]
-        low[hi] = np.inf
+        low[lo], low[hi] = row.min(), np.inf
 
 
 def build_cascade(merge_times: np.ndarray) -> dict:

@@ -88,9 +88,8 @@ def test_02_merger_time_oracle():
         ds = two_class_dataset(seed=seed, n_per_class=20000, d=16)
         sw = sweep(ds, DDPM, [0, 1000], SeedPolicy(base_seed=seed))
         part = partition_by_label(ds)
-        series = detect_series(sw, part[0], part[1],
-                               epsilon=0.06, metric="top_eigen_abs")
-        detected.append(series.first_merge_step)
+        mt, _ = detect_series(sw, part, epsilon=0.06, metric="top_eigen_abs")
+        detected.append(int(mt[0, 1]))
     elapsed = time.time() - t0
     devs = [abs(i - oracle) for i in detected]
     ok = all(dv <= 2.0 for dv in devs) and elapsed < 120.0
@@ -227,11 +226,11 @@ def test_08_lattice_and_phase():
     ds = two_class_dataset(seed=0)
     sw = sweep(ds, DDPM, range(0, 1001), SeedPolicy(base_seed=80))
     part = partition_by_label(ds)
-    series = detect_series(sw, part[0], part[1], epsilon=0.06)
-    vals = np.asarray(series.values)
+    mt, values = detect_series(sw, part, epsilon=0.06)
+    vals = values[0]
     gaps = np.abs((vals[1:-1] - vals[:-2]) - (vals[2:] - vals[1:-1]))
     hits = lattice_jump(vals, tau=1, order=1, eps_disc=float(gaps.max()) / 2)
-    recovered = series.first_merge_step in [series.steps[h] for h in hits]
+    recovered = mt[0, 1] in [sw.steps[h] for h in hits]
 
     ds3 = spiked_gaussians(seed=81, tops=[10.0, 4.0, 2.0], d=8, n=20000)
     sw3 = sweep(ds3, DDPM, [0, 1000], SeedPolicy(base_seed=82))

@@ -206,8 +206,8 @@ class TestAnalyze:
         expected = ["pair_a,pair_b,step,value"]
         for i in range(3):
             for j in range(i + 1, 3):
-                ref = detect_series(sw, part[i], part[j], epsilon=0.06)
-                expected += [f"{i},{j},{t},{float(v)!r}" for t, v in zip(ref.steps, ref.values)]
+                _, ref = detect_series(sw, [part[i], part[j]], epsilon=0.06)
+                expected += [f"{i},{j},{t},{float(v)!r}" for t, v in zip(sw.steps, ref[0])]
         assert series.read_text().splitlines() == expected
 
 
@@ -369,6 +369,9 @@ BAD_VALUES = [
       "--out", "{tmp}/p.csv"], 2, "split"),
     (["probe", "--input", "{data}", "--merge-step", "0", "--split", "nan",
       "--out", "{tmp}/p.csv"], 2, "split"),
+    # --merge-step auto refuses one class twice before the merger, which would take it
+    (["probe", "--input", "{data}", "--class-a", "1", "--class-b", "1", "--split", "1.5",
+      "--out", "{tmp}/p.csv"], 2, "disjoint"),
 ]
 
 

@@ -199,6 +199,58 @@ class TestCliContract:
             check_contract(data.draw(argvs(inputs, out)), out)
 
 
+# every invalid value of every flag, each set on a valid argv of its subcommand:
+# the required flags, and small sizes so that each case runs in milliseconds
+BASE = {"steps": "6", "projections": "4", "freqs": "4", "dim": "3"}  # mixing needs dim >= 3
+
+
+def base_argv(name: str, inputs: dict, out: Path) -> list:
+    argv = [name]
+    for a in subcommands()[name]:
+        if a.dest in PATH_DESTS[:3]:
+            value = inputs["dens" if name == "tvcheck" else "data"]
+        elif a.dest == "out" and a.required:
+            value = str(out / "o.csv")
+        elif a.dest in BASE:
+            value = BASE[a.dest]
+        elif a.required:
+            value = VALUES[a.dest][0][0]
+        else:
+            continue
+        argv += [a.option_strings[0], value]
+    return argv
+
+
+INVALID = [(name, a.option_strings[0], value) for name, actions in sorted(subcommands().items())
+           for a in actions if a.dest in VALUES for value in VALUES[a.dest][1]]
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    rng = np.random.default_rng(27)
+    (root / "data.csv").write_text("".join(
+        f"{k}," + ",".join(map(repr, (rng.standard_normal(2) * (k + 1)).tolist())) + "\n"
+        for k in range(3) for _ in range(12)))
+    (root / "dens.csv").write_text("-1.0,0.0,0.5\n0.0,1.0,0.5\n1.0,0.0,0.5\n")
+    return {"data": str(root / "data.csv"), "dens": str(root / "dens.csv")}
+
+
+@pytest.mark.parametrize("name", sorted(subcommands()))
+def test_base_argv_exits_zero(name, contract_inputs, tmp_path):
+    assert run_case(base_argv(name, contract_inputs, tmp_path), tmp_path)[0] == 0
+
+
+@pytest.mark.parametrize("name,flag,value", INVALID,
+                         ids=[f"{n}{f}={v if len(v) < 24 else f'{len(v)}-digits'}"
+                              for n, f, v in INVALID])
+def test_every_invalid_value(name, flag, value, contract_inputs, tmp_path):
+    argv = base_argv(name, contract_inputs, tmp_path)
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    check_contract(argv + [flag, value], tmp_path)
+
+
 # an int flag too big for a float or an index: one "domain" record, exit 2
 @pytest.mark.parametrize("argv", [
     ["mixing", "--T", str(10**400), "--dim", "5"],

@@ -20,7 +20,6 @@ from vpmerge import (
 from vpmerge.convergence import _projections, empirical_cf_distance
 from vpmerge.data import save_dataset
 from vpmerge.forward import SeedPolicy
-from vpmerge.merger import pairwise_series
 from vpmerge.probe import probe_through_time
 
 from conftest import traced_peak
@@ -207,10 +206,9 @@ class TestRows:
             "pairwise_merge_times": lambda: pairwise_merge_times(sw, [good, bad], 0.05),
             "pairwise_merge_times empirical": lambda: pairwise_merge_times(
                 sw, [good, bad], 0.05, mode="empirical"),
-            "pairwise_series": lambda: pairwise_series(sw, [good, bad], 0.05),
             "phase_spectrum": lambda: phase_spectrum(sw, [good, bad], [0.05]),
-            "detect_series": lambda: detect_series(sw, good, bad, 0.05),
-            "detect_series, first event": lambda: detect_series(sw, bad, good, 0.05),
+            "detect_series": lambda: detect_series(sw, [good, bad], 0.05),
+            "detect_series, first event": lambda: detect_series(sw, [bad, good], 0.05),
             "probe_through_time": lambda: probe_through_time(sw, good, bad, 1000),
         }
         for name, call in entry_points.items():

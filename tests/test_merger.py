@@ -27,7 +27,7 @@ from vpmerge import merger
 from vpmerge.fluctuation import propagated_inner
 from vpmerge.forward import TrajectorySweep
 from vpmerge.merger import (build_cascade, default_epsilon, guidance_windows,
-                            interpolation_schedule, pairwise_series)
+                            interpolation_schedule)
 from vpmerge.schedule import _beta_integral, betas, j_values
 
 from conftest import five_class_sweep, two_class_dataset
@@ -439,65 +439,65 @@ class TestDetectSeries:
     def test_duplicate_halves_merge_at_zero(self, ddpm):
         sw = halves_sweep(ddpm)
         part = partition_by_label(sw.dataset)
-        series = detect_series(sw, part[0], part[1])
-        assert series.first_merge_step == 0
-        assert np.all(series.values == 1.0)
+        mt, values = detect_series(sw, part)
+        assert mt[0, 1] == 0
+        assert np.all(values == 1.0)
 
     def test_two_class_fixture_matches_oracle(self, two_class_sweep, ddpm):
         sw, part = two_class_sweep
-        series = detect_series(sw, part[0], part[1], epsilon=0.06,
-                               metric="top_eigen_abs")
+        mt, _ = detect_series(sw, part, epsilon=0.06, metric="top_eigen_abs")
         oracle = closed_form_merge_step(ddpm, 6.0, 0.06)
-        assert abs(series.first_merge_step - oracle) <= 2
+        assert abs(mt[0, 1] - oracle) <= 2
 
     def test_tiny_epsilon_never_merges_before_horizon(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part[0], part[1], epsilon=1e-300)
-        assert series.first_merge_step == sw.horizon
-        assert series.values[-1] == 1.0
+        mt, values = detect_series(sw, part, epsilon=1e-300)
+        assert mt[0, 1] == sw.horizon
+        assert values[0, -1] == 1.0
 
     def test_stickiness(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part[0], part[1], epsilon=0.06)
-        istar = series.first_merge_step
-        after = [v for t, v in zip(series.steps, series.values) if t >= istar]
+        mt, values = detect_series(sw, part, epsilon=0.06)
+        istar = mt[0, 1]
+        after = [v for t, v in zip(sw.steps, values[0]) if t >= istar]
         assert all(v == 1.0 for v in after)
-        assert series.first_merge_step <= sw.horizon
+        assert istar <= sw.horizon
 
     def test_values_in_unit_interval(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part[0], part[1], epsilon=0.06)
-        assert np.all((series.values >= 0.0) & (series.values <= 1.0))
+        _, values = detect_series(sw, part, epsilon=0.06)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_empirical_mode_agrees_roughly(self, ddpm):
         ds = two_class_dataset(seed=3, n_per_class=20000)
         sw = sweep(ds, ddpm, range(0, 1001, 10), SeedPolicy(base_seed=5))
         part = partition_by_label(ds)
-        ana = detect_series(sw, part[0], part[1], epsilon=0.06)
-        emp = detect_series(sw, part[0], part[1], epsilon=0.06,
-                            mode="empirical")
+        ana, _ = detect_series(sw, part, epsilon=0.06)
+        emp, _ = detect_series(sw, part, epsilon=0.06, mode="empirical")
         # the stochastic estimate carries per-step MC noise; agreement is
         # coarse, the analytic mode is the calibrated path
-        assert abs(emp.first_merge_step - ana.first_merge_step) <= 60
+        assert abs(emp[0, 1] - ana[0, 1]) <= 60
 
-    def test_overlapping_events_rejected(self, two_class_sweep):
+    def test_overlapping_events_accepted(self, two_class_sweep):
+        # as in pairwise_merge_times: one class passed twice merges at step 0
         sw, part = two_class_sweep
-        with pytest.raises(DomainError):
-            detect_series(sw, part[0], part[0], epsilon=0.1)
+        mt, values = detect_series(sw, [part[0], part[0]], epsilon=0.1)
+        assert mt[0, 1] == 0 and np.all(values == 1.0)
+        assert np.array_equal(mt, pairwise_merge_times(sw, [part[0], part[0]], epsilon=0.1))
 
     def test_bad_epsilon(self, two_class_sweep):
         sw, part = two_class_sweep
         with pytest.raises(DomainError):
-            detect_series(sw, part[0], part[1], epsilon=-1.0)
+            detect_series(sw, part, epsilon=-1.0)
 
 
 class TestPairwiseMergeTimes:
     def test_two_classes(self, two_class_sweep):
         sw, part = two_class_sweep
-        series = detect_series(sw, part[0], part[1], epsilon=0.06)
+        series_mt, _ = detect_series(sw, part, epsilon=0.06)
         mt = pairwise_merge_times(sw, part, epsilon=0.06)
         assert mt[0, 0] == mt[1, 1] == 0
-        assert mt[0, 1] == mt[1, 0] == series.first_merge_step
+        assert mt[0, 1] == mt[1, 0] == series_mt[0, 1]
 
     def test_ordering_by_eigengap(self, ddpm):
         spectra = np.vstack([
@@ -524,9 +524,9 @@ class TestPairwiseMergeTimes:
         mt = pairwise_merge_times(sw, part, epsilon=0.02, metric=metric)
         for i in range(5):
             for j in range(i + 1, 5):
-                series = detect_series(sw, part[i], part[j],
-                                       epsilon=0.02, metric=metric)
-                assert mt[i, j] == mt[j, i] == series.first_merge_step
+                series_mt, _ = detect_series(sw, [part[i], part[j]],
+                                             epsilon=0.02, metric=metric)
+                assert mt[i, j] == mt[j, i] == series_mt[0, 1]
 
     def test_unknown_metric_rejected(self, two_class_sweep):
         sw, part = two_class_sweep
@@ -695,14 +695,14 @@ class TestPairwiseSeries:
         # epsilon None is one threshold over all classes, not per pair
         eps = epsilon or default_epsilon(
             [conditional_fluctuation(sw, ev, 0) for ev in part])
-        mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode=mode)
+        mt, values = detect_series(sw, part, epsilon=epsilon, metric=metric, mode=mode)
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         assert values.shape == (len(pairs), len(sw.steps))
         for (i, j), row in zip(pairs, values):
-            ref = detect_series(sw, part[i], part[j], epsilon=eps,
-                                metric=metric, mode=mode)
-            assert mt[i, j] == mt[j, i] == ref.first_merge_step
-            assert row.tobytes() == ref.values.tobytes()
+            ref_mt, ref_values = detect_series(sw, [part[i], part[j]], epsilon=eps,
+                                               metric=metric, mode=mode)
+            assert mt[i, j] == mt[j, i] == ref_mt[0, 1]
+            assert row.tobytes() == ref_values[0].tobytes()
         assert np.array_equal(
             mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric, mode=mode))
 
@@ -716,7 +716,7 @@ class TestPairwiseSeries:
             return epsilon or default_epsilon(
                 [conditional_fluctuation(sw, ev, 0) for ev in events])
 
-        mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric)
+        mt, values = detect_series(sw, part, epsilon=epsilon, metric=metric)
         assert np.array_equal(mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric))
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         for (i, j), row in zip(pairs, values):
@@ -724,11 +724,10 @@ class TestPairwiseSeries:
             ref, istar = reference_series(sw, *pair, eps_over(part), metric)
             assert row.tobytes() == ref.tobytes()
             assert mt[i, j] == mt[j, i] == istar
-            single = detect_series(sw, *pair, epsilon=epsilon, metric=metric)
+            single_mt, single = detect_series(sw, pair, epsilon=epsilon, metric=metric)
             ref, istar = reference_series(sw, *pair, eps_over(pair), metric)
-            assert single.values.tobytes() == ref.tobytes()
-            assert single.first_merge_step == istar
-            assert single.epsilon == eps_over(pair)
+            assert single[0].tobytes() == ref.tobytes()
+            assert single_mt[0, 1] == istar
         assert len(set(mt[np.triu_indices(5, 1)])) > 3  # the pairs merge at different steps
 
     def test_zero_norm_tensor_raises_only_before_merging(self, ddpm):
@@ -740,22 +739,22 @@ class TestPairwiseSeries:
         ds = LabeledDataset(features=feats, labels=np.repeat([0, 1, 2], 50))
         sw = sweep(ds, ddpm, [0, 500, 1000], SeedPolicy(base_seed=3))
         ev = partition_by_label(ds)
-        merged = detect_series(sw, ev[0], ev[2], epsilon=0.01)
-        assert merged.first_merge_step == 0 and np.all(merged.values == 1.0)
+        merged_mt, merged = detect_series(sw, [ev[0], ev[2]], epsilon=0.01)
+        assert merged_mt[0, 1] == 0 and np.all(merged == 1.0)
         assert reference_series(sw, ev[0], ev[2], 0.01, "top_eigen_abs")[1] == 0
         with pytest.raises(DegenerateError) as want:
             reference_series(sw, ev[0], ev[1], 0.01, "top_eigen_abs")
         with pytest.raises(DegenerateError) as got:
-            detect_series(sw, ev[0], ev[1], epsilon=0.01)
+            detect_series(sw, [ev[0], ev[1]], epsilon=0.01)
         assert str(got.value) == str(want.value) == "zero-norm tensor at step 0"
         with pytest.raises(DegenerateError, match="at step 0"):
-            pairwise_series(sw, partition_by_label(ds), epsilon=0.01)
+            detect_series(sw, partition_by_label(ds), epsilon=0.01)
 
     def test_needs_two_events(self, two_class_sweep):
         sw, part = two_class_sweep
         one = (np.concatenate(part),)
         with pytest.raises(DataError, match="two events"):
-            pairwise_series(sw, one)
+            detect_series(sw, one)
 
 
 class TestEmpiricalWalk:
@@ -770,7 +769,7 @@ class TestEmpiricalWalk:
                 [conditional_fluctuation(sw, ev, 0) for ev in events])
 
         eps_all = eps_over(part)
-        mt, values = pairwise_series(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
+        mt, values = detect_series(sw, part, epsilon=epsilon, metric=metric, mode="empirical")
         assert np.array_equal(mt, pairwise_merge_times(sw, part, epsilon=epsilon, metric=metric,
                                                        mode="empirical"))
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -779,12 +778,11 @@ class TestEmpiricalWalk:
             ref, istar = reference_empirical_series(sw, *pair, eps_all, metric)
             assert row.tobytes() == ref.tobytes()
             assert mt[i, j] == mt[j, i] == istar
-            single = detect_series(sw, *pair, epsilon=epsilon, metric=metric,
-                                   mode="empirical")
+            single_mt, single = detect_series(sw, pair, epsilon=epsilon, metric=metric,
+                                              mode="empirical")
             ref, istar = reference_empirical_series(sw, *pair, eps_over(pair), metric)
-            assert single.values.tobytes() == ref.tobytes()
-            assert single.first_merge_step == istar
-            assert single.epsilon == eps_over(pair)
+            assert single[0].tobytes() == ref.tobytes()
+            assert single_mt[0, 1] == istar
 
     def test_merge_times_compute_no_similarity(self, ddpm, monkeypatch):
         # ||S||_F^2 and <S_a, S_b> are read only for a series
@@ -795,7 +793,7 @@ class TestEmpiricalWalk:
                             lambda a, b: calls.append(1) or normalized_M(a, b))
         pairwise_merge_times(sw, part, epsilon=0.02, mode="empirical")
         assert calls == []
-        pairwise_series(sw, part, epsilon=0.02, mode="empirical")
+        detect_series(sw, part, epsilon=0.02, mode="empirical")
         assert calls
 
     def test_one_snapshot_per_grid_step(self, ddpm, monkeypatch):
@@ -1041,14 +1039,14 @@ class TestLatticeJump:
         ds = two_class_dataset(seed=0)
         sw = sweep(ds, ddpm, range(0, 1001), SeedPolicy(base_seed=1))
         part = partition_by_label(ds)
-        series = detect_series(sw, part[0], part[1], epsilon=0.06)
-        vals = np.asarray(series.values)
+        mt, values = detect_series(sw, part, epsilon=0.06)
+        vals = values[0]
         ld = vals[1:-1] - vals[:-2]
         rd = vals[2:] - vals[1:-1]
         eps_disc = np.abs(ld - rd).max() / 2
         hits = lattice_jump(vals, tau=1, order=1, eps_disc=eps_disc)
-        steps = [series.steps[h] for h in hits]
-        assert series.first_merge_step in steps
+        steps = [sw.steps[h] for h in hits]
+        assert mt[0, 1] in steps
 
 
 @st.composite
