@@ -84,16 +84,30 @@ def _steps_list(spec: str, horizon: int) -> list:
 
 def _json_text(payload: dict, args) -> str:
     """The JSON document of a payload: the config echo, version and seed, then
-    the payload; DataError for a cascade too deep to encode."""
+    the payload, as json.dumps(sort_keys=True, indent=2) writes it; DataError
+    for a cascade too deep to encode.
+
+    json.dumps runs its pure-Python encoder when it indents, so a payload's
+    merge_times (K x K ints, K >= 1) are joined row by row in that encoder's
+    layout and spliced in where it wrote an empty list: the same string."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {"config": config, "version": __version__,
            "seed": getattr(args, "seed", None)}
     doc.update(payload)
+    merge_times = doc.get("merge_times")
+    if merge_times is not None:
+        doc["merge_times"] = []
     try:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     except RecursionError:  # only a cascade nests this deep: a chain of K - 1 merges
         raise DataError(f"the cascade of {payload['classes']} classes nests too deeply "
                         "to write as JSON") from None
+    if merge_times is None:
+        return text
+    # a newline and two spaces before a quote open a top-level key, never a string
+    head, _, tail = text.partition('\n  "merge_times": []')
+    rows = "\n    ],\n    [\n      ".join(",\n      ".join(map(str, row)) for row in merge_times)
+    return f'{head}\n  "merge_times": [\n    [\n      {rows}\n    ]\n  ]{tail}'
 
 
 def _emit(text: str, args) -> None:

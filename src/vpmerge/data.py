@@ -105,8 +105,11 @@ class LabeledDataset:
 
 
 def partition_by_label(ds: LabeledDataset) -> tuple:
-    """One event per distinct label: the row-index array of each class."""
-    return tuple(np.flatnonzero(ds.labels == c) for c in range(ds.n_classes))
+    """One event per distinct label: the row-index array of each class, ascending."""
+    # one stable sort groups each class's rows in ascending order (a radix sort
+    # for labels cast to 8 or 16 bits); the labels are 0..K-1, so no class is empty
+    order = np.argsort(ds.labels.astype(np.min_scalar_type(ds.n_classes - 1)), kind="stable")
+    return tuple(np.split(order, np.cumsum(np.bincount(ds.labels))[:-1]))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ design matrix, allocated by the calling thread.  The train/test split
 is drawn once per call, and each step's rows of the two classes are
 drawn into the design in split order (TrajectorySweep.snapshot of those
 rows only, which stops at the block of the last); the fit standardizes
-them in place.
-Accuracies do not depend on the number of workers.
+them in place.  Every product a fit runs releases the GIL (the gradient
+goes through np.dot, not a transposed matmul, which holds it), so the
+workers' fits overlap.  Accuracies do not depend on the number of workers.
 
 Weight laws distribute unit mass over a step window: uniform,
 proportional to 1/SNR(t) = (1 - J(t)^2) / J(t)^2 (zero weight at t = 0,
@@ -83,7 +84,9 @@ def train_linear_probe(x: np.ndarray, y, n_train: int) -> float:
     w = np.zeros(x.shape[1])
     for _ in range(GD_ITERATIONS):
         p = _sigmoid(x_tr @ w)
-        w -= GD_STEP * (x_tr.T @ (p - y_tr)) / n_train
+        # np.dot releases the GIL in the same dgemv that x_tr.T @ r runs holding
+        # it, so the pool's fits overlap
+        w -= GD_STEP * np.dot(p - y_tr, x_tr) / n_train
     pred = (x[n_train:] @ w) > 0.0
     return float(np.mean(pred == y[n_train:]))
 

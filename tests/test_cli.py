@@ -25,9 +25,11 @@ from vpmerge import (
     partition_by_label,
     sweep,
 )
-from vpmerge.cli import build_parser, execute
+from vpmerge import __version__
+from vpmerge.cli import _json_text, build_parser, execute
 from vpmerge.data import save_dataset
 from vpmerge.forward import TrajectorySweep
+from vpmerge.merger import build_cascade
 from vpmerge.schedule import j_values
 
 from conftest import five_class_sweep
@@ -105,6 +107,23 @@ def three_class_fixture(tmp_path):
 
 
 class TestAnalyze:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1),
+           st.one_of(st.text(), st.just('x\n  "merge_times": []')))
+    def test_document_is_the_plain_encoders(self, k, seed, path):
+        # _json_text joins merge_times itself; the oracle is the plain encoder,
+        # given a user string that spells the spliced key in the config echo
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 10**9, (k, k))
+        mt = np.minimum(a, a.T)
+        np.fill_diagonal(mt, 0)
+        payload = {"schedule": NoiseSchedule(beta0=1e-4, betaT=0.02, horizon_T=1000).to_dict(),
+                   "classes": k, "merge_times": mt.tolist(), "cascade": build_cascade(mt)}
+        args = argparse.Namespace(input=path, merge_times=path, seed=seed, func=run)
+        doc = {"config": {"input": path, "merge_times": path, "seed": seed},
+               "version": __version__, "seed": seed, **payload}
+        assert _json_text(payload, args) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
     def test_cascade_and_series(self, tmp_path, small_fixture):
         out = tmp_path / "an.json"
         series = tmp_path / "series.csv"

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmerge import (
     DataError,
@@ -153,6 +155,22 @@ class TestPartition:
         assert ds.label_map == {0: 2, 1: 5}
         part = partition_by_label(ds)
         assert [e.tolist() for e in part] == [[0, 1, 2], [3]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(1, 40), st.sampled_from([256, 257, 600])),
+           st.integers(0, 400), st.integers(0, 2**32 - 1))
+    def test_matches_one_pass_per_label(self, k, extra, seed):
+        # k sparse raw labels, each on one row and on extra more drawn rows,
+        # shuffled; the oracle is one flatnonzero per class
+        rng = np.random.default_rng(seed)
+        raw = rng.choice(2**40, size=k, replace=False)
+        labels = rng.permutation(raw[np.concatenate([np.arange(k), rng.integers(0, k, extra)])])
+        ds = LabeledDataset(features=np.zeros((len(labels), 1)), labels=labels)
+        part = partition_by_label(ds)
+        oracle = [np.flatnonzero(ds.labels == c) for c in range(ds.n_classes)]
+        assert len(part) == len(oracle)
+        for event, want in zip(part, oracle):
+            assert event.dtype == want.dtype and np.array_equal(event, want)
 
     def test_label_map_is_computed(self):
         ds = LabeledDataset(features=np.zeros((3, 2)), labels=[1, 0, 1])
