@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import combinations
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .merger import (
     pairwise_merge_times,
 )
 from .probe import probe_through_time
+from .reprtext import repr_text
 from .schedule import NoiseSchedule, predict_mixing_step
 
 EXIT_OK = 0
@@ -140,14 +140,37 @@ def _analysis_inputs(args):
     return sw, part, eps, metric
 
 
+_BLOCK_ROWS = 4096  # series CSV rows built and written at once
+
+
 def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
     """Write the per-pair series CSV (rows i,j,t,repr(v)) from detect_series'
-    matrix and values, one pair at a time."""
-    template = "".join(f"\0{t},%r\n" for t in steps)  # \0 stands for the pair
-    with open(path, "w") as fh:
-        fh.write("pair_a,pair_b,step,value\n")
-        for (i, j), row in zip(combinations(range(len(mt)), 2), values):
-            fh.write(template.replace("\0", f"{i},{j},") % tuple(row.tolist()))
+    matrix and values, _BLOCK_ROWS rows at a time.  A block is laid out in
+    fields right-aligned in spaces (the pair "i,j,", the step "t,", the
+    value and a newline), and one boolean index drops the spaces."""
+    pair_a, pair_b = np.triu_indices(len(mt), 1)  # detect_series' pair order
+    step_text = _right_aligned([f"{t}," for t in steps])
+    flat = values.reshape(-1)
+    with open(path, "wb") as fh:
+        fh.write(b"pair_a,pair_b,step,value\n")
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            pair, step = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, flat.size)),
+                                   len(steps))
+            first, stop = pair[0], pair[-1] + 1
+            pair_text = _right_aligned([f"{a},{b}," for a, b in zip(
+                pair_a[first:stop].tolist(), pair_b[first:stop].tolist())])
+            block = np.concatenate([np.take(pair_text, pair - first, axis=0),
+                                    np.take(step_text, step, axis=0),
+                                    repr_text(flat[start:start + len(pair)]),
+                                    np.full((len(pair), 1), ord("\n"), np.uint8)], axis=1)
+            fh.write(block[block != ord(" ")])
+
+
+def _right_aligned(texts: list) -> np.ndarray:
+    """(len(texts), longest) uint8: each text right-aligned in spaces."""
+    width = max(map(len, texts))
+    return np.frombuffer("".join(t.rjust(width) for t in texts).encode(),
+                         np.uint8).reshape(len(texts), width)
 
 
 def _cmd_analyze(args) -> None:

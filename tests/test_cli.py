@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,13 @@ from vpmerge import (
     sweep,
 )
 from vpmerge import __version__
-from vpmerge.cli import _json_text, build_parser, execute
+from vpmerge.cli import _BLOCK_ROWS, _json_text, _series_csv, _steps_list, build_parser, execute
 from vpmerge.data import save_dataset
 from vpmerge.forward import TrajectorySweep
 from vpmerge.merger import build_cascade
 from vpmerge.schedule import j_values
 
-from conftest import five_class_sweep
+from conftest import five_class_sweep, traced_peak
 from test_merger import scan_oracle
 
 
@@ -228,6 +229,66 @@ class TestAnalyze:
                 _, ref = detect_series(sw, [part[i], part[j]], epsilon=0.06)
                 expected += [f"{i},{j},{t},{float(v)!r}" for t, v in zip(sw.steps, ref[0])]
         assert series.read_text().splitlines() == expected
+
+
+def template_series_csv(path, steps, mt, values):
+    """The series CSV as a per-pair %r template writes it: the oracle of
+    cli._series_csv."""
+    template = "".join(f"\0{t},%r\n" for t in steps)  # \0 stands for the pair
+    with open(path, "w") as fh:
+        fh.write("pair_a,pair_b,step,value\n")
+        for (i, j), row in zip(combinations(range(len(mt)), 2), values):
+            fh.write(template.replace("\0", f"{i},{j},") % tuple(row.tolist()))
+
+
+class TestSeriesCsv:
+    @pytest.mark.parametrize("k, steps", [
+        (2, range(10)),  # steps of width 1
+        (3, [7]),
+        (7, [0, 5, 123456789, 400000000]),  # a step of width 9
+        (40, range(0, 1001, 100)),  # 780 pairs x 11 steps: blocks end inside a pair
+        (1001, [20000]),  # pairs of width 4 and a step of width 5
+    ])
+    def test_matches_the_template_writer(self, tmp_path, k, steps):
+        steps = list(steps)
+        rng = np.random.default_rng(k)
+        values = rng.uniform(0.0, 1.0, (k * (k - 1) // 2, len(steps)))
+        flat = values.reshape(-1)
+        flat[rng.integers(0, flat.size, flat.size // 3)] = 1.0
+        special = [0.0, -0.0, np.nan, np.inf, -1.5, 5e-324, 9.999e-05, 7.0, 1e-4]
+        flat[rng.integers(0, flat.size, len(special))] = special
+        if k == 40:
+            assert flat.size % _BLOCK_ROWS and _BLOCK_ROWS % len(steps)
+        mt = np.zeros((k, k), int)
+        _series_csv(tmp_path / "new.csv", steps, mt, values)
+        template_series_csv(tmp_path / "old.csv", steps, mt, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_one_class_writes_the_header(self, tmp_path):
+        _series_csv(tmp_path / "s.csv", [0, 10], np.zeros((1, 1), int), np.empty((0, 2)))
+        assert (tmp_path / "s.csv").read_text() == "pair_a,pair_b,step,value\n"
+
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    def test_series_out_matches_the_template_writer(self, tmp_path, three_class_fixture, mode):
+        series = tmp_path / "series.csv"
+        assert run(["analyze", "--input", str(three_class_fixture), "--steps", "21",
+                    "--mode", mode, "--epsilon", "0.06", "--seed", "3",
+                    "--out", str(tmp_path / "an.json"), "--series-out", str(series)]) == 0
+        ds = load_dataset(three_class_fixture)
+        sched = NoiseSchedule(beta0=1e-4, betaT=0.02, horizon_T=1000)
+        sw = sweep(ds, sched, _steps_list("21", 1000), SeedPolicy(base_seed=3))
+        mt, values = detect_series(sw, partition_by_label(ds), epsilon=0.06, mode=mode)
+        template_series_csv(tmp_path / "old.csv", sw.steps, mt, values)
+        assert series.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # 4095 pairs x 101 steps, a 3.2 MiB series: the writer builds one block
+        # of rows at a time, so its peak stays far below the series itself
+        k = 91
+        values = np.random.default_rng(0).uniform(0.0, 1.0, (k * (k - 1) // 2, 101))
+        _, peak = traced_peak(_series_csv, tmp_path / "s.csv", list(range(0, 1001, 10)),
+                              np.zeros((k, k), int), values)
+        assert peak < 2 * 2**20, peak
 
 
 class TestWindows:

@@ -61,11 +61,14 @@ def _functions(tree, prefix=""):
 
 @pytest.mark.parametrize("module", sorted(POOL_WORKER_CODE))
 def test_no_transposed_matmul_on_a_pool_worker(module):
-    # numpy's matmul holds the GIL for the whole BLAS call when an operand is
-    # transposed: a pure-Python loop ran 2.0x slower beside a thread looping
-    # x.T @ r on the probe's 1120 x 289 design, and 1.0-1.1x beside np.dot(r, x),
-    # the same dgemv bit for bit.  One such product makes the pool's workers take
-    # turns instead of overlapping.
+    # numpy's matmul holds the GIL for the whole BLAS call when a transposed
+    # operand meets a vector: a pure-Python loop ran 1.98-2.03x slower beside a
+    # thread looping x.T @ r on the probe's 1120 x 289 design, and 1.0-1.1x
+    # beside np.dot(r, x), the same dgemv bit for bit.  Matrix-matrix products
+    # release it (x.T @ x 1.00-1.01x, x.T @ B 1.01-1.04x), but this scan bans
+    # every transposed operand, as it cannot tell a vector from a matrix.  One
+    # matrix-vector product makes the pool's workers take turns instead of
+    # overlapping.
     funcs = _functions(ast.parse((SRC / module).read_text(), filename=module))
     missing = [name for name in POOL_WORKER_CODE[module] if name not in funcs]
     assert missing == [], f"{module} no longer defines {missing}: update POOL_WORKER_CODE"
