@@ -281,6 +281,21 @@ class TestSeriesCsv:
         template_series_csv(tmp_path / "old.csv", sw.steps, mt, values)
         assert series.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    def test_first_write_imports_no_module(self, tmp_path):
+        # a numpy call that imports a submodule on first use (np.union1d took
+        # 18 ms) would land in the first analyze of every process
+        code = ("import sys, numpy as np; from vpmerge.cli import _series_csv; "
+                "values = np.array([[0.5, 1.0, np.nan], [0.25, 1e-9, -2.0], [0.125, 2.0, 0.0]]); "
+                "before = set(sys.modules); "
+                f"_series_csv({str(tmp_path / 's.csv')!r}, [0, 5, 10], np.zeros((3, 3)), values); "
+                "print(sorted(set(sys.modules) - before))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         # 4095 pairs x 101 steps, a 3.2 MiB series: the writer builds one block
         # of rows at a time, so its peak stays far below the series itself
