@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record three untraced benchmark runs of every workload as BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py --pr 29
+    python3 scripts/bench_record.py --pr N
 
 Runs the command that BENCHMARK.json declares (perfbench/run.py) three times
 per workload, in a subprocess from the root of the checkout, with seed 1, the
