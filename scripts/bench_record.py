@@ -9,7 +9,8 @@ declared run length and tracing off.  The record holds, per workload, the argv,
 every run (its final JSON line with correct, attempted, failed and the
 end-to-end metrics, and the report's environment, wall_rel and per-kind lines)
 and each end-to-end metric's median, min and max over the runs; and the commit
-(git rev-parse HEAD) with a flag for uncommitted changes to tracked files.  One
+(git rev-parse HEAD) with a flag for uncommitted changes to tracked files; and
+src_lines, the line count of src/vpmerge/*.py, the measure of the code's size.  One
 run is too few to compare two records: the host's load moves a single run by
 more than most changes do.  It changes nothing under perfbench/.
 """
@@ -21,6 +22,7 @@ import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vpmerge"
 SEED = 1
 RUNS = 3
 
@@ -71,6 +73,7 @@ def main() -> None:
         "pr": args.pr,
         "commit": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py")),
         "workloads": {w["name"]: run_workload(spec, w["name"]) for w in spec["workloads"]},
     }
     path = ROOT / f"BENCH_{args.pr}.json"

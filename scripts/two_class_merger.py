@@ -25,10 +25,14 @@ from vpmerge import (
 
 
 def closed_form(sched, delta, eps):
+    """The step t solving a t^2 + b t = log(delta / eps); 0 when delta <= eps,
+    where the pair has merged at step 0."""
+    if delta <= eps:
+        return 0.0
     target = math.log(delta / eps)
     a = 0.5 * (sched.betaT - sched.beta0) / sched.horizon_T
     b = sched.beta0
-    return (-b + math.sqrt(b * b + 4 * a * target)) / (2 * a)
+    return 2 * target / (b + math.sqrt(b * b + 4 * a * target))
 
 
 def main() -> None:

@@ -44,7 +44,7 @@ from .merger import (
     pairwise_merge_times,
 )
 from .probe import probe_through_time
-from .reprtext import repr_text
+from .reprtext import write_series_csv
 from .schedule import NoiseSchedule, predict_mixing_step
 
 EXIT_OK = 0
@@ -65,9 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _schedule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta0", type=float, default=1e-4)
-    p.add_argument("--betaT", type=float, default=0.02)
-    p.add_argument("--T", type=int, default=1000, help="horizon step count")
+    p.add_argument("--beta0", type=float, default=NoiseSchedule.beta0)
+    p.add_argument("--betaT", type=float, default=NoiseSchedule.betaT)
+    p.add_argument("--T", type=int, default=NoiseSchedule.horizon_T, help="horizon step count")
 
 
 def _steps_list(spec: str, horizon: int) -> list:
@@ -91,8 +91,7 @@ def _json_text(payload: dict, args) -> str:
     merge_times (K x K ints, K >= 1) are joined row by row in that encoder's
     layout and spliced in where it wrote an empty list: the same string."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    doc = {"config": config, "version": __version__,
-           "seed": getattr(args, "seed", None)}
+    doc = {"config": config, "version": __version__, "seed": args.seed}
     doc.update(payload)
     merge_times = doc.get("merge_times")
     if merge_times is not None:
@@ -140,39 +139,6 @@ def _analysis_inputs(args):
     return sw, part, eps, metric
 
 
-_BLOCK_ROWS = 4096  # series CSV rows built and written at once
-
-
-def _series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
-    """Write the per-pair series CSV (rows i,j,t,repr(v)) from detect_series'
-    matrix and values, _BLOCK_ROWS rows at a time.  A block is laid out in
-    fields right-aligned in spaces (the pair "i,j,", the step "t,", the
-    value and a newline), and one boolean index drops the spaces."""
-    pair_a, pair_b = np.triu_indices(len(mt), 1)  # detect_series' pair order
-    step_text = _right_aligned([f"{t}," for t in steps])
-    flat = values.reshape(-1)
-    with open(path, "wb") as fh:
-        fh.write(b"pair_a,pair_b,step,value\n")
-        for start in range(0, flat.size, _BLOCK_ROWS):
-            pair, step = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, flat.size)),
-                                   len(steps))
-            first, stop = pair[0], pair[-1] + 1
-            pair_text = _right_aligned([f"{a},{b}," for a, b in zip(
-                pair_a[first:stop].tolist(), pair_b[first:stop].tolist())])
-            block = np.concatenate([np.take(pair_text, pair - first, axis=0),
-                                    np.take(step_text, step, axis=0),
-                                    repr_text(flat[start:start + len(pair)]),
-                                    np.full((len(pair), 1), ord("\n"), np.uint8)], axis=1)
-            fh.write(block[block != ord(" ")])
-
-
-def _right_aligned(texts: list) -> np.ndarray:
-    """(len(texts), longest) uint8: each text right-aligned in spaces."""
-    width = max(map(len, texts))
-    return np.frombuffer("".join(t.rjust(width) for t in texts).encode(),
-                         np.uint8).reshape(len(texts), width)
-
-
 def _cmd_analyze(args) -> None:
     sw, part, eps, metric = _analysis_inputs(args)
     if args.series_out:
@@ -187,7 +153,7 @@ def _cmd_analyze(args) -> None:
         "cascade": build_cascade(mt),
     }, args)
     if args.series_out:
-        _series_csv(args.series_out, sw.steps, mt, values)
+        write_series_csv(args.series_out, sw.steps, mt, values)
     _emit(text, args)
 
 
@@ -254,8 +220,8 @@ def _cmd_probe(args) -> None:
 
 
 def _cmd_cf(args) -> dict:
-    a = load_dataset(args.input_a)
-    b = load_dataset(args.input_b)
+    a = load_dataset(args.input_a).features
+    b = load_dataset(args.input_b).features
     return empirical_cf_distance(a, b, freq_count=args.freqs,
                                  freq_scale=args.scale, seed=args.seed)
 

@@ -319,17 +319,17 @@ def moment_tv_check(p, q, grid, n: int, c0: float = 1.0) -> dict:
             "bound_value": float(bound), "holds": bool(d_tv <= bound)}
 
 
-def empirical_cf_distance(a, b, freq_count: int = 64,
+def empirical_cf_distance(a: np.ndarray, b: np.ndarray, freq_count: int = 64,
                           freq_scale: float | None = None,
                           seed: int = 0) -> dict:
-    """RMS gap between empirical characteristic functions at seeded probes,
-    as {"delta", "freq_count", "freq_scale"}.
+    """RMS gap between the empirical characteristic functions of the rows of
+    a and of b at seeded probes, as {"delta", "freq_count", "freq_scale"}.
 
     Probes are freq_scale * N(0, I_d) draws; freq_scale defaults to
     1/sqrt(d) so probe energy matches unit-variance data.
     """
-    xa = a.features if hasattr(a, "features") else np.asarray(a, dtype=np.float64)
-    xb = b.features if hasattr(b, "features") else np.asarray(b, dtype=np.float64)
+    xa = np.asarray(a, dtype=np.float64)
+    xb = np.asarray(b, dtype=np.float64)
     if xa.shape[1] != xb.shape[1]:
         raise DomainError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if freq_count < 1:

@@ -46,10 +46,6 @@ class SeedPolicy:
 
     base_seed: int
 
-    def stream(self, step: int) -> np.random.Generator:
-        """The Philox generator of this step's forward noise."""
-        return philox(self.base_seed, step)
-
 
 @dataclass(frozen=True)
 class TrajectorySweep:
@@ -94,7 +90,7 @@ class TrajectorySweep:
             return out
         j = float(j_values(self.schedule, t))
         sigma = np.sqrt(1.0 - j * j)
-        stream = self.seeds.stream(t)
+        stream = philox(self.seeds.base_seed, t)
         if rows is None:
             for lo in range(0, n, block):
                 eps = out[lo:lo + block]

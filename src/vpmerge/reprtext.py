@@ -1,9 +1,12 @@
-"""repr() text of a block of float64 values, computed by numpy.
+"""The series CSV, and the repr() text of its float64 values computed by numpy.
 
 The series CSV holds similarities, which repr() prints positionally from
 1e-4 up to 1: "0." and the shortest digit string that reads back as the
 same double.  This module computes that text for a whole block in [1e-4, 1)
 at once, writes "1.0" for 1.0 and calls repr() for every other value.
+Every field is right-aligned and padded with spaces, and no field text
+holds a space, so write_series_csv lays a block of rows out in fields and
+one boolean index drops the padding.
 
 Shortest digits (Steele and White, PLDI 1990; Adams, "Ryu", PLDI 2018).  A
 double v = f 2^e with f < 2^53 reads back from every real in the open
@@ -38,6 +41,7 @@ _M32 = np.uint64(0xFFFFFFFF)
 _QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
 _QUADS = _QUADS.view("<u4")[:, 0]
 _FIELD = np.dtype(f"V{WIDTH}")
+_BLOCK_ROWS = 4096  # series CSV rows built and written at once
 
 
 def _field_masks():
@@ -87,6 +91,40 @@ def _digits(d: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+def write_series_csv(path, steps, mt: np.ndarray, values: np.ndarray) -> None:
+    """Write the per-pair series CSV (rows i,j,t,repr(v)) from detect_series'
+    matrix and values, _BLOCK_ROWS rows at a time.  A block is laid out in
+    fields right-aligned in spaces (the pair "i,j,", the step "t,", the
+    value and a newline), and one boolean index drops the spaces."""
+    pair_a, pair_b = np.triu_indices(len(mt), 1)  # detect_series' pair order
+    step_text = _right_aligned([f"{t}," for t in steps])
+    flat = values.reshape(-1)
+    with open(path, "wb") as fh:
+        fh.write(b"pair_a,pair_b,step,value\n")
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            pair, step = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, flat.size)),
+                                   len(steps))
+            first, stop = pair[0], pair[-1] + 1
+            pair_text = _right_aligned([f"{a},{b}," for a, b in zip(
+                pair_a[first:stop].tolist(), pair_b[first:stop].tolist())])
+            block = np.concatenate([np.take(pair_text, pair - first, axis=0),
+                                    np.take(step_text, step, axis=0),
+                                    repr_text(flat[start:start + len(pair)]),
+                                    np.full((len(pair), 1), ord("\n"), np.uint8)], axis=1)
+            fh.write(block[block != _SPACE])
+
+
+def _right_aligned(texts: list, width: int = 0) -> np.ndarray:
+    """(len(texts), w) uint8: each text right-aligned in spaces, w the
+    larger of width and the longest text's length."""
+    width = max([width, *map(len, texts)])
+    return np.frombuffer("".join(t.rjust(width) for t in texts).encode(),
+                         np.uint8).reshape(len(texts), width)
+
+
+_ONE = _right_aligned(["1.0"], WIDTH).view(_FIELD)[0, 0]
+
+
 def repr_text(values: np.ndarray) -> np.ndarray:
     """(n, WIDTH) uint8: row i is repr(float(values[i])) right-aligned and
     padded on the left with spaces."""
@@ -96,15 +134,10 @@ def repr_text(values: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(inside)
     out[rows] = _positional(v[rows])
     one = v == 1.0
-    out[one] = _text(b"1.0")
-    for i in np.flatnonzero(~(inside | one)).tolist():
-        out[i] = _text(repr(float(v[i])).encode())
+    out[one] = _ONE
+    rest = np.flatnonzero(~(inside | one))
+    out[rest] = _right_aligned(list(map(repr, v[rest].tolist())), WIDTH).view(_FIELD)[:, 0]
     return out.view(np.uint8).reshape(v.size, WIDTH)
-
-
-def _text(text: bytes) -> np.void:
-    """One WIDTH-byte field: text right-aligned, padded with spaces."""
-    return np.void(text.rjust(WIDTH))
 
 
 def _grid(v: np.ndarray):

@@ -4,7 +4,8 @@ BENCHMARK.json declares, and every recorded run passed its output checks.
 
 A workload holds its runs under "runs" and each metric's median, min and
 max over them under "metrics"; BENCH_27.json and BENCH_28.json hold one
-run each, as "result" beside the argv."""
+run each, as "result" beside the argv.  A record from BENCH_30.json on also
+holds src_lines, the line count of src/vpmerge/*.py."""
 
 import json
 import statistics
@@ -25,6 +26,8 @@ def test_at_least_one_record():
 def test_record_matches_the_benchmark(path):
     record = json.loads(path.read_text())
     assert path.name == f"BENCH_{record['pr']}.json"
+    if "src_lines" in record:
+        assert type(record["src_lines"]) is int and record["src_lines"] > 0
     assert list(record["workloads"]) == [w["name"] for w in SPEC["workloads"]]
     units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
     for name, workload in record["workloads"].items():

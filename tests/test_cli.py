@@ -27,10 +27,11 @@ from vpmerge import (
     sweep,
 )
 from vpmerge import __version__
-from vpmerge.cli import _BLOCK_ROWS, _json_text, _series_csv, _steps_list, build_parser, execute
+from vpmerge.cli import _json_text, _steps_list, build_parser, execute
 from vpmerge.data import save_dataset
 from vpmerge.forward import TrajectorySweep
 from vpmerge.merger import build_cascade
+from vpmerge.reprtext import _BLOCK_ROWS, write_series_csv
 from vpmerge.schedule import j_values
 
 from conftest import five_class_sweep, traced_peak
@@ -233,7 +234,7 @@ class TestAnalyze:
 
 def template_series_csv(path, steps, mt, values):
     """The series CSV as a per-pair %r template writes it: the oracle of
-    cli._series_csv."""
+    reprtext.write_series_csv."""
     template = "".join(f"\0{t},%r\n" for t in steps)  # \0 stands for the pair
     with open(path, "w") as fh:
         fh.write("pair_a,pair_b,step,value\n")
@@ -248,6 +249,7 @@ class TestSeriesCsv:
         (7, [0, 5, 123456789, 400000000]),  # a step of width 9
         (40, range(0, 1001, 100)),  # 780 pairs x 11 steps: blocks end inside a pair
         (1001, [20000]),  # pairs of width 4 and a step of width 5
+        (2, range(5000)),  # one pair's series spans two blocks
     ])
     def test_matches_the_template_writer(self, tmp_path, k, steps):
         steps = list(steps)
@@ -260,12 +262,12 @@ class TestSeriesCsv:
         if k == 40:
             assert flat.size % _BLOCK_ROWS and _BLOCK_ROWS % len(steps)
         mt = np.zeros((k, k), int)
-        _series_csv(tmp_path / "new.csv", steps, mt, values)
+        write_series_csv(tmp_path / "new.csv", steps, mt, values)
         template_series_csv(tmp_path / "old.csv", steps, mt, values)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_one_class_writes_the_header(self, tmp_path):
-        _series_csv(tmp_path / "s.csv", [0, 10], np.zeros((1, 1), int), np.empty((0, 2)))
+        write_series_csv(tmp_path / "s.csv", [0, 10], np.zeros((1, 1), int), np.empty((0, 2)))
         assert (tmp_path / "s.csv").read_text() == "pair_a,pair_b,step,value\n"
 
     @pytest.mark.parametrize("mode", ["analytic", "empirical"])
@@ -284,10 +286,11 @@ class TestSeriesCsv:
     def test_first_write_imports_no_module(self, tmp_path):
         # a numpy call that imports a submodule on first use (np.union1d took
         # 18 ms) would land in the first analyze of every process
-        code = ("import sys, numpy as np; from vpmerge.cli import _series_csv; "
+        code = ("import sys, numpy as np; from vpmerge.reprtext import write_series_csv; "
                 "values = np.array([[0.5, 1.0, np.nan], [0.25, 1e-9, -2.0], [0.125, 2.0, 0.0]]); "
                 "before = set(sys.modules); "
-                f"_series_csv({str(tmp_path / 's.csv')!r}, [0, 5, 10], np.zeros((3, 3)), values); "
+                f"write_series_csv({str(tmp_path / 's.csv')!r}, [0, 5, 10], np.zeros((3, 3)), "
+                "values); "
                 "print(sorted(set(sys.modules) - before))")
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -301,7 +304,7 @@ class TestSeriesCsv:
         # of rows at a time, so its peak stays far below the series itself
         k = 91
         values = np.random.default_rng(0).uniform(0.0, 1.0, (k * (k - 1) // 2, 101))
-        _, peak = traced_peak(_series_csv, tmp_path / "s.csv", list(range(0, 1001, 10)),
+        _, peak = traced_peak(write_series_csv, tmp_path / "s.csv", list(range(0, 1001, 10)),
                               np.zeros((k, k), int), values)
         assert peak < 2 * 2**20, peak
 

@@ -64,13 +64,17 @@ KINDS = ["gaussian", "empty", "one_class", "one_row_per_class", "sparse_labels",
          "constant", "repeated", "huge", "tiny", "truncated"]
 
 
+def subparsers() -> dict:
+    """name -> the subparser of that subcommand."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def subcommands() -> dict:
     """name -> the optional actions of its subparser, --help left out."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: [a for a in p._actions
                    if a.option_strings and not isinstance(a, argparse._HelpAction)]
-            for name, p in sub.choices.items()}
+            for name, p in subparsers().items()}
 
 
 PATH_DESTS = ("input", "input_a", "input_b", "out", "series_out")
@@ -81,6 +85,13 @@ def test_every_flag_has_bounded_values():
     for actions in subcommands().values():
         for a in actions:
             assert a.dest in PATH_DESTS or a.dest in VALUES or a.choices, a.dest
+
+
+def test_every_subcommand_defaults_a_seed():
+    # every JSON document echoes args.seed; a subcommand without one would
+    # raise AttributeError out of execute
+    for name, p in subparsers().items():
+        assert p.get_default("seed") == 0, name
 
 
 @st.composite

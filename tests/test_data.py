@@ -9,6 +9,7 @@ from vpmerge import (
     DataError,
     DomainError,
     LabeledDataset,
+    NoiseSchedule,
     SyntheticSpec,
     conditional_fluctuation,
     detect_series,
@@ -23,6 +24,7 @@ from vpmerge.convergence import _projections, empirical_cf_distance
 from vpmerge.data import save_dataset
 from vpmerge.forward import SeedPolicy
 from vpmerge.probe import probe_through_time
+from vpmerge.schedule import j_values
 
 from conftest import traced_peak
 from test_probe import fit_two
@@ -303,8 +305,10 @@ def test_every_random_stream_keeps_its_key(seed):
     (tag (1 << 32) | (k << 8) | k), convergence projections (0xC0DE), CF
     frequency probes (0xF0F0) and the probe's split (0xB0BE)."""
     n, d = 50, 3
-    assert np.array_equal(SeedPolicy(seed).stream(370).standard_normal((n, d)),
-                          stream(seed, 370).standard_normal((n, d)))
+    zeros = LabeledDataset(np.zeros((n, d)), np.zeros(n, int))
+    sigma = np.sqrt(1.0 - float(j_values(NoiseSchedule(), 370)) ** 2)
+    assert np.array_equal(sweep(zeros, NoiseSchedule(), [370], SeedPolicy(seed)).snapshot(370),
+                          sigma * stream(seed, 370).standard_normal((n, d)))
 
     spec = SyntheticSpec(means=np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]]),
                          spectra=np.array([[4.0, 2.0, 1.0], [1.0, 1.0, 0.5]]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpmerge import DomainError, LabeledDataset, NoiseSchedule, SeedPolicy, forward, sweep
+from vpmerge.data import philox
 from vpmerge.schedule import betas, j_values
 
 from conftest import discrete_product_oracle
@@ -62,7 +63,7 @@ class TestNoisedAt:
         pol = SeedPolicy(base_seed=12)
         for t in (1, 370, 1000):
             j = float(j_values(ddpm, t))
-            eps = pol.stream(t).standard_normal((2000, 8))
+            eps = philox(pol.base_seed, t).standard_normal((2000, 8))
             expected = j * ds.features + np.sqrt(1.0 - j * j) * eps
             assert sweep(ds, ddpm, [t], pol).snapshot(t).tobytes() == expected.tobytes()
 
@@ -72,7 +73,7 @@ class TestNoisedAt:
         ds = unit_dataset(4, n=2000, d=8)
         pol = SeedPolicy(base_seed=13)
         j = float(j_values(ddpm, 250))
-        eps = pol.stream(250).standard_normal((2000, 8))
+        eps = philox(pol.base_seed, 250).standard_normal((2000, 8))
         expected = j * ds.features + np.sqrt(1.0 - j * j) * eps
         assert sweep(ds, ddpm, [250], pol).snapshot(250).tobytes() == expected.tobytes()
 
@@ -181,7 +182,8 @@ class TestSweep:
         ds = unit_dataset(n * d, n=n, d=d)
         pol = SeedPolicy(base_seed=n + d)
         j = float(j_values(sched, t))
-        want = j * ds.features + np.sqrt(1.0 - j * j) * pol.stream(t).standard_normal((n, d))
+        eps = philox(pol.base_seed, t).standard_normal((n, d))
+        want = j * ds.features + np.sqrt(1.0 - j * j) * eps
         out = np.full((n, d), np.nan) if into else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forward, "_BLOCK_VALUES", block_values)
@@ -196,14 +198,13 @@ class TestSweep:
         block = max(1, block_values // d)
         sw = sweep(unit_dataset(10, n=n, d=d), ddpm, [0, 300], SeedPolicy(base_seed=3))
         drawn = []
-        stream = SeedPolicy.stream
 
-        def counted(self, step):  # the step's stream, counting the values drawn from it
-            draw = stream(self, step).standard_normal
+        def counted(seed, step):  # the step's stream, counting the values drawn from it
+            draw = philox(seed, step).standard_normal
             return SimpleNamespace(standard_normal=lambda size, out=None:
                                    drawn.append(int(np.prod(size))) or draw(size, out=out))
 
-        monkeypatch.setattr(SeedPolicy, "stream", counted)
+        monkeypatch.setattr(forward, "philox", counted)
         for rows in ([3, 0], [17, 2, 17], [n - 1], list(range(0, 200, 9)), []):
             drawn.clear()
             sw.snapshot(300, rows)

@@ -14,6 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
     ["two_class_merger.py", "--n-per-class", "300", "--seeds", "1"],
     ["phase_spectrum_scan.py", "--n-per-class", "300"],
     ["mixing_table.py"],
+    # eps above the pair's eigenvalue gap: the closed form is step 0
+    pytest.param(["two_class_merger.py", "--n-per-class", "300", "--seeds", "1", "--epsilon", "10"],
+                 id="two_class_merger.py-epsilon-10"),
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
     assert run_script(argv).stdout
