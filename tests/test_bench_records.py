@@ -4,8 +4,8 @@ BENCHMARK.json declares, and every recorded run passed its output checks.
 
 A workload holds its runs under "runs" and each metric's median, min and
 max over them under "metrics"; BENCH_27.json and BENCH_28.json hold one
-run each, as "result" beside the argv.  A record from BENCH_30.json on also
-holds src_lines, the line count of src/vpmerge/*.py."""
+run each, as "result" beside the argv.  Newer records also hold src_lines,
+the line count of src/vpmerge/*.py."""
 
 import json
 import statistics
